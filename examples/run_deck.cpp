@@ -15,6 +15,11 @@
 //                      (same as deck key AuditInvariants = 1); any violation
 //                      makes the run exit non-zero
 //
+// A deck whose problem registers an analytic reference (SodTube,
+// SedovBlast, ZeldovichPancake, ...) ends with its L1 density error, or
+// "n/a" when the reference does not hold at the final time (a Zel'dovich
+// pancake past its caustic).
+//
 // Execution flags (override the deck's Threads/Executor keys):
 //   --threads N        run level sweeps on N lanes (1 = serial backend,
 //                      0 = all hardware threads); also --threads=N
@@ -29,6 +34,7 @@
 //   CheckpointPath every N root steps (rolling retention CheckpointKeep,
 //   default 3).  Without it, one snapshot is written at end of run.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +50,7 @@
 #include "io/checkpoint_writer.hpp"
 #include "perf/diagnostics.hpp"
 #include "perf/trace.hpp"
+#include "problems/registry.hpp"
 #include "util/timer.hpp"
 
 using namespace enzo;
@@ -205,6 +212,18 @@ int main(int argc, char** argv) {
       std::printf("checkpoint written: %s (%.1f MB raw)\n",
                   deck.checkpoint_path.c_str(),
                   io::checkpoint_size_bytes(sim) / 1048576.0);
+    }
+    const problems::ProblemSpec& spec =
+        problems::Registry::global().at(deck.problem);
+    if (spec.l1_density_error) {
+      const double l1 = spec.l1_density_error(sim, deck);
+      if (std::isnan(l1))
+        std::printf("L1 density error vs %s reference: n/a (no exact "
+                    "solution at t = %.6g)\n",
+                    spec.name.c_str(), sim.time_d());
+      else
+        std::printf("L1 density error vs %s reference: %.6e (t = %.6g)\n",
+                    spec.name.c_str(), l1, sim.time_d());
     }
   }
 

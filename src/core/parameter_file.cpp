@@ -193,7 +193,6 @@ struct Parser {
       executor_set = true;
       return;
     }
-    if (key == "PinThreads") { cfg.exec.pin = boolean(value); return; }
     // --- run control ----------------------------------------------------------------
     if (key == "StopTime") { deck.stop_time = num(value); return; }
     if (key == "StopSteps") { deck.stop_steps = integer(value); return; }
@@ -404,7 +403,6 @@ std::string render_deck(const ParameterDeck& deck) {
     os << "Executor = " << exec::backend_name(cfg.exec.backend) << "\n";
     if (cfg.exec.threads != 0) os << "Threads = " << cfg.exec.threads << "\n";
   }
-  if (cfg.exec.pin) os << "PinThreads = 1\n";
   if (cfg.rebuild_interval != c0.rebuild_interval)
     os << "RebuildInterval = " << cfg.rebuild_interval << "\n";
   os << "StopSteps = " << deck.stop_steps << "\n";

@@ -79,8 +79,8 @@ ParameterDeck parse_parameter_file(const std::string& path);
 /// dispatch on deck.problem).
 ProblemSetup deck_problem_setup(const ParameterDeck& deck);
 
-/// Apply the deck's problem setup to a simulation constructed from
-/// deck.config (build_root + fields + finalize).
+/// Build the run: Simulation::initialize with the deck's problem setup, on a
+/// simulation constructed from deck.config.
 void setup_from_deck(Simulation& sim, const ParameterDeck& deck);
 
 /// Restart path: apply only the deck setup's configure hooks (units, physics

@@ -1,28 +1,24 @@
 #pragma once
 // ProblemSetup: declarative initialization for a Simulation.
 //
-// Historically a problem was wired up through a four-call dance —
-// build_root(), caller fills the fields, finalize_setup(), with
-// sync_hierarchy_params() sprinkled in when the setup had adjusted hierarchy
-// parameters after construction.  Each setup repeated the sequence and each
-// new call site could get the order wrong.  A ProblemSetup captures the same
-// stages as hooks and Simulation::initialize(setup) runs them in the one
-// correct order:
+// A ProblemSetup lists a problem's set-up stages as hooks, and
+// Simulation::initialize(setup) runs them in the one correct order:
 //
 //   1. configure hooks   — mutate SimulationConfig (units, physics toggles);
 //                          the hierarchy is then re-derived from the result
-//   2. build_root(tiles)
+//   2. root build (root_tiles³ grids)
 //   3. declared static regions are registered
 //   4. fill hooks        — write root fields/particles; may still register
 //                          static regions and set config values that
 //                          finalize reads (e.g. gravity.mean_density)
-//   5. finalize_setup    — snapshot old states, set times, initial rebuild
+//   5. finalize          — snapshot old states, set times, initial rebuild
 //   6. refine hooks      — post-finalize passes over the refined hierarchy
 //                          (e.g. overwriting nested levels with finer
 //                          realizations)
 //
 // The factories in setup.hpp (cosmological_setup(...) etc.) return
-// ready-made ProblemSetups; examples compose or extend them.
+// ready-made ProblemSetups; callers extend them with further hooks, e.g.
+// `uniform_setup(1.0, 1.0).fill(perturb)` runs perturb after the uniform fill.
 
 #include <functional>
 #include <utility>

@@ -46,33 +46,49 @@ void Simulation::sync_hierarchy_params() {
   hierarchy_ = mesh::Hierarchy(cfg_.hierarchy);
 }
 
-void Simulation::build_root(int tiles_per_axis) {
-  // Problem setups may adjust hierarchy parameters (boundary type, field
-  // list) between construction and here: rebuild the (still-empty)
-  // hierarchy from the current configuration.
-  sync_hierarchy_params();
-  hierarchy_.build_root(tiles_per_axis);
-}
-
 void Simulation::configure_for_restart(const ProblemSetup& setup) {
   for (const auto& fn : setup.configure_) fn(cfg_);
   sync_hierarchy_params();
 }
 
 void Simulation::initialize(const ProblemSetup& setup) {
+  // Configure hooks may adjust hierarchy parameters (boundary type, field
+  // list): re-derive the still-empty hierarchy before building the root.
   for (const auto& fn : setup.configure_) fn(cfg_);
-  build_root(setup.tiles_);
+  sync_hierarchy_params();
+  hierarchy_.build_root(setup.tiles_);
   for (const auto& [lvl, box] : setup.static_regions_)
     add_static_region(lvl, box);
   for (const auto& fn : setup.fill_) fn(*this);
-  finalize_setup();
+
+  // Finalize: the fill hooks may have set the unit system, so (re)base the
+  // cosmic clock on the final units, snapshot old states, and run the
+  // initial rebuild cascade.
+  if (cfg_.comoving) {
+    a_ = cosmology::Frw::a_of_z(cfg_.initial_redshift);
+    time_ = ext::pos_t(frw_.time_of_a(a_) / cfg_.units.time_s);
+  }
+  for (Grid* g : hierarchy_.grids(0)) {
+    g->set_time(time_);
+    g->set_old_time(time_);
+    g->store_old_fields();
+  }
+  if (cfg_.hierarchy.max_level >= 1) hierarchy_.rebuild(1, flagger());
+  for (int l = 1; l <= hierarchy_.deepest_level(); ++l)
+    for (Grid* g : hierarchy_.grids(l)) {
+      g->set_time(time_);
+      g->set_old_time(time_);
+    }
+  level_steps_.assign(static_cast<std::size_t>(cfg_.hierarchy.max_level) + 2,
+                      0);
+
   for (const auto& fn : setup.refine_) fn(*this);
 }
 
 exec::LevelExecutor& Simulation::executor() {
   const exec::ExecConfig& want = cfg_.exec;
   if (!exec_ || exec_built_.backend != want.backend ||
-      exec_built_.threads != want.threads || exec_built_.pin != want.pin) {
+      exec_built_.threads != want.threads) {
     exec_ = exec::make_executor(want);
     exec_built_ = want;
   }
@@ -175,36 +191,6 @@ mesh::Hierarchy::FlagFn Simulation::flagger() {
             flags.push_back({i, j, k});
     }
   };
-}
-
-void Simulation::finalize_setup() {
-  ENZO_REQUIRE(!hierarchy_.grids(0).empty(), "root level not built");
-  // The unit system is typically filled in by the problem setup after
-  // construction: (re)base the cosmic clock on the final units.
-  if (cfg_.comoving) {
-    a_ = cosmology::Frw::a_of_z(cfg_.initial_redshift);
-    time_ = ext::pos_t(frw_.time_of_a(a_) / cfg_.units.time_s);
-  }
-  for (Grid* g : hierarchy_.grids(0)) {
-    g->set_time(time_);
-    g->set_old_time(time_);
-    g->store_old_fields();
-  }
-  if (cfg_.hierarchy.max_level >= 1) hierarchy_.rebuild(1, flagger());
-  for (int l = 1; l <= hierarchy_.deepest_level(); ++l)
-    for (Grid* g : hierarchy_.grids(l)) {
-      g->set_time(time_);
-      g->set_old_time(time_);
-    }
-  level_steps_.assign(static_cast<std::size_t>(cfg_.hierarchy.max_level) + 2,
-                      0);
-}
-
-void Simulation::restore_clock(ext::pos_t t) {
-  time_ = t;
-  update_scale_factor();
-  level_steps_.assign(static_cast<std::size_t>(cfg_.hierarchy.max_level) + 2,
-                      0);
 }
 
 Simulation::ClockState Simulation::clock_state() const {
@@ -540,7 +526,8 @@ void Simulation::step_root_to(ext::pos_t target, double dt) {
 }
 
 double Simulation::advance_root_step() {
-  ENZO_REQUIRE(!hierarchy_.grids(0).empty(), "run finalize_setup() first");
+  ENZO_REQUIRE(!hierarchy_.grids(0).empty(),
+               "no root level: build the run with initialize() first");
   const double dt0 = compute_level_timestep(0);
   step_root(dt0);
   return dt0;

@@ -41,20 +41,8 @@ class Simulation {
 
   /// Run a declarative problem setup end to end: configure hooks, root
   /// build, static regions, fill hooks, finalize, refine hooks — in that
-  /// order (see problem_setup.hpp).  This is the preferred way to
-  /// initialize a Simulation.
+  /// order (see problem_setup.hpp).  This is the one way to build a run.
   void initialize(const ProblemSetup& setup);
-
-  /// Deprecated shim: build the root level (tiles_per_axis per side).  The
-  /// caller then fills the root fields/particles and calls finalize_setup().
-  /// New code should describe the problem as a ProblemSetup and call
-  /// initialize() instead.
-  void build_root(int tiles_per_axis = 1);
-
-  /// Deprecated shim: snapshot old states, set times, and run the initial
-  /// rebuild cascade (initialize() does this between the fill and refine
-  /// hooks).
-  void finalize_setup();
 
   /// Pin a region (box in that level's index space) as permanently refined —
   /// the §4 "additional levels of static meshes" for nested initial
@@ -83,10 +71,6 @@ class Simulation {
   double redshift() const { return 1.0 / a_ - 1.0; }
   long root_steps_taken() const { return root_steps_; }
 
-  /// Restore the clock after loading a checkpoint (code-time units); also
-  /// re-derives the scale factor and resets per-level step counters.
-  void restore_clock(ext::pos_t t);
-
   /// Everything beyond the hierarchy that a checkpoint must persist for a
   /// restarted run to continue the uninterrupted one bit-for-bit: the clock,
   /// the root/per-level step counters (step numbering and rebuild cadence),
@@ -105,9 +89,9 @@ class Simulation {
     double audit_energy0 = 0.0;
   };
   ClockState clock_state() const;
-  /// Checkpoint-restore counterpart of restore_clock.  Attach a diagnostics
-  /// sink *before* restoring: set_diagnostics_sink resets the baselines this
-  /// call reinstates.
+  /// Checkpoint-restore counterpart of clock_state; also re-derives the
+  /// scale factor.  Attach a diagnostics sink *before* restoring:
+  /// set_diagnostics_sink resets the baselines this call reinstates.
   void restore_clock_state(const ClockState& s);
 
   /// Invoked after each completed root step (diagnostics record written and
@@ -130,7 +114,6 @@ class Simulation {
     double dt;
   };
   const std::vector<WcycleEvent>& trace() const { return trace_; }
-  void clear_trace() { trace_.clear(); }
 
   /// The refinement-criteria flagger (exposed for tests/benches).
   mesh::Hierarchy::FlagFn flagger();
@@ -174,8 +157,8 @@ class Simulation {
 
  private:
   /// Re-derive the (still-empty) hierarchy from the current config — needed
-  /// when a problem setup adjusted hierarchy parameters after construction
-  /// (build_root and checkpoint loading go through this).
+  /// when a setup's configure hooks adjusted hierarchy parameters after
+  /// construction (initialize and configure_for_restart go through this).
   void sync_hierarchy_params();
   void evolve_level(int level, ext::pos_t parent_time);
   void step_root(double dt);

@@ -18,8 +18,6 @@ struct ExecConfig {
   /// Total execution lanes (workers + participating caller); 0 means all
   /// hardware threads.
   int threads = 0;
-  /// Pin workers to cores (Linux only; ignored elsewhere).
-  bool pin = false;
 };
 
 /// "serial" | "threadpool" (case-sensitive, like deck keys).  Throws

@@ -12,11 +12,6 @@
 #include <thread>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "perf/metrics.hpp"
 #include "perf/trace.hpp"
 #include "util/error.hpp"
@@ -198,7 +193,7 @@ struct ThreadPoolExecutor::Impl {
   }
 };
 
-ThreadPoolExecutor::ThreadPoolExecutor(int threads, bool pin)
+ThreadPoolExecutor::ThreadPoolExecutor(int threads)
     : impl_(std::make_unique<Impl>()) {
   int lanes = threads;
   if (lanes <= 0) lanes = static_cast<int>(std::thread::hardware_concurrency());
@@ -209,21 +204,6 @@ ThreadPoolExecutor::ThreadPoolExecutor(int threads, bool pin)
   impl_->workers.reserve(static_cast<std::size_t>(lanes - 1));
   for (int s = 1; s < lanes; ++s)
     impl_->workers.emplace_back([this, s] { impl_->worker_main(s); });
-#ifdef __linux__
-  if (pin) {
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    for (int s = 1; s < lanes; ++s) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<unsigned>(s) % ncpu, &set);
-      pthread_setaffinity_np(impl_->workers[static_cast<std::size_t>(s - 1)]
-                                 .native_handle(),
-                             sizeof(set), &set);
-    }
-  }
-#else
-  (void)pin;
-#endif
 }
 
 ThreadPoolExecutor::~ThreadPoolExecutor() {
@@ -314,7 +294,7 @@ std::unique_ptr<LevelExecutor> make_executor(const ExecConfig& cfg) {
       ex = std::make_unique<SerialExecutor>();
       break;
     case Backend::kThreadPool:
-      ex = std::make_unique<ThreadPoolExecutor>(cfg.threads, cfg.pin);
+      ex = std::make_unique<ThreadPoolExecutor>(cfg.threads);
       break;
   }
   ENZO_REQUIRE(ex != nullptr, "unknown executor backend");

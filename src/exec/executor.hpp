@@ -113,8 +113,8 @@ class SerialExecutor final : public LevelExecutor {
 /// in flight, so `threads == 1` degenerates to inline execution.
 class ThreadPoolExecutor final : public LevelExecutor {
  public:
-  /// threads: total lanes (0 → hardware concurrency); pin: pthread affinity.
-  explicit ThreadPoolExecutor(int threads, bool pin = false);
+  /// threads: total lanes (0 → hardware concurrency).
+  explicit ThreadPoolExecutor(int threads);
   ~ThreadPoolExecutor() override;
 
   Backend backend() const override { return Backend::kThreadPool; }

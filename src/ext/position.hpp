@@ -17,11 +17,9 @@ namespace enzo::ext {
 #ifdef ENZO_POSITION_DOUBLE
 using pos_t = double;
 inline double pos_to_double(double p) { return p; }
-inline double pos_abs(double p) { return p < 0 ? -p : p; }
 #else
 using pos_t = dd;
 inline double pos_to_double(dd p) { return p.to_double(); }
-inline dd pos_abs(dd p) { return abs(p); }
 #endif
 
 using PosVec = std::array<pos_t, 3>;

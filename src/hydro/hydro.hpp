@@ -92,9 +92,4 @@ void solve_hydro_step(mesh::Grid& g, double dt, const HydroParams& params,
 void apply_gravity_sources(mesh::Grid& g, double dt,
                            const HydroParams& params);
 
-/// Gas pressure of the active+ghost cells from the dual-energy-selected
-/// internal energy (utility for chemistry/analysis/timestep).
-double cell_pressure(const mesh::Grid& g, int si, int sj, int sk,
-                     const HydroParams& params);
-
 }  // namespace enzo::hydro

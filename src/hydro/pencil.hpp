@@ -87,9 +87,6 @@ struct Pencil {
     return buf_.capacity();
   }
 
-  [[nodiscard]] int cell_stride() const { return cs_; }
-  [[nodiscard]] int face_stride() const { return fs_; }
-
  private:
   int cs_ = 0, fs_ = 0;  // padded cell/face lane lengths
   double *scal0_ = nullptr, *smass0_ = nullptr, *fscal0_ = nullptr;

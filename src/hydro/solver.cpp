@@ -309,13 +309,6 @@ ENZO_HOT void dual_energy_sync(Grid& g, const HydroParams& hp) {
 
 }  // namespace
 
-double cell_pressure(const Grid& g, int si, int sj, int sk,
-                     const HydroParams& params) {
-  const double rho = g.field(Field::kDensity)(si, sj, sk);
-  const double ei = g.field(Field::kInternalEnergy)(si, sj, sk);
-  return std::max((params.gamma - 1.0) * rho * ei, params.pressure_floor);
-}
-
 const char* dt_limiter_name(DtLimiter lim) {
   switch (lim) {
     case DtLimiter::kNone: return "none";

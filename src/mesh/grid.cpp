@@ -53,21 +53,6 @@ Grid::~Grid() {
   if (arena_ != nullptr) arena_->release_particles(std::move(particles_));
 }
 
-std::size_t Grid::field_bytes() const {
-  std::size_t total = 0;
-  for (const auto& a : fields_) total += a.size() * sizeof(double);
-  for (const auto& a : old_fields_) total += a.size() * sizeof(double);
-  for (const auto& per_field : fluxes_)
-    for (const auto& a : per_field) total += a.size() * sizeof(double);
-  for (const auto& per_field : bfluxes_)
-    for (const auto& per_axis : per_field)
-      for (const auto& a : per_axis) total += a.size() * sizeof(double);
-  total += gravitating_mass_.size() * sizeof(double);
-  total += potential_.size() * sizeof(double);
-  for (const auto& a : accel_) total += a.size() * sizeof(double);
-  return total;
-}
-
 ext::pos_t Grid::left_edge(int d) const {
   return ext::pos_t(static_cast<double>(spec_.box.lo[d])) * dx_[d];
 }

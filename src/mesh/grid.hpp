@@ -176,9 +176,6 @@ class Grid {
   /// As above but restricted to this grid's *active* region (rebuild copy).
   std::int64_t copy_active_from(const Grid& src, const Index3& shift);
 
-  /// Total bytes of field storage (allocation accounting).
-  std::size_t field_bytes() const;
-
   /// True when this grid alone covers the whole periodic domain, so its
   /// ghost zones are exactly its own wrapped data.
   bool covers_periodic_domain() const;

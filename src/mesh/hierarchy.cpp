@@ -40,7 +40,6 @@ Hierarchy::Hierarchy(Hierarchy&& other) noexcept
     : params_(std::move(other.params_)),
       arenas_(std::move(other.arenas_)),
       levels_(std::move(other.levels_)),
-      descriptors_(std::move(other.descriptors_)),
       generation_(other.generation_),
       topology_(std::move(other.topology_)),
       topology_generation_(other.topology_generation_.load()) {
@@ -52,7 +51,6 @@ Hierarchy& Hierarchy::operator=(Hierarchy&& other) noexcept {
     params_ = std::move(other.params_);
     arenas_ = std::move(other.arenas_);
     levels_ = std::move(other.levels_);
-    descriptors_ = std::move(other.descriptors_);
     generation_ = other.generation_;
     topology_ = std::move(other.topology_);
     topology_generation_.store(other.topology_generation_.load());
@@ -143,9 +141,6 @@ void Hierarchy::build_root(int tiles_per_axis) {
         }
         levels_[0].push_back(make_grid(0, box));
       }
-  descriptors_.clear();
-  descriptors_.emplace_back();
-  refresh_descriptors(0);
 }
 
 std::vector<Grid*> Hierarchy::grids(int level) {
@@ -190,28 +185,9 @@ Grid* Hierarchy::insert_grid(std::unique_ptr<Grid> g) {
   ENZO_REQUIRE(level >= 0, "negative level");
   ENZO_REQUIRE(level == 0 || g->parent() != nullptr,
                "refined grid inserted without parent");
-  while (static_cast<int>(levels_.size()) <= level) {
-    levels_.emplace_back();
-    descriptors_.emplace_back();
-  }
+  while (static_cast<int>(levels_.size()) <= level) levels_.emplace_back();
   levels_[level].push_back(std::move(g));
-  refresh_descriptors(level);
   return levels_[level].back().get();
-}
-
-void Hierarchy::refresh_descriptors(int level) {
-  while (static_cast<int>(descriptors_.size()) < static_cast<int>(levels_.size()))
-    descriptors_.emplace_back();
-  auto& list = descriptors_[level];
-  list.clear();
-  for (auto& g : levels_[level])
-    list.push_back({g->id(), level, g->box(), /*owner_rank=*/0});
-}
-
-const std::vector<GridDescriptor>& Hierarchy::descriptors(int level) const {
-  static const std::vector<GridDescriptor> empty;
-  if (level < 0 || level >= static_cast<int>(descriptors_.size())) return empty;
-  return descriptors_[level];
 }
 
 void Hierarchy::rebuild(int level, const FlagFn& flag) {
@@ -469,13 +445,9 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
     // Swap in the new level.  Children of the old grids (level l+1) are
     // re-parented when their own rebuild iteration runs next; nothing
     // touches their parent pointers in between.
-    if (static_cast<int>(levels_.size()) <= l) {
-      levels_.emplace_back();
-      descriptors_.emplace_back();
-    }
+    if (static_cast<int>(levels_.size()) <= l) levels_.emplace_back();
     levels_[l].swap(fresh);
     fresh.clear();
-    refresh_descriptors(l);
 
     if (levels_[l].empty()) {
       // Nothing refined at this level: delete all deeper levels (their
@@ -494,10 +466,8 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
             dest->particles().push_back(p);
           }
         levels_.pop_back();
-        descriptors_.pop_back();
       }
       levels_.pop_back();
-      descriptors_.pop_back();
       break;
     }
   }

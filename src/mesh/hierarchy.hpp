@@ -9,9 +9,10 @@
 // of the same level where possible, interpolating from parents otherwise),
 // redistribute particles, and delete the old grids.
 //
-// A registry of GridDescriptors — the paper's "sterile objects" (§3.4) — is
-// maintained per level: metadata-only replicas that every rank can hold so
-// neighbour lookups never require probing other ranks.
+// The paper's "sterile objects" (§3.4), metadata-only GridDescriptors that
+// every rank can hold so neighbour lookups never require probing other
+// ranks, are not cached here: parallel::SterileStore::mirror builds them from
+// the per-level grid lists when it needs them.
 
 #include <atomic>
 #include <functional>
@@ -116,9 +117,6 @@ class Hierarchy {
   /// particle ownership); throws enzo::Error with a description on failure.
   void check_invariants() const;
 
-  /// Sterile-object registry for one level.
-  const std::vector<GridDescriptor>& descriptors(int level) const;
-
   /// Count of grids per level (Fig. 5 bottom-left panel).
   std::vector<std::size_t> grids_per_level() const;
 
@@ -152,7 +150,6 @@ class Hierarchy {
   std::optional<std::uint64_t> topology_cache_generation() const;
 
  private:
-  void refresh_descriptors(int level);
   HierarchyParams params_;
   /// Per-level storage pools.  Grids hold a shared_ptr to their arena, so
   /// the member order relative to levels_ is not a lifetime hazard; pools
@@ -160,7 +157,6 @@ class Hierarchy {
   /// reuses its blocks.
   std::vector<std::shared_ptr<StorageArena>> arenas_;
   std::vector<std::vector<std::unique_ptr<Grid>>> levels_;
-  std::vector<std::vector<GridDescriptor>> descriptors_;
   std::uint64_t generation_ = 0;
   static constexpr std::uint64_t kNoTopology = ~std::uint64_t{0};
   mutable std::mutex topology_mu_;

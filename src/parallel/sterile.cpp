@@ -9,10 +9,9 @@ void SterileStore::mirror(const mesh::Hierarchy& h,
   all_.clear();
   std::size_t idx = 0;
   for (int l = 0; l <= h.deepest_level(); ++l)
-    for (const mesh::GridDescriptor& d : h.descriptors(l)) {
-      mesh::GridDescriptor copy = d;
-      if (idx < owner_by_index.size()) copy.owner_rank = owner_by_index[idx];
-      all_.push_back(copy);
+    for (const mesh::Grid* g : h.grids(l)) {
+      const int owner = idx < owner_by_index.size() ? owner_by_index[idx] : 0;
+      all_.push_back({g->id(), l, g->box(), owner});
       ++idx;
     }
 }

@@ -23,7 +23,8 @@ class SterileStore {
  public:
   void clear() { all_.clear(); }
   void add(const mesh::GridDescriptor& d) { all_.push_back(d); }
-  /// Mirror a whole hierarchy's descriptor registry with owners assigned.
+  /// Mirror a whole hierarchy: one descriptor per grid, level by level in
+  /// grid-list order, with owners assigned by that index (0 past the end).
   void mirror(const mesh::Hierarchy& h, const std::vector<int>& owner_by_index);
 
   std::size_t size() const { return all_.size(); }

@@ -69,8 +69,6 @@ StructuredLog& StructuredLog::global() {
     auto* log = new StructuredLog();
     if (const char* lvl = std::getenv("ENZO_LOG_LEVEL"))
       log->set_min_level(log_level_from(lvl));
-    else if (std::getenv("ENZO_DEBUG_LEVELS") != nullptr)
-      log->set_min_level(LogLevel::kDebug);
     return log;
   }();
   return *instance;

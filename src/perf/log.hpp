@@ -2,10 +2,8 @@
 // Structured, leveled logging replacing ad-hoc fprintf diagnostics.
 //
 // One line per event: "[level] component: message".  The global minimum
-// level comes from ENZO_LOG_LEVEL (debug|info|warn|error|off; default info);
-// the legacy ENZO_DEBUG_LEVELS variable also switches the global log to
-// debug so existing workflows keep working.  Check `enabled()` before
-// formatting expensive debug payloads.
+// level comes from ENZO_LOG_LEVEL (debug|info|warn|error|off; default info).
+// Check `enabled()` before formatting expensive debug payloads.
 
 #include <cstdarg>
 #include <cstdio>

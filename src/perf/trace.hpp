@@ -24,8 +24,7 @@
 
 namespace enzo::perf {
 
-/// Canonical component names, shared with util::ComponentTimers so the
-/// paper-style table keys stay stable across the compatibility shim.
+/// Canonical component names: the row keys of the paper-style table.
 namespace component {
 inline constexpr const char* kHydro = "hydrodynamics";
 inline constexpr const char* kGravity = "Poisson solver";
@@ -51,8 +50,7 @@ class TraceRecorder {
     double self_seconds = 0.0;   ///< exclusive (children subtracted)
   };
 
-  /// Direct accumulation (used by TraceScope on exit and by the
-  /// ComponentTimers compatibility shim, which reports self == total).
+  /// Direct accumulation (used by TraceScope on exit).
   void accumulate(const std::string& path, const std::string& comp, int level,
                   double total_seconds, double self_seconds,
                   std::uint64_t calls = 1);

@@ -43,7 +43,9 @@ struct ProblemSpec {
   std::function<core::ProblemSetup(const core::ParameterDeck&)> make;
   /// Analytic checker: mean |rho - rho_exact| over the root grid at the
   /// simulation's current time, in the problem's own density normalization.
-  /// Null when no exact solution exists (collapse, cosmology).
+  /// Null when no exact solution exists (collapse, cosmology); returns NaN
+  /// when the solution does not hold at the current time (ZeldovichPancake
+  /// past its caustic).
   std::function<double(const core::Simulation&, const core::ParameterDeck&)>
       l1_density_error;
   /// Minimal deck text (without the ProblemType line) that initializes the

@@ -49,6 +49,27 @@ void aligned_delete(double* p) {
   ::operator delete(p, std::align_val_t{kAlign});
 }
 
+// Blocks trimmed from every pooling arena, by capacity.  Never destroyed, so
+// an arena destroyed during static teardown can still trim into it.
+struct SpareBlocks {
+  std::mutex mu;
+  std::unordered_map<std::size_t, std::vector<double*>> by_capacity;
+};
+SpareBlocks& spares() {
+  static SpareBlocks* s = new SpareBlocks;
+  return *s;
+}
+
+double* take_spare(std::size_t cap) {
+  SpareBlocks& s = spares();
+  std::lock_guard<std::mutex> lock(s.mu);
+  auto it = s.by_capacity.find(cap);
+  if (it == s.by_capacity.end() || it->second.empty()) return nullptr;
+  double* p = it->second.back();
+  it->second.pop_back();
+  return p;
+}
+
 }  // namespace
 
 Arena::Arena(ArenaConfig cfg) : cfg_(cfg) {
@@ -83,7 +104,8 @@ ArenaBlock Arena::acquire(std::size_t doubles) {
     }
   }
   misses_counter().add(1);
-  ArenaBlock b{aligned_new(cap), cap};
+  double* p = cfg_.pool ? take_spare(cap) : nullptr;
+  ArenaBlock b{p != nullptr ? p : aligned_new(cap), cap};
   AllocStats::global().on_alloc(cap * sizeof(double));
   g_bytes_live.fetch_add(static_cast<std::int64_t>(cap * sizeof(double)),
                          std::memory_order_relaxed);
@@ -116,12 +138,14 @@ void Arena::release(ArenaBlock&& b) {
 
 void Arena::trim() {
   std::lock_guard<std::mutex> lock(mu_);
-  // enzo-lint: allow(determinism-unordered-iteration) frees only; order unobservable
+  SpareBlocks& s = spares();
+  std::lock_guard<std::mutex> spare_lock(s.mu);
+  // enzo-lint: allow(determinism-unordered-iteration) one spare list per capacity; order unobservable
   for (auto& [cap, blocks] : pool_) {
-    for (double* p : blocks) {
-      aligned_delete(p);
+    auto& spare = s.by_capacity[cap];
+    spare.insert(spare.end(), blocks.begin(), blocks.end());
+    for (std::size_t i = 0; i < blocks.size(); ++i)
       AllocStats::global().on_free(cap * sizeof(double));
-    }
     g_bytes_pooled.fetch_sub(
         static_cast<std::int64_t>(blocks.size() * cap * sizeof(double)),
         std::memory_order_relaxed);

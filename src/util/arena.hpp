@@ -10,11 +10,20 @@
 // to a configurable granularity so near-miss shapes share a size class, and
 // every block is 64-byte aligned so field arrays are SIMD/cache-line clean.
 //
-// Accounting contract: util::AllocStats records *heap* events only — a pool
-// hit is invisible to it (that is the point: the regrid-storm stress test
-// asserts steady-state heap allocations per rebuild drop to ~0).  Pool
-// traffic is published separately through the perf registry as `arena.*`
-// metrics (pool_hits / pool_misses / recycled blocks, bytes live / pooled).
+// Pooled blocks also outlive their arena: trim() hands them to a
+// process-wide spare list, which later misses of any pooling arena drain
+// before the heap.  A simulation set up after another one thus reuses its
+// memory.  Freed to the heap all at once, the old hierarchy would let glibc
+// return the top of the heap to the kernel, and the new set-up would fault
+// every page of it back in.
+//
+// Accounting contract: util::AllocStats records only blocks entering or
+// leaving the pools (a miss served by the spare list or the heap, a trim
+// into the spare list) — a pool hit is invisible to it (that is the point:
+// the regrid-storm stress test asserts steady-state allocations per rebuild
+// drop to ~0).  Pool traffic is published separately through the perf
+// registry as `arena.*` metrics (pool_hits / pool_misses / recycled blocks,
+// bytes live / pooled).
 //
 // Blocks are doubles because every consumer (fields, fluxes, gravity,
 // solver scratch) stores doubles; particle-vector recycling is layered on
@@ -55,15 +64,16 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   /// A block with capacity >= `doubles` (rounded up to the granularity),
-  /// from the matching free list when possible, else freshly heap-allocated
-  /// (reported to AllocStats).  Contents are unspecified.
+  /// from the matching free list when possible, else from the spare list
+  /// or the heap (reported to AllocStats).  Contents are unspecified.
   [[nodiscard]] ArenaBlock acquire(std::size_t doubles);
 
   /// Return a block.  Pooling on: it joins its size-class free list for the
   /// next regrid.  Pooling off: freed immediately (reported to AllocStats).
   void release(ArenaBlock&& b);
 
-  /// Free every pooled block back to the heap.
+  /// Hand every pooled block to the process-wide spare list (reported to
+  /// AllocStats as freed).  The destructor trims.
   void trim();
 
   [[nodiscard]] const ArenaConfig& config() const { return cfg_; }

@@ -1,98 +1,11 @@
 #pragma once
-// Per-component wall-clock accounting (compatibility shim).
-//
-// The SC2001 paper reports the fraction of compute time spent in each science
-// component (hydro 36 %, Poisson 17 %, chemistry 11 %, N-body 1 %, hierarchy
-// rebuild 9 %, boundary conditions 15 %, other 11 %).  The measurement layer
-// behind that table now lives in perf::TraceRecorder (hierarchical scopes,
-// per-level accounting, Chrome trace export); ComponentTimers remains as a
-// thin shim over it so existing call sites and tests keep working.
-// Thread-safe: adds route into the recorder's mutex-protected aggregation,
-// so timers may be driven from inside OpenMP regions.
+// Wall-clock stopwatch for benches, telemetry and I/O accounting.  Phase and
+// component timing goes through perf::TraceRecorder (perf/trace.hpp).
 
 #include <chrono>
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "perf/trace.hpp"
 
 namespace enzo::util {
 
-/// Named accumulating wall-clock timers over a perf::TraceRecorder.  The
-/// global() instance shares perf::TraceRecorder::global(), so seconds added
-/// here and self time measured by TraceScopes land in one component table.
-class ComponentTimers {
- public:
-  /// Canonical component names used by the driver, matching the paper table
-  /// (aliases of the perf::component constants).
-  static constexpr const char* kHydro = perf::component::kHydro;
-  static constexpr const char* kGravity = perf::component::kGravity;
-  static constexpr const char* kChemistry = perf::component::kChemistry;
-  static constexpr const char* kNbody = perf::component::kNbody;
-  static constexpr const char* kRebuild = perf::component::kRebuild;
-  static constexpr const char* kBoundary = perf::component::kBoundary;
-  static constexpr const char* kOther = perf::component::kOther;
-
-  /// A standalone timer set backed by its own private recorder.
-  ComponentTimers() : owned_(std::make_unique<perf::TraceRecorder>()),
-                      rec_(owned_.get()) {}
-
-  void add(const std::string& name, double seconds) {
-    rec_->accumulate(name, name, -1, seconds, seconds, 1);
-  }
-  [[nodiscard]] double seconds(const std::string& name) const {
-    return rec_->component_seconds(name);
-  }
-  [[nodiscard]] double total() const { return rec_->total_seconds(); }
-
-  void reset() { rec_->reset(); }
-
-  /// The recorder this shim accumulates into.
-  perf::TraceRecorder& recorder() { return *rec_; }
-
-  /// Rows of (component, seconds, fraction-of-total), descending by time.
-  struct Row {
-    std::string name;
-    double seconds;
-    double fraction;
-  };
-  std::vector<Row> rows() const;
-
-  /// Render the paper-style "component | usage" table.
-  std::string report() const { return rec_->component_report(); }
-
-  /// Process-wide instance used by the Simulation driver (a view over
-  /// perf::TraceRecorder::global()).
-  static ComponentTimers& global();
-
- private:
-  explicit ComponentTimers(perf::TraceRecorder* shared) : rec_(shared) {}
-  std::unique_ptr<perf::TraceRecorder> owned_;
-  perf::TraceRecorder* rec_;
-};
-
-/// RAII scope that accumulates elapsed wall time into a ComponentTimers slot.
-class ScopedTimer {
- public:
-  ScopedTimer(ComponentTimers& timers, std::string name)
-      : timers_(timers), name_(std::move(name)),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    auto end = std::chrono::steady_clock::now();
-    timers_.add(name_, std::chrono::duration<double>(end - start_).count());
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  ComponentTimers& timers_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Simple stopwatch for benches.
 class Stopwatch {
  public:
   Stopwatch() : start_(std::chrono::steady_clock::now()) {}

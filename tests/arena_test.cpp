@@ -1,8 +1,9 @@
 // Storage-arena tests: block pooling semantics (size classes, alignment,
-// AllocStats heap-only accounting), Buffer3/particle-vector recycling, the
-// regrid-storm stress contract (§5: steady-state heap allocations per
-// rebuild drop to ~0 with the arena on), the incremental-regrid keep path,
-// and a checkpoint round trip across storage modes.
+// AllocStats accounting, blocks outliving their arena), Buffer3/particle-
+// vector recycling, the regrid-storm stress contract (§5: steady-state heap
+// allocations per rebuild drop to ~0 with the arena on), the
+// incremental-regrid keep path, and a checkpoint round trip across storage
+// modes.
 
 #include <gtest/gtest.h>
 
@@ -73,6 +74,25 @@ TEST(Arena, PoolOffIsAHeapPassthrough) {
   a.release(std::move(b));
   EXPECT_EQ(util::AllocStats::global().frees(), frees0 + 1);
   EXPECT_EQ(a.bytes_pooled(), 0u);
+}
+
+TEST(Arena, TrimmedBlocksServeTheNextArena) {
+  double* parked = nullptr;
+  {
+    util::Arena a;
+    util::ArenaBlock b = a.acquire(100);
+    parked = b.ptr;
+    a.release(std::move(b));
+  }  // the destructor trims the block into the process-wide spare list
+  util::Arena next;
+  const std::uint64_t allocs0 = util::AllocStats::global().allocations();
+  const std::uint64_t frees0 = util::AllocStats::global().frees();
+  util::ArenaBlock b = next.acquire(100);
+  EXPECT_EQ(b.ptr, parked);
+  EXPECT_EQ(util::AllocStats::global().allocations(), allocs0 + 1);
+  next.release(std::move(b));
+  next.trim();
+  EXPECT_EQ(util::AllocStats::global().frees(), frees0 + 1);
 }
 
 TEST(Arena, HeapFallbackMatchesAlignmentContract) {

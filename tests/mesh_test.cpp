@@ -540,7 +540,6 @@ TEST(Hierarchy, BuildRootSingleAndTiled) {
   EXPECT_EQ(h2.num_grids(0), 8u);
   h2.check_invariants();
   EXPECT_EQ(h2.total_cells(), 16 * 16 * 16);
-  EXPECT_EQ(h2.descriptors(0).size(), 8u);
 }
 
 TEST(Hierarchy, LevelDims) {

@@ -1,7 +1,7 @@
 // Telemetry subsystem tests: hierarchical trace accounting, metrics
 // registry instruments, JSONL diagnostics schema round-trip, Chrome trace
 // export validity, structured logging, and the thread-safety guarantees the
-// instrumentation layer makes (ComponentTimers shim, AllocStats peak).
+// instrumentation layer makes (AllocStats peak, allocation balance).
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "perf/trace.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/flops.hpp"
-#include "util/timer.hpp"
 
 using namespace enzo;
 
@@ -104,6 +103,10 @@ TEST(Trace, ComponentFractionsSumToOne) {
   // Rows are sorted descending by time.
   for (std::size_t i = 1; i < table.size(); ++i)
     EXPECT_GE(table[i - 1].seconds, table[i].seconds);
+  // The rendered report names every row.
+  const std::string report = rec.component_report();
+  for (const auto& row : table)
+    EXPECT_NE(report.find(row.name), std::string::npos) << row.name;
 }
 
 TEST(Trace, ComponentAndLevelInheritance) {
@@ -444,21 +447,7 @@ TEST(Log, LevelNamesParse) {
   EXPECT_STREQ(perf::log_level_name(perf::LogLevel::kWarn), "warn");
 }
 
-// ---- thread-safety of the legacy shims -------------------------------------
-
-TEST(PerfThreading, ComponentTimersConcurrentAdd) {
-  util::ComponentTimers timers;
-  constexpr int kThreads = 8, kIters = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&timers] {
-      for (int i = 0; i < kIters; ++i)
-        timers.add(util::ComponentTimers::kHydro, 1e-6);
-    });
-  for (auto& th : threads) th.join();
-  EXPECT_NEAR(timers.seconds(util::ComponentTimers::kHydro),
-              kThreads * kIters * 1e-6, 1e-9);
-}
+// ---- thread-safety ---------------------------------------------------------
 
 TEST(PerfThreading, AllocStatsPeakNeverBelowConcurrentLive) {
   util::AllocStats stats;
@@ -495,13 +484,13 @@ TEST(PerfThreading, RebuildCycleBalancesAllocations) {
     cfg.hierarchy.max_level = 2;
     cfg.refinement.overdensity_threshold = 1.5;
     core::Simulation sim(cfg);
-    sim.initialize(core::uniform_setup(1.0, 1.0));
     // Perturb so the rebuild cascade flags (and later unflags) cells.
-    for (mesh::Grid* g : sim.hierarchy().grids(0)) {
-      const auto rho = g->field(mesh::Field::kDensity);
-      rho(g->sx(8), g->sy(8), g->sz(8)) = 4.0;
-    }
-    sim.finalize_setup();
+    sim.initialize(core::uniform_setup(1.0, 1.0).fill([](core::Simulation& s) {
+      for (mesh::Grid* g : s.hierarchy().grids(0)) {
+        const auto rho = g->field(mesh::Field::kDensity);
+        rho(g->sx(8), g->sy(8), g->sz(8)) = 4.0;
+      }
+    }));
     EXPECT_GE(sim.hierarchy().deepest_level(), 1);
     for (int s = 0; s < 2; ++s) sim.advance_root_step();
   };

@@ -156,21 +156,21 @@ TEST(Stress, RebuildIntervalSkipsRebuilds) {
   cfg.refinement.overdensity_threshold = 2.0;
   cfg.rebuild_interval = 3;
   core::Simulation sim(cfg);
-  sim.build_root();
-  Grid* g = sim.hierarchy().grids(0)[0];
-  for (Field f : g->field_list()) g->field(f).fill(0.0);
-  const auto rho = g->field(Field::kDensity);
-  for (int k = 0; k < 16; ++k)
-    for (int j = 0; j < 16; ++j)
-      for (int i = 0; i < 16; ++i) {
-        const double x = (i + 0.5) / 16 - 0.5, y = (j + 0.5) / 16 - 0.5,
-                     z = (k + 0.5) / 16 - 0.5;
-        rho(g->sx(i), g->sy(j), g->sz(k)) =
-            1.0 + 4.0 * std::exp(-(x * x + y * y + z * z) / 0.02);
-      }
-  g->field(Field::kInternalEnergy).fill(1.0);
-  g->field(Field::kTotalEnergy).fill(1.0);
-  sim.finalize_setup();
+  sim.initialize(core::ProblemSetup().fill([](core::Simulation& s) {
+    Grid* g = s.hierarchy().grids(0)[0];
+    for (Field f : g->field_list()) g->field(f).fill(0.0);
+    const auto rho = g->field(Field::kDensity);
+    for (int k = 0; k < 16; ++k)
+      for (int j = 0; j < 16; ++j)
+        for (int i = 0; i < 16; ++i) {
+          const double x = (i + 0.5) / 16 - 0.5, y = (j + 0.5) / 16 - 0.5,
+                       z = (k + 0.5) / 16 - 0.5;
+          rho(g->sx(i), g->sy(j), g->sz(k)) =
+              1.0 + 4.0 * std::exp(-(x * x + y * y + z * z) / 0.02);
+        }
+    g->field(Field::kInternalEnergy).fill(1.0);
+    g->field(Field::kTotalEnergy).fill(1.0);
+  }));
   // With interval 3 the level-1 set stays fixed for steps 1 and 2.
   const auto ids_before = [&] {
     std::vector<std::uint64_t> ids;

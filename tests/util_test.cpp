@@ -1,4 +1,4 @@
-// Unit tests for the util module: Array3, timers, RNG, flop and allocation
+// Unit tests for the util module: Array3, RNG, flop and allocation
 // accounting.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "util/error.hpp"
 #include "util/flops.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace eu = enzo::util;
 
@@ -104,36 +103,6 @@ TEST(Rng, DifferentSeedsDiffer) {
   for (int i = 0; i < 64; ++i)
     if (a.next_u64() == b.next_u64()) ++same;
   EXPECT_EQ(same, 0);
-}
-
-TEST(ComponentTimers, AccumulateAndFractions) {
-  eu::ComponentTimers t;
-  t.add("hydro", 3.0);
-  t.add("gravity", 1.0);
-  t.add("hydro", 1.0);
-  EXPECT_DOUBLE_EQ(t.seconds("hydro"), 4.0);
-  EXPECT_DOUBLE_EQ(t.total(), 5.0);
-  auto rows = t.rows();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].name, "hydro");
-  EXPECT_DOUBLE_EQ(rows[0].fraction, 0.8);
-}
-
-TEST(ComponentTimers, ScopedTimerAddsTime) {
-  eu::ComponentTimers t;
-  {
-    eu::ScopedTimer s(t, "x");
-    volatile double acc = 0;
-    for (int i = 0; i < 100000; ++i) acc = acc + 1.0;
-  }
-  EXPECT_GT(t.seconds("x"), 0.0);
-}
-
-TEST(ComponentTimers, ReportContainsNames) {
-  eu::ComponentTimers t;
-  t.add(eu::ComponentTimers::kHydro, 2.0);
-  const std::string rep = t.report();
-  EXPECT_NE(rep.find("hydrodynamics"), std::string::npos);
 }
 
 TEST(FlopCounter, AccumulatesPerComponent) {

@@ -54,27 +54,27 @@ core::SimulationConfig collapse_cfg() {
 }
 
 void make_blob(core::Simulation& sim) {
-  sim.build_root();
-  Grid* g = sim.hierarchy().grids(0)[0];
-  for (Field f : g->field_list()) g->field(f).fill(0.0);
-  const auto rho = g->field(Field::kDensity);
-  for (int k = 0; k < 8; ++k)
-    for (int j = 0; j < 8; ++j)
-      for (int i = 0; i < 8; ++i) {
-        const double x = (i + 0.5) / 8 - 0.5, y = (j + 0.5) / 8 - 0.5,
-                     z = (k + 0.5) / 8 - 0.5;
-        rho(g->sx(i), g->sy(j), g->sz(k)) =
-            1.0 + 8.0 * std::exp(-(x * x + y * y + z * z) / 0.02);
-      }
-  g->field(Field::kInternalEnergy).fill(1.0);
-  g->field(Field::kTotalEnergy).fill(1.0);
-  mesh::Particle p;
-  p.x = {ext::pos_t(0.51), ext::pos_t(0.49), ext::pos_t(0.5)};
-  p.v = {0.1, -0.2, 0.05};
-  p.mass = 0.01;
-  p.id = 77;
-  g->particles().push_back(p);
-  sim.finalize_setup();
+  sim.initialize(core::ProblemSetup().fill([](core::Simulation& s) {
+    Grid* g = s.hierarchy().grids(0)[0];
+    for (Field f : g->field_list()) g->field(f).fill(0.0);
+    const auto rho = g->field(Field::kDensity);
+    for (int k = 0; k < 8; ++k)
+      for (int j = 0; j < 8; ++j)
+        for (int i = 0; i < 8; ++i) {
+          const double x = (i + 0.5) / 8 - 0.5, y = (j + 0.5) / 8 - 0.5,
+                       z = (k + 0.5) / 8 - 0.5;
+          rho(g->sx(i), g->sy(j), g->sz(k)) =
+              1.0 + 8.0 * std::exp(-(x * x + y * y + z * z) / 0.02);
+        }
+    g->field(Field::kInternalEnergy).fill(1.0);
+    g->field(Field::kTotalEnergy).fill(1.0);
+    mesh::Particle p;
+    p.x = {ext::pos_t(0.51), ext::pos_t(0.49), ext::pos_t(0.5)};
+    p.v = {0.1, -0.2, 0.05};
+    p.mass = 0.01;
+    p.id = 77;
+    g->particles().push_back(p);
+  }));
 }
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
