@@ -1,13 +1,14 @@
 // Micro-benchmarks (google-benchmark) of the solver kernels: PPM sweeps,
 // the ZEUS alternative, FFT, multigrid V-cycles, the chemistry network,
-// CIC deposition, and double–double arithmetic — the per-kernel numbers
-// behind the §5 performance discussion.
+// CIC deposition, double–double arithmetic and the subgrid boundary fill —
+// the per-kernel numbers behind the §5 performance discussion.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,49 @@ void BM_RateBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_RateBatch)->Arg(256);
+
+void BM_BoundaryFill(benchmark::State& state) {
+  // Two levels with the chemistry field list: a 16³ root whose old state
+  // lies at t = 0 and new state at t = 1, and a 2×2×2 block of 8³ children
+  // at t = 0.5, so every child blends old and new with weight 0.5 and has
+  // seven siblings whose overlaps its parent fill skips.
+  mesh::HierarchyParams p;
+  p.root_dims = {16, 16, 16};
+  p.max_level = 1;
+  p.fields = mesh::chemistry_field_list();
+  mesh::Hierarchy h(p);
+  h.build_root();
+  mesh::Grid* root = h.grids(0)[0];
+  util::Rng rng(23);
+  auto randomize = [&](mesh::Grid* g) {
+    for (Field f : g->field_list())
+      for (auto& v : g->field(f)) v = 0.5 + rng.uniform();
+  };
+  randomize(root);
+  root->store_old_fields();
+  randomize(root);
+  root->set_time(ext::pos_t(1.0));
+  for (std::int64_t z = 8; z < 24; z += 8)
+    for (std::int64_t y = 8; y < 24; y += 8)
+      for (std::int64_t x = 8; x < 24; x += 8) {
+        auto g = std::make_unique<mesh::Grid>(
+            h.make_spec(1, {{x, y, z}, {x + 8, y + 8, z + 8}}), p.fields);
+        g->set_parent(root);
+        g->set_time(ext::pos_t(0.5));
+        randomize(g.get());
+        h.insert_grid(std::move(g));
+      }
+  std::int64_t ghosts = 0;
+  for (const mesh::Grid* g : h.grids(1))
+    ghosts += std::int64_t(g->nt(0)) * g->nt(1) * g->nt(2) -
+              std::int64_t(g->nx(0)) * g->nx(1) * g->nx(2);
+  for (auto _ : state) {
+    mesh::set_boundary_values(h, 1);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * ghosts);
+}
+BENCHMARK(BM_BoundaryFill);
 
 // ---------------------------------------------------------------------------
 // Reporter: collect finalized per-kernel throughput (cells/sec) and write it

@@ -1,5 +1,7 @@
 #include "mesh/boundary.hpp"
 
+#include <vector>
+
 #include "exec/executor.hpp"
 #include "mesh/interpolate.hpp"
 #include "mesh/topology.hpp"
@@ -32,6 +34,8 @@ void fill_outflow_ghosts(Grid& g) {
 void set_boundary_values(Hierarchy& h, int level, exec::LevelExecutor* ex) {
   static perf::Counter& ghost_cells =
       perf::Registry::global().counter("boundary.ghost_cells_filled");
+  static perf::Counter& interpolated =
+      perf::Registry::global().counter("boundary.ghost_cells_interpolated");
   auto level_grids = h.grids(level);
   const Index3 dims = h.level_dims(level);
   const bool periodic = h.params().periodic;
@@ -54,10 +58,18 @@ void set_boundary_values(Hierarchy& h, int level, exec::LevelExecutor* ex) {
         const std::uint64_t active =
             static_cast<std::uint64_t>(g->nx(0)) * g->nx(1) * g->nx(2);
         ghost_cells.add(total - active);
-        // Step 1: parent interpolation (root has no parent).
+        // Step 1: parent interpolation (root has no parent).  With the
+        // cached links, the ghost cells inside a sibling overlap are left
+        // out: step 2 overwrites exactly those.
         if (level > 0) {
           ENZO_REQUIRE(g->parent() != nullptr, "subgrid without parent in BC");
-          fill_ghosts_from_parent(*g, *g->parent());
+          thread_local std::vector<IndexBox> covered;
+          covered.clear();
+          if (topo != nullptr)
+            for (const SiblingLink& ln : topo->siblings(level, n))
+              if (!ln.overlap.empty()) covered.push_back(ln.overlap);
+          interpolated.add(static_cast<std::uint64_t>(
+              fill_ghosts_from_parent(*g, *g->parent(), covered)));
         } else if (!periodic) {
           fill_outflow_ghosts(*g);
         }

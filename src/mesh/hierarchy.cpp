@@ -315,6 +315,7 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
     }
     std::vector<std::unique_ptr<Grid>> fresh;
     std::vector<char> fresh_kept;
+    std::vector<IndexBox> covered;
     std::size_t kept_count = 0;
     {
       perf::TraceScope arena_scope("arena", perf::component::kRebuild, l);
@@ -367,7 +368,14 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
             g->set_parent(parent);
             g->set_time(parent->time());
             g->set_old_time(parent->time());
-            fill_active_from_parent(*g, *parent);
+            // The old-grid copies below overwrite every cell inside an old
+            // grid's box; interpolate only the newly refined cells.
+            covered.clear();
+            for (const Grid* old : old_raw) {
+              const IndexBox o = fine.intersect(old->box());
+              if (!o.empty()) covered.push_back(o);
+            }
+            fill_active_from_parent(*g, *parent, covered);
             fresh.push_back(std::move(g));
             fresh_kept.push_back(0);
           }

@@ -72,6 +72,18 @@ class ArrayView3 {
     return i >= 0 && i < nx_ && j >= 0 && j < ny_ && k >= 0 && k < nz_;
   }
 
+  /// Pointer to the n >= 1 consecutive x-cells (i..i+n-1, j, k), for loops
+  /// that walk a row with unit stride.  The ENZO_BOUNDS_CHECK build checks
+  /// the first and the last cell through at().
+  T* row(int i, [[maybe_unused]] int n, int j, int k) const {
+#ifdef ENZO_BOUNDS_CHECK
+    (void)at(i + n - 1, j, k);
+    return &at(i, j, k);
+#else
+    return data_ + index(i, j, k);
+#endif
+  }
+
   T* data() const { return data_; }
 
   void fill(value_type v) const {

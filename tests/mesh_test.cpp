@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
 
@@ -19,11 +20,13 @@
 #include "mesh/interpolate.hpp"
 #include "mesh/project.hpp"
 #include "mesh/topology.hpp"
+#include "perf/metrics.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 using namespace enzo::mesh;
 namespace ext = enzo::ext;
+namespace perf = enzo::perf;
 
 namespace {
 std::vector<Field> hydro_list() {
@@ -117,6 +120,17 @@ TEST(Grid, DegenerateAxesHaveNoGhosts) {
   EXPECT_EQ(g.ng(0), 3);
   EXPECT_EQ(g.ng(1), 0);
   EXPECT_EQ(g.nt(1), 1);
+}
+
+TEST(Grid, BoxOutsideLevelDomainThrows) {
+  EXPECT_THROW(Grid(spec_at(1, {{-2, 0, 0}, {4, 4, 4}}, {16, 16, 16}),
+                    hydro_list()),
+               enzo::Error);
+  EXPECT_THROW(Grid(spec_at(1, {{12, 0, 0}, {18, 4, 4}}, {16, 16, 16}),
+                    hydro_list()),
+               enzo::Error);
+  EXPECT_NO_THROW(Grid(spec_at(1, {{0, 0, 0}, {16, 16, 16}}, {16, 16, 16}),
+                       hydro_list()));
 }
 
 TEST(Grid, FieldAccessAndMissingFieldThrows) {
@@ -1021,4 +1035,360 @@ TEST(Topology, BoundaryFillMatchesAllPairsBitwise) {
   for (std::size_t n = 0; n < reference.size(); ++n) {
     ASSERT_EQ(with_cache[n], reference[n]) << "field byte " << n << " differs";
   }
+}
+
+// ---- Table-driven boundary fill vs the historical scalar kernel --------------
+
+namespace oracle {
+
+// The prolongation and the per-cell sibling copy as they stood before the
+// table-driven kernel and the row copies.  They stay here, and only here, as
+// the byte-for-byte reference for the production fill.
+
+double minmod(double a, double b) {
+  if (a * b <= 0.0) return 0.0;
+  return std::abs(a) < std::abs(b) ? a : b;
+}
+
+double sample(ConstFieldView p, int psi, int psj, int psk, const double f[3]) {
+  const double v = p(psi, psj, psk);
+  double out = v;
+  const int idx[3] = {psi, psj, psk};
+  const int n[3] = {p.nx(), p.ny(), p.nz()};
+  for (int d = 0; d < 3; ++d) {
+    if (f[d] == 0.0) continue;
+    double slope = 0.0;
+    const bool has_lo = idx[d] - 1 >= 0;
+    const bool has_hi = idx[d] + 1 < n[d];
+    auto at = [&](int delta) {
+      switch (d) {
+        case 0: return p(psi + delta, psj, psk);
+        case 1: return p(psi, psj + delta, psk);
+        default: return p(psi, psj, psk + delta);
+      }
+    };
+    if (has_lo && has_hi)
+      slope = minmod(at(1) - v, v - at(-1));
+    else if (has_hi)
+      slope = 0.0;
+    out += f[d] * slope;
+  }
+  return out;
+}
+
+void interpolate_region(Grid& child, const Grid& parent, const int slo[3],
+                        const int shi[3], double time_weight) {
+  int rd[3];
+  for (int d = 0; d < 3; ++d)
+    rd[d] = static_cast<int>(child.spec().level_dims[d] /
+                             parent.spec().level_dims[d]);
+  const bool use_old = time_weight < 1.0 && parent.has_old_fields();
+  for (Field f : child.field_list()) {
+    if (!parent.has_field(f)) continue;
+    const FieldView dst = child.field(f);
+    const ConstFieldView pnew = parent.field(f);
+    const ConstFieldView pold =
+        use_old ? parent.old_field(f) : ConstFieldView{};
+    const bool positive = is_density_like(f);
+    for (int sk = slo[2]; sk < shi[2]; ++sk)
+      for (int sj = slo[1]; sj < shi[1]; ++sj)
+        for (int si = slo[0]; si < shi[0]; ++si) {
+          const int s[3] = {si, sj, sk};
+          int ps[3];
+          double frac[3];
+          for (int d = 0; d < 3; ++d) {
+            const std::int64_t g = child.box().lo[d] + (s[d] - child.ng(d));
+            const std::int64_t r = rd[d];
+            const std::int64_t pcell = g >= 0 ? g / r : -((-g + r - 1) / r);
+            const std::int64_t psd =
+                pcell - parent.box().lo[d] + parent.ng(d);
+            if (psd < 0 || psd >= parent.nt(d))
+              throw enzo::Error("oracle: child cell not covered by parent");
+            ps[d] = static_cast<int>(psd);
+            frac[d] = rd[d] == 1
+                          ? 0.0
+                          : (static_cast<double>(g - pcell * rd[d]) + 0.5) /
+                                    rd[d] -
+                                0.5;
+          }
+          double v = sample(pnew, ps[0], ps[1], ps[2], frac);
+          if (use_old) {
+            const double vo = sample(pold, ps[0], ps[1], ps[2], frac);
+            v = time_weight * v + (1.0 - time_weight) * vo;
+          }
+          if (positive && v <= 0.0)
+            v = std::max(pnew(ps[0], ps[1], ps[2]), 1e-300);
+          dst(si, sj, sk) = v;
+        }
+  }
+}
+
+void fill_ghosts_from_parent(Grid& child, const Grid& parent) {
+  double w = 1.0;
+  if (parent.has_old_fields()) {
+    const double span =
+        ext::pos_to_double(parent.time() - parent.old_time());
+    if (span > 0.0) {
+      w = ext::pos_to_double(child.time() - parent.old_time()) / span;
+      w = std::min(1.0, std::max(0.0, w));
+    }
+  }
+  for (int d = 0; d < 3; ++d) {
+    if (child.ng(d) == 0) continue;
+    for (int side = 0; side < 2; ++side) {
+      int slo[3], shi[3];
+      for (int e = 0; e < 3; ++e) {
+        if (e < d) {
+          slo[e] = 0;
+          shi[e] = child.nt(e);
+        } else if (e > d) {
+          slo[e] = child.ng(e);
+          shi[e] = child.ng(e) + child.nx(e);
+        }
+      }
+      slo[d] = side == 0 ? 0 : child.ng(d) + child.nx(d);
+      shi[d] = side == 0 ? child.ng(d) : child.nt(d);
+      interpolate_region(child, parent, slo, shi, w);
+    }
+  }
+}
+
+void fill_active_from_parent(Grid& child, const Grid& parent) {
+  int slo[3], shi[3];
+  for (int d = 0; d < 3; ++d) {
+    slo[d] = child.ng(d);
+    shi[d] = child.ng(d) + child.nx(d);
+  }
+  interpolate_region(child, parent, slo, shi, 1.0);
+}
+
+void copy_region(Grid& dst, const Grid& src, const Index3& shift,
+                 const IndexBox& target_global) {
+  const IndexBox overlap = target_global.intersect(src.box().shifted(shift));
+  if (overlap.empty()) return;
+  for (Field f : dst.field_list()) {
+    if (!src.has_field(f)) continue;
+    const FieldView dst_a = dst.field(f);
+    const ConstFieldView src_a = src.field(f);
+    for (std::int64_t gk = overlap.lo[2]; gk < overlap.hi[2]; ++gk)
+      for (std::int64_t gj = overlap.lo[1]; gj < overlap.hi[1]; ++gj)
+        for (std::int64_t gi = overlap.lo[0]; gi < overlap.hi[0]; ++gi) {
+          const int di = static_cast<int>(gi - dst.box().lo[0]) + dst.ng(0);
+          const int dj = static_cast<int>(gj - dst.box().lo[1]) + dst.ng(1);
+          const int dk = static_cast<int>(gk - dst.box().lo[2]) + dst.ng(2);
+          const int si =
+              static_cast<int>(gi - shift[0] - src.box().lo[0]) + src.ng(0);
+          const int sj =
+              static_cast<int>(gj - shift[1] - src.box().lo[1]) + src.ng(1);
+          const int sk =
+              static_cast<int>(gk - shift[2] - src.box().lo[2]) + src.ng(2);
+          dst_a(di, dj, dk) = src_a(si, sj, sk);
+        }
+  }
+}
+
+/// The two-step fill with every ghost cell interpolated and the all-pairs
+/// sibling scan.
+void set_boundary_values(Hierarchy& h, int level) {
+  const auto grids = h.grids(level);
+  const auto shifts =
+      periodic_image_shifts(h.level_dims(level), h.params().periodic);
+  for (Grid* g : grids) {
+    if (level > 0)
+      oracle::fill_ghosts_from_parent(*g, *g->parent());
+    else if (!h.params().periodic)
+      fill_outflow_ghosts(*g);
+    IndexBox total = g->box();
+    for (int d = 0; d < 3; ++d) {
+      total.lo[d] -= g->ng(d);
+      total.hi[d] += g->ng(d);
+    }
+    for (Grid* s : grids)
+      for (std::int64_t kz : shifts[2])
+        for (std::int64_t ky : shifts[1])
+          for (std::int64_t kx : shifts[0]) {
+            if (s == g && kx == 0 && ky == 0 && kz == 0) continue;
+            copy_region(*g, *s, {kx, ky, kz}, total);
+          }
+  }
+}
+
+}  // namespace oracle
+
+namespace {
+
+struct OracleCase {
+  std::uint64_t seed;
+  Index3 dims;
+  bool periodic;
+};
+
+/// Periodic and outflow roots, cubic and elongated, plus 2-D hierarchies
+/// whose z axis is degenerate (rd = 1, ng = 0).
+const OracleCase kOracleCases[] = {
+    {101, {16, 16, 16}, true},  {102, {16, 16, 16}, true},
+    {103, {16, 16, 16}, false}, {104, {16, 16, 16}, false},
+    {105, {8, 16, 32}, true},   {106, {8, 16, 32}, false},
+    {107, {32, 32, 1}, true},   {108, {32, 16, 1}, false},
+    {109, {16, 16, 16}, true},  {110, {16, 16, 16}, false}};
+
+/// Random state with what the fill must reproduce exactly: zeros, −0.0 and
+/// negative values (density-like ones then hit the 1e-300 floor), and a
+/// root whose old state lies at an earlier time, so every level-1 grid
+/// blends old and new with a weight strictly inside (0, 1).
+void fill_oracle_state(Hierarchy& h, std::uint64_t seed) {
+  enzo::util::Rng rng(seed * 31 + 5);
+  auto value = [&](Field f) {
+    const double u = rng.uniform();
+    if (u < 0.1) return 0.0;
+    if (u < 0.2) return -0.0;
+    if (u < 0.35) return -rng.uniform(0.0, 1.0);
+    return is_density_like(f) ? rng.uniform(0.5, 2.0) : rng.uniform(-2.0, 2.0);
+  };
+  auto randomize = [&](Grid* g) {
+    for (Field f : g->field_list())
+      for (double& v : g->field(f)) v = value(f);
+  };
+  for (Grid* r : h.grids(0)) {
+    r->set_time(ext::pos_t(0.0));
+    randomize(r);
+    r->store_old_fields();
+    randomize(r);
+    r->set_time(ext::pos_t(1.0));
+  }
+  for (Grid* g : h.grids(1)) {
+    randomize(g);
+    g->set_time(ext::pos_t(rng.uniform(0.1, 0.9)));
+  }
+}
+
+/// Every field value of the hierarchy, ghosts included, as its bit pattern
+/// (so 0.0 and −0.0 differ).
+std::vector<std::uint64_t> field_bits(Hierarchy& h) {
+  std::vector<std::uint64_t> bits;
+  for (int l = 0; l <= h.deepest_level(); ++l)
+    for (const Grid* g : h.grids(l))
+      for (Field f : g->field_list())
+        for (const double v : g->field(f)) {
+          std::uint64_t b = 0;
+          std::memcpy(&b, &v, sizeof b);
+          bits.push_back(b);
+        }
+  return bits;
+}
+
+}  // namespace
+
+TEST(BoundaryFillOracle, SetBoundaryValuesMatchesScalarKernelBitwise) {
+  perf::Counter& interpolated = perf::Registry::global().counter(
+      "boundary.ghost_cells_interpolated");
+  std::uint64_t subgrid_ghosts = 0, subgrid_interpolated = 0;
+  for (const OracleCase& c : kOracleCases) {
+    Hierarchy ref = make_random_hierarchy(c.seed, c.dims, c.periodic, 1);
+    Hierarchy h = make_random_hierarchy(c.seed, c.dims, c.periodic, 1);
+    fill_oracle_state(ref, c.seed);
+    fill_oracle_state(h, c.seed);
+    ASSERT_EQ(field_bits(ref), field_bits(h));
+    for (int l = 0; l <= h.deepest_level(); ++l) {
+      oracle::set_boundary_values(ref, l);
+      const std::uint64_t before = interpolated.value();
+      set_boundary_values(h, l);
+      if (l > 0) {
+        subgrid_interpolated += interpolated.value() - before;
+        for (const Grid* g : h.grids(l))
+          subgrid_ghosts += static_cast<std::uint64_t>(g->nt(0)) * g->nt(1) *
+                                g->nt(2) -
+                            static_cast<std::uint64_t>(g->nx(0)) * g->nx(1) *
+                                g->nx(2);
+      }
+    }
+    const auto want = field_bits(ref);
+    const auto got = field_bits(h);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t n = 0; n < want.size(); ++n)
+      ASSERT_EQ(got[n], want[n]) << "seed " << c.seed << " value " << n;
+  }
+  // The skip ran: some ghost cells came from siblings, not the parent.
+  EXPECT_GT(subgrid_interpolated, 0u);
+  EXPECT_LT(subgrid_interpolated, subgrid_ghosts);
+}
+
+TEST(BoundaryFillOracle, RebuildFillMatchesScalarKernelBitwise) {
+  // Each level-1 grid in turn plays a newly built grid and the others the
+  // old grids of its level, as in Hierarchy::rebuild: fill from the parent
+  // (skipping what the old grids cover), then copy from every old grid.
+  std::int64_t skipped = 0;
+  for (const OracleCase& c : kOracleCases) {
+    Hierarchy ref = make_random_hierarchy(c.seed, c.dims, c.periodic, 1);
+    Hierarchy h = make_random_hierarchy(c.seed, c.dims, c.periodic, 1);
+    fill_oracle_state(ref, c.seed);
+    fill_oracle_state(h, c.seed);
+    const auto ref_grids = ref.grids(1);
+    const auto grids = h.grids(1);
+    ASSERT_EQ(ref_grids.size(), grids.size());
+    for (std::size_t n = 0; n < grids.size(); ++n) {
+      Grid& rg = *ref_grids[n];
+      Grid& g = *grids[n];
+      oracle::fill_active_from_parent(rg, *rg.parent());
+      std::vector<IndexBox> covered;
+      for (std::size_t m = 0; m < grids.size(); ++m) {
+        if (m == n) continue;
+        const IndexBox o = g.box().intersect(grids[m]->box());
+        if (!o.empty()) covered.push_back(o);
+      }
+      const std::int64_t cells =
+          fill_active_from_parent(g, *g.parent(), covered);
+      skipped += g.box().volume() - cells;
+      for (std::size_t m = 0; m < grids.size(); ++m) {
+        if (m == n) continue;
+        oracle::copy_region(rg, *ref_grids[m], {0, 0, 0}, rg.box());
+        g.copy_active_from(*grids[m], {0, 0, 0});
+      }
+    }
+    const auto want = field_bits(ref);
+    const auto got = field_bits(h);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t n = 0; n < want.size(); ++n)
+      ASSERT_EQ(got[n], want[n]) << "seed " << c.seed << " value " << n;
+  }
+  EXPECT_GT(skipped, 0);  // some cases overlap, so the skip ran
+}
+
+TEST(BoundaryFillOracle, GhostOutsideParentThrowsEvenWhenSiblingCovers) {
+  // Child a reaches 12 coarse cells along x from its 8-cell parent tile, past
+  // the tile's 4-cell ghost zone, so its high-x ghost slab leaves the
+  // parent's total region.  Sibling b covers that whole slab, so the fill
+  // skips every cell of it, and the range check must still fire.
+  HierarchyParams p;
+  p.root_dims = {16, 16, 16};
+  p.max_level = 1;
+  Hierarchy h(p);
+  h.build_root(2);
+  auto a = std::make_unique<Grid>(h.make_spec(1, {{0, 0, 0}, {24, 8, 8}}),
+                                  p.fields);
+  auto b = std::make_unique<Grid>(h.make_spec(1, {{24, 0, 0}, {32, 8, 8}}),
+                                  p.fields);
+  for (Grid* r : h.grids(0)) {
+    if (r->box().contains(Index3{0, 0, 0})) a->set_parent(r);
+    if (r->box().contains(Index3{12, 0, 0})) b->set_parent(r);
+  }
+  ASSERT_NE(a->parent(), nullptr);
+  ASSERT_NE(b->parent(), nullptr);
+  Grid* ga = h.insert_grid(std::move(a));
+  h.insert_grid(std::move(b));
+  bool slab_covered = false;  // by b's unshifted link
+  for (const SiblingLink& ln : h.topology().siblings(1, 0))
+    slab_covered = slab_covered ||
+                   (ln.shift == Index3{0, 0, 0} &&
+                    ln.overlap == IndexBox{{24, 0, 0}, {28, 8, 8}});
+  ASSERT_TRUE(slab_covered);
+  try {
+    set_boundary_values(h, 1);
+    FAIL() << "uncovered ghost slab accepted";
+  } catch (const enzo::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("child cell not covered by parent"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(fill_ghosts_from_parent(*ga, *ga->parent()), enzo::Error);
 }
