@@ -21,6 +21,7 @@
 #include "hydro/hydro.hpp"
 #include "mesh/boundary.hpp"
 #include "mesh/hierarchy.hpp"
+#include "mesh/interpolate.hpp"
 #include "nbody/nbody.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
@@ -74,6 +75,28 @@ void BM_ZeusStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_ZeusStep)->Arg(16)->Arg(32);
+
+void BM_PpmSubgrid(benchmark::State& state) {
+  // An 8³ child of a 16³ root with the chemistry field list and ghosts from
+  // the boundary fill: the small-subgrid regime of the sedov and first_star
+  // decks, where a pencil is twice as long as the active cells it updates
+  // and the ghost rows outnumber the active ones.
+  mesh::Hierarchy h = hydro_box(16, true);
+  mesh::Grid* root = h.grids(0)[0];
+  root->store_old_fields();
+  auto child = std::make_unique<mesh::Grid>(
+      h.make_spec(1, {{12, 12, 12}, {20, 20, 20}}), root->field_list());
+  child->set_parent(root);
+  mesh::Grid* g = h.insert_grid(std::move(child));
+  mesh::fill_active_from_parent(*g, *root);
+  mesh::set_boundary_values(h, 0);
+  mesh::set_boundary_values(h, 1);
+  hydro::HydroParams hp;
+  auto exp = cosmology::Expansion::statics();
+  for (auto _ : state) hydro::solve_hydro_step(*g, 1e-4, hp, exp);
+  state.SetItemsProcessed(state.iterations() * 8 * 8 * 8);
+}
+BENCHMARK(BM_PpmSubgrid);
 
 void BM_Fft3(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -311,12 +311,14 @@ void check_flux_registers(const mesh::Hierarchy& h, AuditContext& ctx) {
               pc[d] = out_c;
               pc[e1] = p1;
               pc[e2] = p2;
-              int ps[3];
+              // Active index of the outside cell (registers hold active
+              // faces only).
+              int pf[3];
               bool in_parent = true;
               for (int e = 0; e < 3; ++e) {
                 const std::int64_t off = pc[e] - parent->box().lo[e];
                 if (off < 0 || off >= parent->nx(e)) in_parent = false;
-                ps[e] = static_cast<int>(off) + parent->ng(e);
+                pf[e] = static_cast<int>(off);
               }
               if (!in_parent) continue;
               // … and must not itself be refined: a fine/fine interface is
@@ -336,14 +338,11 @@ void check_flux_registers(const mesh::Hierarchy& h, AuditContext& ctx) {
                 }
               }
               if (refined) continue;
-              int pf[3] = {ps[0], ps[1], ps[2]};
               if (side == 0) pf[d] += 1;
               const int c1_0 =
-                  static_cast<int>(p1 * rd[e1] - child->box().lo[e1]) +
-                  child->ng(e1);
+                  static_cast<int>(p1 * rd[e1] - child->box().lo[e1]);
               const int c2_0 =
-                  static_cast<int>(p2 * rd[e2] - child->box().lo[e2]) +
-                  child->ng(e2);
+                  static_cast<int>(p2 * rd[e2] - child->box().lo[e2]);
               ++ctx.report.faces_checked;
               for (Field f : parent->field_list()) {
                 if (!child->has_field(f)) continue;

@@ -79,8 +79,12 @@ inline double compute_timestep(const mesh::Grid& g, const HydroParams& params,
 /// Advance the grid's baryon fields by dt: directional sweeps (recording
 /// time-integrated conserved face fluxes into the grid's flux registers),
 /// then expansion sources, then dual-energy synchronization and floors.
-/// Ghost zones must be current (SetBoundaryValues).  Gravity sources are
-/// applied separately by apply_gravity_sources after the gravity solve.
+/// Ghost zones must be current (SetBoundaryValues).  Afterwards only the
+/// active cells are meaningful: the sweeps skip the pencils whose output
+/// nothing reads, so ghost cells hold partial sweep output until the next
+/// boundary fill.  The flux registers cover active faces only.  Gravity
+/// sources are applied separately by apply_gravity_sources after the
+/// gravity solve.
 /// `ex` (optional) chunks the independent pencil sweeps via the executor's
 /// nested parallel_for; nullptr runs them inline.
 void solve_hydro_step(mesh::Grid& g, double dt, const HydroParams& params,

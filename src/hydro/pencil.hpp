@@ -12,15 +12,31 @@
 // lengths padded to a multiple of 8 doubles so each lane starts on its own
 // cache line.  Bulk gather/scatter through PencilMap replaces per-cell
 // strided indexing, and the kernels see plain dense arrays the compiler can
-// autovectorize.  reset() zero-fills every lane, so a recycled pencil is
-// byte-identical to a freshly constructed one — reuse cannot perturb the
-// determinism contract.
+// autovectorize.  reset() zero-fills the block only when the workspace size
+// changes: every lane slot a sweep reads is written earlier in the same
+// pencil, so a recycled pencil computes exactly what a fresh one would —
+// reuse cannot perturb the determinism contract.
 
 #include <cstddef>
+#include <cstdint>
 
+#include "hydro/hydro.hpp"
 #include "mesh/field_storage.hpp"
 
 namespace enzo::hydro {
+
+/// The directional sweeps of solve_hydro_step (after the ZEUS source step,
+/// before the expansion sources): pencils are gathered, swept, updated and
+/// scattered back axis by axis, and the active pencils add their
+/// time-integrated face fluxes to the grid's active-face flux registers
+/// (which must be allocated: reset_fluxes / reset_boundary_fluxes).  Only
+/// live pencils run — those whose output an active cell or a register
+/// depends on; a ghost row is swept only if a later sweep reads it before
+/// a rewrap could replace it.  Returns the cells gathered into pencils,
+/// summed over the axes.
+std::uint64_t sweep_all_axes(mesh::Grid& g, double dt, const HydroParams& hp,
+                             const cosmology::Expansion& exp,
+                             exec::LevelExecutor* ex);
 
 /// Strided addressing of one 1-d pencil inside an x-fastest 3-d array of
 /// shape (nx, ny, nz): element i of the pencil lives at flat index
@@ -71,11 +87,12 @@ struct Pencil {
     return fscal0_ + static_cast<std::ptrdiff_t>(s) * fs_;
   }
 
-  /// Zero-fill to the given shape, reusing the block when its size class
-  /// still matches and releasing it back to the arena when the shape
-  /// shrinks across size classes (so a deck with many scalars followed by
-  /// one with none does not pin the larger block in thread-local scratch
-  /// for the rest of the process).  Throws for a degenerate active extent
+  /// Shape the workspace, zero-filling it only when its size changes.  The
+  /// block is reused while its size class still matches and released back
+  /// to the arena when the shape shrinks across size classes (so a deck
+  /// with many scalars followed by one with none does not pin the larger
+  /// block in thread-local scratch for the rest of the process).  Throws
+  /// for a degenerate active extent
   /// (n_cells - 2*nghost < 1): minimum-size regrid boxes must be rejected
   /// explicitly rather than producing an empty face range that silently
   /// skips the update.

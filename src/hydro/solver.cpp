@@ -129,10 +129,12 @@ ENZO_HOT void zeus_source_step(Grid& g, double dt, const HydroParams& hp,
       }
 }
 
-/// Run the directional sweeps and apply the conservative updates.
-ENZO_HOT void sweep_all_axes(Grid& g, double dt, const HydroParams& hp,
-                             const cosmology::Expansion& exp,
-                             exec::LevelExecutor* ex) {
+}  // namespace
+
+ENZO_HOT std::uint64_t sweep_all_axes(Grid& g, double dt,
+                                      const HydroParams& hp,
+                                      const cosmology::Expansion& exp,
+                                      exec::LevelExecutor* ex) {
   // enzo-lint: allow(hotpath-heap-alloc) once per grid call, not per pencil
   const std::vector<Field> species = species_fields(g);
   const int nscal = static_cast<int>(species.size());
@@ -142,21 +144,48 @@ ENZO_HOT void sweep_all_axes(Grid& g, double dt, const HydroParams& hp,
                                     "ppm_sweep_z"},
                                    {"zeus_sweep_x", "zeus_sweep_y",
                                     "zeus_sweep_z"}};
-  bool first_sweep = true;
-  for (int d = 0; d < 3; ++d) {
-    if (g.spec().level_dims[d] == 1) continue;
+  // The sweep order actually run: the non-degenerate axes, x first.
+  int order[3];
+  int nsweeps = 0;
+  for (int d = 0; d < 3; ++d)
+    if (g.spec().level_dims[d] > 1) order[nsweeps++] = d;
+  // Split sweeps consume ghost data; for a grid covering the whole
+  // periodic domain the wrap can be refreshed exactly between sweeps,
+  // keeping the conservative update exact at the external boundary.  The
+  // wrap reaches every ghost cell only if no axis is shorter than its ghost
+  // depth (the periodic images are one domain length away).
+  const bool rewraps = g.covers_periodic_domain();
+  bool rewrap_reaches_all = rewraps;
+  for (int d = 0; d < 3; ++d)
+    rewrap_reaches_all = rewrap_reaches_all && g.nx(d) >= g.ng(d);
+  std::uint64_t pencil_cells = 0;
+  for (int s = 0; s < nsweeps; ++s) {
+    const int d = order[s];
     perf::TraceScope sweep_scope(
         sweep_names[hp.solver == Solver::kPpm ? 0 : 1][d],
         perf::component::kHydro, g.level());
-    // Split sweeps consume ghost data; for a grid covering the whole
-    // periodic domain the wrap can be refreshed exactly between sweeps,
-    // keeping the conservative update exact at the external boundary.
-    if (!first_sweep && g.covers_periodic_domain()) g.wrap_own_ghosts();
-    first_sweep = false;
+    if (s > 0 && rewraps) g.wrap_own_ghosts();
     const int t1 = (d + 1) % 3, t2 = (d + 2) % 3;
     const double dx_eff = exp.a * g.cell_width_d(d);
     const int np = g.nt(d);
     const int lo = g.ng(d), hi = g.ng(d) + g.nx(d);
+
+    // Live pencils.  A pencil updates only the active cells of its line, so
+    // a pencil in a ghost row of transverse axis t writes nothing but ghost
+    // cells.  Within this call only a later sweep along t reads those, and
+    // only when no rewrap has replaced them first; otherwise the next
+    // boundary fill overwrites them unread.  So t contributes its ghost rows
+    // only when it is swept later and the rewrap does not reach every ghost
+    // cell; every active cell, and every register entry, stays the same.
+    const int ts[2] = {t1, t2};
+    int first[2], count[2];
+    for (int e = 0; e < 2; ++e) {
+      const bool later =
+          std::find(order + s + 1, order + nsweeps, ts[e]) != order + nsweeps;
+      const bool ghost_rows = later && !rewrap_reaches_all;
+      first[e] = ghost_rows ? 0 : g.ng(ts[e]);
+      count[e] = ghost_rows ? g.nt(ts[e]) : g.nx(ts[e]);
+    }
 
     const FieldView rho = g.field(Field::kDensity);
     const FieldView vu = g.field(kVel[d]);
@@ -182,13 +211,15 @@ ENZO_HOT void sweep_all_axes(Grid& g, double dt, const HydroParams& hp,
     // old OpenMP pragma: loop parallelism now lives only in the
     // LevelExecutor layer, so grid tasks and pencil chunks cannot
     // oversubscribe each other.)
-    const int n1 = g.nt(t1), n2 = g.nt(t2);
+    const int n1 = count[0], n2 = count[1];
     exec::maybe_parallel_for(
         ex, static_cast<std::size_t>(n1) * static_cast<std::size_t>(n2), 1,
         [&](std::size_t pencil_begin, std::size_t pencil_end) {
       for (std::size_t pidx = pencil_begin; pidx < pencil_end; ++pidx) {
-        const int j2 = static_cast<int>(pidx / static_cast<std::size_t>(n1));
-        const int j1 = static_cast<int>(pidx % static_cast<std::size_t>(n1));
+        const int j2 =
+            first[1] + static_cast<int>(pidx / static_cast<std::size_t>(n1));
+        const int j1 =
+            first[0] + static_cast<int>(pidx % static_cast<std::size_t>(n1));
         Pencil& pc = pencil_scratch();
         pc.reset(np, g.ng(d), nscal);
         const PencilMap pm = pencil_map(d, g.nt(0), g.nt(1), g.nt(2), j1, j2);
@@ -203,26 +234,30 @@ ENZO_HOT void sweep_all_axes(Grid& g, double dt, const HydroParams& hp,
         scatter_pencil(pc, pf, pm);
 
         // Accumulate time-integrated fluxes for the flux correction step.
-        // Registers store ∫ F dt/a, with a at each subcycle's half-time: the
-        // cell update divides by the *proper* width a·Δx, so the correction
-        // (which divides by the comoving parent width only) closes exactly
-        // even when a changes between a child's subcycles.  a = 1 in
-        // non-comoving runs.
+        // The registers hold active faces only, so only active pencils own
+        // a register line: face lo + f of the pencil is entry f, at the
+        // pencil's active transverse coordinates.  Registers store ∫ F dt/a,
+        // with a at each subcycle's half-time: the cell update divides by
+        // the *proper* width a·Δx, so the correction (which divides by the
+        // comoving parent width only) closes exactly even when a changes
+        // between a child's subcycles.  a = 1 in non-comoving runs.
+        int c[3];
+        c[d] = 0;
+        c[t1] = j1 - g.ng(t1);
+        c[t2] = j2 - g.ng(t2);
+        if (c[t1] < 0 || c[t1] >= g.nx(t1) || c[t2] < 0 || c[t2] >= g.nx(t2))
+          continue;
         const double dt_w = dt / exp.a;
         auto accumulate = [&](Field fld, const double* ff) {
           const FieldView reg = g.flux(fld, d);
-          const PencilMap fm =
-              pencil_map(d, reg.nx(), reg.ny(), reg.nz(), j1, j2);
-          double* r = reg.data() + fm.base;
+          double* r = reg.line(d, hi - lo + 1, c[0], c[1], c[2]);
+          const std::ptrdiff_t rs = reg.stride(d);
           for (int f = lo; f <= hi; ++f)
-            r[static_cast<std::ptrdiff_t>(f) * fm.stride] += dt_w * ff[f];
+            r[static_cast<std::ptrdiff_t>(f - lo) * rs] += dt_w * ff[f];
           // Window-accumulated boundary registers (for the parent's flux
           // correction); plane arrays have extent 1 along d.
-          const FieldView bl = g.boundary_flux(fld, d, 0);
-          const FieldView bh = g.boundary_flux(fld, d, 1);
-          const PencilMap bm = pencil_map(d, bl.nx(), bl.ny(), bl.nz(), j1, j2);
-          bl.data()[bm.base] += dt_w * ff[lo];
-          bh.data()[bm.base] += dt_w * ff[hi];
+          g.boundary_flux(fld, d, 0)(c[0], c[1], c[2]) += dt_w * ff[lo];
+          g.boundary_flux(fld, d, 1)(c[0], c[1], c[2]) += dt_w * ff[hi];
         };
         accumulate(Field::kDensity, pc.f_rho);
         accumulate(kVel[d], pc.f_mu);
@@ -234,17 +269,22 @@ ENZO_HOT void sweep_all_axes(Grid& g, double dt, const HydroParams& hp,
           accumulate(species[static_cast<std::size_t>(sc)], pc.f_scal(sc));
       }
     });
+    const std::uint64_t swept =
+        static_cast<std::uint64_t>(n1) * static_cast<std::uint64_t>(n2) *
+        static_cast<std::uint64_t>(np);
+    pencil_cells += swept;
     // kPpmPerCellPerSweep already covers the full variable set; passive
     // scalars add roughly reconstruction + upwinding each.
     const std::uint64_t cost =
         (hp.solver == Solver::kPpm ? util::flop_cost::kPpmPerCellPerSweep
                                    : util::flop_cost::kZeusPerCellPerSweep) +
         12 * static_cast<std::uint64_t>(nscal);
-    util::FlopCounter::global().add(
-        "hydro",
-        cost * static_cast<std::uint64_t>(g.nt(t1)) * g.nt(t2) * np);
+    util::FlopCounter::global().add("hydro", cost * swept);
   }
+  return pencil_cells;
 }
+
+namespace {
 
 /// Crank–Nicolson decay factor for dq/dt = -k q over dt.
 double cn_decay(double k, double dt) {
@@ -386,12 +426,15 @@ void solve_hydro_step(Grid& g, double dt, const HydroParams& params,
   g.reset_fluxes();
   if (!g.has_boundary_fluxes()) g.reset_boundary_fluxes();
   if (params.solver == Solver::kZeus) zeus_source_step(g, dt, params, exp);
-  sweep_all_axes(g, dt, params, exp, ex);
+  const std::uint64_t gathered = sweep_all_axes(g, dt, params, exp, ex);
   apply_expansion_sources(g, dt, params, exp);
   dual_energy_sync(g, params);
   static perf::Counter& cells_updated =
       perf::Registry::global().counter("hydro.cells_updated");
+  static perf::Counter& pencil_cells =
+      perf::Registry::global().counter("hydro.pencil_cells");
   cells_updated.add(static_cast<std::uint64_t>(g.nx(0)) * g.nx(1) * g.nx(2));
+  pencil_cells.add(gathered);
 }
 
 ENZO_HOT void apply_gravity_sources(Grid& g, double dt,

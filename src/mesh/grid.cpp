@@ -136,9 +136,9 @@ void Grid::reset_fluxes() {
   for (Field f : field_list_) {
     for (int d = 0; d < 3; ++d) {
       if (spec_.level_dims[d] == 1) continue;  // no sweep on degenerate axes
-      const int fx = nt(0) + (d == 0 ? 1 : 0);
-      const int fy = nt(1) + (d == 1 ? 1 : 0);
-      const int fz = nt(2) + (d == 2 ? 1 : 0);
+      const int fx = nx(0) + (d == 0 ? 1 : 0);
+      const int fy = nx(1) + (d == 1 ? 1 : 0);
+      const int fz = nx(2) + (d == 2 ? 1 : 0);
       fluxes_[field_index(f)][d].resize(fx, fy, fz, 0.0);
     }
   }
@@ -159,9 +159,9 @@ void Grid::reset_boundary_fluxes() {
     for (int d = 0; d < 3; ++d) {
       if (spec_.level_dims[d] == 1) continue;
       for (int side = 0; side < 2; ++side) {
-        const int fx = d == 0 ? 1 : nt(0);
-        const int fy = d == 1 ? 1 : nt(1);
-        const int fz = d == 2 ? 1 : nt(2);
+        const int fx = d == 0 ? 1 : nx(0);
+        const int fy = d == 1 ? 1 : nx(1);
+        const int fz = d == 2 ? 1 : nx(2);
         bfluxes_[field_index(f)][d][side].resize(fx, fy, fz, 0.0);
       }
     }

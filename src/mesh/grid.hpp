@@ -119,9 +119,11 @@ class Grid {
   // ---- fluxes ----------------------------------------------------------------
   /// Expansion-weighted time-integrated face flux ∫F dt/a of the conserved
   /// counterpart of field f along axis d (a = 1 in non-comoving runs, so the
-  /// flux-correction divide by the *comoving* cell width closes exactly);
-  /// array dims are nt with +1 along d (face-centered, ghost-aligned like
-  /// the field arrays so face (i,j,k) is the lower face of cell (i,j,k)).
+  /// flux-correction divide by the *comoving* cell width closes exactly).
+  /// Active faces only: dims are nx with +1 along d, indexed by *active*
+  /// coordinates, so face (i,j,k) is the lower face of active cell (i,j,k)
+  /// — storage cell (sx(i), sy(j), sz(k)) — and face nx(d) is the upper
+  /// face of the last active cell.  Ghost cells have no faces here.
   [[nodiscard]] FieldView flux(Field f, int d);
   [[nodiscard]] ConstFieldView flux(Field f, int d) const;
   bool has_fluxes() const { return has_fluxes_; }
@@ -131,9 +133,9 @@ class Grid {
   /// Boundary flux registers: the time-integrated fluxes through this grid's
   /// *own boundary faces*, accumulated over all of the grid's subcycles
   /// within one parent timestep (the quantity the parent's flux correction
-  /// consumes).  Stored as single face planes (thickness 1 along d, indexed
-  /// like the flux arrays in the transverse directions); side 0 = low face,
-  /// side 1 = high face.
+  /// consumes).  Stored as single face planes: thickness 1 along d and nx
+  /// along the transverse axes, indexed by active coordinates like the flux
+  /// arrays; side 0 = low face, side 1 = high face.
   [[nodiscard]] FieldView boundary_flux(Field f, int d, int side);
   [[nodiscard]] ConstFieldView boundary_flux(Field f, int d, int side) const;
   bool has_boundary_fluxes() const { return has_bfluxes_; }

@@ -125,7 +125,8 @@ void flux_correct_from_child(const Grid& child, Grid& parent) {
 
       for (std::int64_t p2 = ccover.lo[e2]; p2 < ccover.hi[e2]; ++p2)
         for (std::int64_t p1 = ccover.lo[e1]; p1 < ccover.hi[e1]; ++p1) {
-          // Parent storage indices for the outside cell and the flux face.
+          // Parent storage index of the outside cell, and the active index
+          // of the flux face (the registers hold active faces only).
           std::int64_t pc[3];
           pc[d] = out_c;
           pc[e1] = p1;
@@ -135,23 +136,19 @@ void flux_correct_from_child(const Grid& child, Grid& parent) {
           for (int e = 0; e < 3; ++e) {
             const std::int64_t s = pc[e] - parent.box().lo[e];
             if (s < 0 || s >= parent.nx(e)) in_parent = false;
-            ps[e] = static_cast<int>(s) + parent.ng(e);
+            pf[e] = static_cast<int>(s);
+            ps[e] = pf[e] + parent.ng(e);
           }
           if (!in_parent) continue;
-          pf[0] = ps[0];
-          pf[1] = ps[1];
-          pf[2] = ps[2];
           // The face array stores the lower face of each cell: for side==0
           // the shared face is the upper face of out_c (index out_c+1); for
           // side==1 it is the lower face of out_c.
           if (side == 0) pf[d] += 1;
 
           // Fine flux average over the r_e1 × r_e2 fine faces on this face
-          // (boundary-register planes: extent 1 along d).
-          const int c1_0 =
-              static_cast<int>(p1 * rd[e1] - child.box().lo[e1]) + child.ng(e1);
-          const int c2_0 =
-              static_cast<int>(p2 * rd[e2] - child.box().lo[e2]) + child.ng(e2);
+          // (boundary-register planes: extent 1 along d, active-indexed).
+          const int c1_0 = static_cast<int>(p1 * rd[e1] - child.box().lo[e1]);
+          const int c2_0 = static_cast<int>(p2 * rd[e2] - child.box().lo[e2]);
 
           // Gather conserved state of the outside parent cell.
           const double rho = parent.field(Field::kDensity)(ps[0], ps[1], ps[2]);
@@ -166,10 +163,8 @@ void flux_correct_from_child(const Grid& child, Grid& parent) {
           // Does the corrected face lie on the parent's own boundary?  Then
           // the parent's boundary register (feeding the grandparent's
           // correction) must absorb the improvement too.
-          const int pside = pf[d] == parent.ng(d)
-                                ? 0
-                                : (pf[d] == parent.ng(d) + parent.nx(d) ? 1
-                                                                        : -1);
+          const int pside =
+              pf[d] == 0 ? 0 : (pf[d] == parent.nx(d) ? 1 : -1);
           for (Field f : plist) {
             if (!child.has_field(f)) continue;
             const auto& cbf = child.boundary_flux(f, d, side);
@@ -192,8 +187,8 @@ void flux_correct_from_child(const Grid& child, Grid& parent) {
             if (pside >= 0 && parent.has_boundary_fluxes()) {
               int pb[3];
               pb[d] = 0;
-              pb[e1] = ps[e1];
-              pb[e2] = ps[e2];
+              pb[e1] = pf[e1];
+              pb[e2] = pf[e2];
               parent.boundary_flux(f, d, pside)(pb[0], pb[1], pb[2]) +=
                   fine - coarse;
             }

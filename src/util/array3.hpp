@@ -72,17 +72,30 @@ class ArrayView3 {
     return i >= 0 && i < nx_ && j >= 0 && j < ny_ && k >= 0 && k < nz_;
   }
 
-  /// Pointer to the n >= 1 consecutive x-cells (i..i+n-1, j, k), for loops
-  /// that walk a row with unit stride.  The ENZO_BOUNDS_CHECK build checks
-  /// the first and the last cell through at().
-  T* row(int i, [[maybe_unused]] int n, int j, int k) const {
+  /// Flat-index distance between neighbouring cells along axis d.
+  [[nodiscard]] std::ptrdiff_t stride(int d) const {
+    return d == 0 ? 1
+                  : (d == 1 ? nx_ : static_cast<std::ptrdiff_t>(nx_) * ny_);
+  }
+
+  /// Pointer to (i, j, k), the first of n >= 1 cells walked with stride(d)
+  /// along axis d.  The ENZO_BOUNDS_CHECK build checks the first and the
+  /// last cell through at().
+  T* line([[maybe_unused]] int d, [[maybe_unused]] int n, int i, int j,
+          int k) const {
 #ifdef ENZO_BOUNDS_CHECK
-    (void)at(i + n - 1, j, k);
+    int last[3] = {i, j, k};
+    last[d] += n - 1;
+    (void)at(last[0], last[1], last[2]);
     return &at(i, j, k);
 #else
     return data_ + index(i, j, k);
 #endif
   }
+
+  /// Pointer to the n >= 1 consecutive x-cells (i..i+n-1, j, k), for loops
+  /// that walk a row with unit stride (checked like line()).
+  T* row(int i, int n, int j, int k) const { return line(0, n, i, j, k); }
 
   T* data() const { return data_; }
 

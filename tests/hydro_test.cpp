@@ -1,12 +1,18 @@
 // Hydrodynamics tests: the two-shock Riemann solver against exact star
 // values, Sod shock tube integration vs the exact solution (both PPM and
 // ZEUS), exact conservation on periodic domains, passive-scalar advection,
-// expansion source terms against closed forms, and timestep constraints.
+// expansion source terms against closed forms, timestep constraints, and
+// the live-pencil sweep against the full-pencil oracle it replaced.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "cosmology/units.hpp"
@@ -15,6 +21,8 @@
 #include "hydro/riemann.hpp"
 #include "mesh/boundary.hpp"
 #include "mesh/hierarchy.hpp"
+#include "perf/metrics.hpp"
+#include "util/array3.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -552,8 +560,29 @@ TEST(Hydro, FluxRegistersAreFilled) {
   }
   mesh::set_boundary_values(h, 0);
   hydro::HydroParams hp;
+  perf::Counter& pencil_cells =
+      perf::Registry::global().counter("hydro.pencil_cells");
+  const std::uint64_t before = pencil_cells.value();
   hydro::solve_hydro_step(*g, 0.005, hp, cosmology::Expansion::statics());
   ASSERT_TRUE(g->has_fluxes());
+  ASSERT_TRUE(g->has_boundary_fluxes());
+  // Active faces only: (nx+1)·nx·nx per axis, nx·nx planes.
+  for (Field f : g->field_list())
+    for (int d = 0; d < 3; ++d) {
+      const auto reg = g->flux(f, d);
+      EXPECT_EQ(reg.nx(), d == 0 ? 9 : 8);
+      EXPECT_EQ(reg.ny(), d == 1 ? 9 : 8);
+      EXPECT_EQ(reg.nz(), d == 2 ? 9 : 8);
+      for (int side = 0; side < 2; ++side) {
+        const auto plane = g->boundary_flux(f, d, side);
+        EXPECT_EQ(plane.nx(), d == 0 ? 1 : 8);
+        EXPECT_EQ(plane.ny(), d == 1 ? 1 : 8);
+        EXPECT_EQ(plane.nz(), d == 2 ? 1 : 8);
+      }
+    }
+  // The root covers the periodic domain, so every sweep runs only the
+  // active pencils: 3 axes × 8·8 pencils × 16 cells.
+  EXPECT_EQ(pencil_cells.value() - before, 3u * 8 * 8 * 16);
   // Mass flux at some interior face should be nonzero and finite.
   const auto fx = g->flux(Field::kDensity, 0);
   double sum = 0;
@@ -562,6 +591,262 @@ TEST(Hydro, FluxRegistersAreFilled) {
     sum += std::abs(v);
   }
   EXPECT_GT(sum, 0.0);
+}
+
+// ---- live-pencil sweep vs the full-pencil oracle ----------------------------
+
+namespace oracle {
+
+/// The pre-live-pencil register layout: ghost-aligned, per field (in
+/// field-list order) and axis (nt+1)·nt² faces and two nt² planes.
+struct Registers {
+  std::vector<std::array<util::Array3<double>, 3>> face;
+  std::vector<std::array<std::array<util::Array3<double>, 2>, 3>> plane;
+};
+
+/// The sweep driver as it was before it skipped dead pencils: a pencil
+/// through every ghost-inclusive (j1, j2) on every axis, each writing its
+/// ghost-aligned register line.  Serial, with a fresh pencil workspace;
+/// kept only as the reference hydro::sweep_all_axes must match bit for bit.
+/// Returns the cells gathered.
+std::uint64_t sweep_all_axes(mesh::Grid& g, double dt,
+                             const hydro::HydroParams& hp,
+                             const cosmology::Expansion& exp, Registers& reg) {
+  const std::vector<Field>& fields = g.field_list();
+  auto slot = [&](Field f) {
+    return static_cast<std::size_t>(
+        std::find(fields.begin(), fields.end(), f) - fields.begin());
+  };
+  std::vector<Field> species;
+  for (Field f : fields)
+    if (mesh::is_species(f)) species.push_back(f);
+  const int nscal = static_cast<int>(species.size());
+  reg.face.assign(fields.size(), {});
+  reg.plane.assign(fields.size(), {});
+  for (std::size_t n = 0; n < fields.size(); ++n)
+    for (int d = 0; d < 3; ++d) {
+      reg.face[n][d].resize(g.nt(0) + (d == 0 ? 1 : 0),
+                            g.nt(1) + (d == 1 ? 1 : 0),
+                            g.nt(2) + (d == 2 ? 1 : 0));
+      for (auto& plane : reg.plane[n][d])
+        plane.resize(d == 0 ? 1 : g.nt(0), d == 1 ? 1 : g.nt(1),
+                     d == 2 ? 1 : g.nt(2));
+    }
+  const Field vel[3] = {Field::kVelocityX, Field::kVelocityY,
+                        Field::kVelocityZ};
+  const hydro::SweepParams sp{hp.gamma, hp.flattening, hp.zeus_viscosity};
+  hydro::Pencil pc;
+  std::uint64_t gathered = 0;
+  bool first_sweep = true;
+  for (int d = 0; d < 3; ++d) {
+    if (g.spec().level_dims[d] == 1) continue;
+    if (!first_sweep && g.covers_periodic_domain()) g.wrap_own_ghosts();
+    first_sweep = false;
+    const int t1 = (d + 1) % 3, t2 = (d + 2) % 3;
+    const double dx_eff = exp.a * g.cell_width_d(d);
+    const int np = g.nt(d);
+    const int lo = g.ng(d), hi = g.ng(d) + g.nx(d);
+    std::vector<double*> species_base;
+    for (Field f : species) species_base.push_back(g.field(f).data());
+    const hydro::PencilFields pf{
+        g.field(Field::kDensity).data(),     g.field(vel[d]).data(),
+        g.field(vel[t1]).data(),             g.field(vel[t2]).data(),
+        g.field(Field::kTotalEnergy).data(), g.field(Field::kInternalEnergy).data(),
+        species_base.data()};
+    for (int j2 = 0; j2 < g.nt(t2); ++j2)
+      for (int j1 = 0; j1 < g.nt(t1); ++j1) {
+        pc.reset(np, g.ng(d), nscal);
+        const hydro::PencilMap pm =
+            hydro::pencil_map(d, g.nt(0), g.nt(1), g.nt(2), j1, j2);
+        hydro::gather_pencil(pc, pf, pm, hp.gamma, hp.pressure_floor);
+        if (hp.solver == hydro::Solver::kPpm)
+          hydro::ppm_sweep(pc, dt, dx_eff, sp);
+        else
+          hydro::zeus_sweep(pc, dt, dx_eff, sp);
+        hydro::apply_conservative_update(pc, dt, dx_eff, hp.density_floor);
+        hydro::scatter_pencil(pc, pf, pm);
+        gathered += static_cast<std::uint64_t>(np);
+        const double dt_w = dt / exp.a;
+        auto accumulate = [&](Field f, const double* ff) {
+          util::Array3<double>& r = reg.face[slot(f)][d];
+          const hydro::PencilMap fm =
+              hydro::pencil_map(d, r.nx(), r.ny(), r.nz(), j1, j2);
+          for (int i = lo; i <= hi; ++i)
+            r.data()[fm.base + i * fm.stride] += dt_w * ff[i];
+          util::Array3<double>& bl = reg.plane[slot(f)][d][0];
+          util::Array3<double>& bh = reg.plane[slot(f)][d][1];
+          const hydro::PencilMap bm =
+              hydro::pencil_map(d, bl.nx(), bl.ny(), bl.nz(), j1, j2);
+          bl.data()[bm.base] += dt_w * ff[lo];
+          bh.data()[bm.base] += dt_w * ff[hi];
+        };
+        accumulate(Field::kDensity, pc.f_rho);
+        accumulate(vel[d], pc.f_mu);
+        accumulate(vel[t1], pc.f_mvt1);
+        accumulate(vel[t2], pc.f_mvt2);
+        accumulate(Field::kTotalEnergy, pc.f_etot);
+        accumulate(Field::kInternalEnergy, pc.f_eint);
+        for (int sc = 0; sc < nscal; ++sc)
+          accumulate(species[static_cast<std::size_t>(sc)], pc.f_scal(sc));
+      }
+  }
+  return gathered;
+}
+
+}  // namespace oracle
+
+namespace {
+
+struct SweepCase {
+  const char* name;
+  mesh::Index3 root_dims;
+  bool periodic;
+  bool child;  ///< sweep a level-1 grid instead of the root
+  bool chemistry;
+  std::uint64_t pencil_cells;  ///< cells the live sweeps gather
+};
+
+// nghost = 4.  Pencil cells are summed over the x, y and z sweeps as
+// (pencils along t1 × pencils along t2) × nt along the sweep axis.
+const SweepCase kSweepCases[] = {
+    // Covers the periodic domain: every sweep but the first follows a
+    // rewrap, so no sweep runs ghost rows: 12·8·24 + 8·16·20 + 16·12·16.
+    {"periodic root", {16, 12, 8}, true, false, false, 7936},
+    // z (3 cells) is shorter than nghost: the rewrap cannot reach its
+    // outermost ghost layer, so no axis gets the rewrap skip and the
+    // later axes keep their ghost rows: 20·11·24 + 11·16·20 + 16·12·11.
+    {"short periodic axis", {16, 12, 3}, true, false, true, 10912},
+    // A 12×8×12 child: 16·20·20 + 20·12·16 + 12·8·20.
+    {"child grid", {16, 16, 16}, true, true, true, 12160},
+    {"outflow root", {12, 16, 8}, false, false, false, 15360},
+    {"2-D periodic root", {16, 12, 1}, true, false, false, 608},
+    {"2-D outflow root", {12, 16, 1}, false, false, true, 768},
+    {"2-D child grid", {16, 16, 1}, false, true, false, 512},
+};
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// Random positive state on every cell, ghosts included, with zeros and
+/// −0.0 among the velocities; a child grid gets its ghosts from the fill.
+mesh::Hierarchy make_sweep_case(const SweepCase& c, std::uint64_t seed) {
+  mesh::HierarchyParams p;
+  p.root_dims = c.root_dims;
+  p.periodic = c.periodic;
+  p.max_level = 1;
+  if (c.chemistry) p.fields = mesh::chemistry_field_list();
+  mesh::Hierarchy h(p);
+  h.build_root();
+  if (c.child) {
+    // A 12×8×12 (2-D: 12×8×1) child away from the root's edges.
+    const mesh::IndexBox box{{8, 12, c.root_dims[2] > 1 ? 10 : 0},
+                             {20, 20, c.root_dims[2] > 1 ? 22 : 1}};
+    auto g = std::make_unique<mesh::Grid>(h.make_spec(1, box), p.fields);
+    g->set_parent(h.grids(0)[0]);
+    h.insert_grid(std::move(g));
+  }
+  util::Rng rng(seed);
+  for (int l = 0; l <= h.deepest_level(); ++l)
+    for (mesh::Grid* g : h.grids(l))
+      for (Field f : g->field_list())
+        for (double& v : g->field(f)) {
+          if (mesh::is_density_like(f) || f == Field::kInternalEnergy ||
+              f == Field::kTotalEnergy) {
+            v = (mesh::is_species(f) ? 0.1 : 1.0) * (0.5 + rng.uniform());
+          } else {
+            const double u = rng.uniform();
+            v = u < 0.05 ? 0.0 : (u < 0.1 ? -0.0 : 0.3 * rng.uniform(-1, 1));
+          }
+        }
+  if (c.child) {
+    h.grids(0)[0]->store_old_fields();
+    mesh::set_boundary_values(h, 1);
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(Hydro, LiveSweepMatchesFullPencilOracleBitwise) {
+  const cosmology::Expansion exp{0.8, 0.0};
+  const double dt = 0.004;
+  std::uint64_t seed = 900;
+  for (const SweepCase& c : kSweepCases)
+    for (const hydro::Solver solver :
+         {hydro::Solver::kPpm, hydro::Solver::kZeus}) {
+      ++seed;
+      const std::string what =
+          std::string(c.name) +
+          (solver == hydro::Solver::kPpm ? " / PPM" : " / ZEUS");
+      mesh::Hierarchy ref_h = make_sweep_case(c, seed);
+      mesh::Hierarchy h = make_sweep_case(c, seed);
+      const int level = c.child ? 1 : 0;
+      mesh::Grid& ref = *ref_h.grids(level)[0];
+      mesh::Grid& g = *h.grids(level)[0];
+      hydro::HydroParams hp;
+      hp.solver = solver;
+      oracle::Registers want;
+      const std::uint64_t full =
+          oracle::sweep_all_axes(ref, dt, hp, exp, want);
+      g.reset_fluxes();
+      g.reset_boundary_fluxes();
+      const std::uint64_t live =
+          hydro::sweep_all_axes(g, dt, hp, exp, nullptr);
+      EXPECT_EQ(live, c.pencil_cells) << what;
+      EXPECT_LT(live, full) << what;
+
+      std::size_t compared = 0, differ = 0;
+      std::string first;
+      auto check = [&](double got, double ref_value, const std::string& at) {
+        ++compared;
+        if (bits_of(got) == bits_of(ref_value)) return;
+        if (differ++ == 0) first = at;
+      };
+      const int ng[3] = {g.ng(0), g.ng(1), g.ng(2)};
+      const std::vector<Field>& fields = g.field_list();
+      for (std::size_t n = 0; n < fields.size(); ++n) {
+        const Field f = fields[n];
+        const std::string fname(mesh::field_name(f));
+        const auto a = g.field(f);
+        const auto b = ref.field(f);
+        for (int k = 0; k < g.nx(2); ++k)
+          for (int j = 0; j < g.nx(1); ++j)
+            for (int i = 0; i < g.nx(0); ++i)
+              check(a(i + ng[0], j + ng[1], k + ng[2]),
+                    b(i + ng[0], j + ng[1], k + ng[2]),
+                    fname + " cell " + std::to_string(i) + "," +
+                        std::to_string(j) + "," + std::to_string(k));
+        for (int d = 0; d < 3; ++d) {
+          if (g.spec().level_dims[d] == 1) continue;
+          // Active face (i, j, k) is ghost-aligned face (i, j, k) + ng.
+          const auto face = g.flux(f, d);
+          for (int k = 0; k < face.nz(); ++k)
+            for (int j = 0; j < face.ny(); ++j)
+              for (int i = 0; i < face.nx(); ++i)
+                check(face(i, j, k),
+                      want.face[n][d](i + ng[0], j + ng[1], k + ng[2]),
+                      fname + " face axis " + std::to_string(d));
+          for (int side = 0; side < 2; ++side) {
+            const auto plane = g.boundary_flux(f, d, side);
+            int off[3] = {ng[0], ng[1], ng[2]};
+            off[d] = 0;
+            for (int k = 0; k < plane.nz(); ++k)
+              for (int j = 0; j < plane.ny(); ++j)
+                for (int i = 0; i < plane.nx(); ++i)
+                  check(plane(i, j, k),
+                        want.plane[n][d][side](i + off[0], j + off[1],
+                                               k + off[2]),
+                        fname + " plane axis " + std::to_string(d));
+          }
+        }
+      }
+      EXPECT_GT(compared, 0u) << what;
+      EXPECT_EQ(differ, 0u) << what << ": " << differ << " of " << compared
+                            << " values differ, first at " << first;
+    }
 }
 
 // ---- SoA pencil workspace ---------------------------------------------------
