@@ -209,10 +209,9 @@ void check_ghosts(const mesh::Hierarchy& h, AuditContext& ctx) {
   const bool periodic = h.params().periodic;
   // The point index answers the per-cell owner search; its bin candidate
   // lists preserve grid order, so it returns the same first-containing grid
-  // as the linear scan (check_topology already ran, so refreshing here is
+  // as a linear scan (check_topology already ran, so refreshing here is
   // safe).
-  const mesh::OverlapTopology* topo =
-      h.use_topology() ? &h.topology() : nullptr;
+  const mesh::OverlapTopology& topo = h.topology();
   for (int l = 0; l <= h.deepest_level(); ++l) {
     const Index3 dims = h.level_dims(l);
     const auto lv = h.grids(l);
@@ -237,16 +236,7 @@ void check_ghosts(const mesh::Hierarchy& h, AuditContext& ctx) {
               }
             }
             if (!ghost || outside) continue;
-            const Grid* owner = nullptr;
-            if (topo != nullptr) {
-              owner = topo->grid_at(l, p);
-            } else {
-              for (const Grid* o : lv)
-                if (o->box().contains(p)) {
-                  owner = o;
-                  break;
-                }
-            }
+            const Grid* owner = topo.grid_at(l, p);
             if (owner == nullptr) continue;  // parent-interpolated ghost
             ++ctx.report.ghosts_checked;
             const int oi =

@@ -99,7 +99,6 @@ struct Parser {
         fail("BlockGranularity must be >= 1");
       return;
     }
-    if (key == "UseOverlapTopology") { cfg.hierarchy.use_overlap_topology = boolean(value); return; }
     // --- refinement criteria -----------------------------------------------
     if (key == "RefineByBaryonMass") { cfg.refinement.baryon_mass_threshold = num(value); return; }
     if (key == "RefineByDarkMatterMass") { cfg.refinement.dm_mass_threshold = num(value); return; }
@@ -297,7 +296,6 @@ std::string render_deck(const ParameterDeck& deck) {
   }
   if (cfg.hierarchy.arena.granularity != mesh::ArenaOptions{}.granularity)
     os << "BlockGranularity = " << cfg.hierarchy.arena.granularity << "\n";
-  if (!cfg.hierarchy.use_overlap_topology) os << "UseOverlapTopology = 0\n";
   os << "HydroEnabled = " << (cfg.enable_hydro ? 1 : 0) << "\n";
   os << "GravityEnabled = " << (cfg.enable_gravity ? 1 : 0) << "\n";
   os << "ChemistryEnabled = " << (cfg.enable_chemistry ? 1 : 0) << "\n";

@@ -37,13 +37,11 @@ void set_boundary_values(Hierarchy& h, int level, exec::LevelExecutor* ex) {
   static perf::Counter& interpolated =
       perf::Registry::global().counter("boundary.ghost_cells_interpolated");
   auto level_grids = h.grids(level);
-  const Index3 dims = h.level_dims(level);
   const bool periodic = h.params().periodic;
 
   // Fetch the cached neighbor lists *before* entering the phase: the
   // hierarchy is frozen inside it, so the reference stays valid throughout.
-  const OverlapTopology* topo =
-      (h.use_topology() && !level_grids.empty()) ? &h.topology() : nullptr;
+  const OverlapTopology* topo = level_grids.empty() ? nullptr : &h.topology();
 
   // Grids fill independently: a task writes only its own ghost cells (its
   // interior is disjoint from every sibling's total region, shifted images
@@ -58,16 +56,15 @@ void set_boundary_values(Hierarchy& h, int level, exec::LevelExecutor* ex) {
         const std::uint64_t active =
             static_cast<std::uint64_t>(g->nx(0)) * g->nx(1) * g->nx(2);
         ghost_cells.add(total - active);
-        // Step 1: parent interpolation (root has no parent).  With the
-        // cached links, the ghost cells inside a sibling overlap are left
-        // out: step 2 overwrites exactly those.
+        // Step 1: parent interpolation (root has no parent).  The ghost
+        // cells inside a sibling overlap are left out: step 2 overwrites
+        // exactly those.
         if (level > 0) {
           ENZO_REQUIRE(g->parent() != nullptr, "subgrid without parent in BC");
           thread_local std::vector<IndexBox> covered;
           covered.clear();
-          if (topo != nullptr)
-            for (const SiblingLink& ln : topo->siblings(level, n))
-              if (!ln.overlap.empty()) covered.push_back(ln.overlap);
+          for (const SiblingLink& ln : topo->siblings(level, n))
+            if (!ln.overlap.empty()) covered.push_back(ln.overlap);
           interpolated.add(static_cast<std::uint64_t>(
               fill_ghosts_from_parent(*g, *g->parent(), covered)));
         } else if (!periodic) {
@@ -75,25 +72,12 @@ void set_boundary_values(Hierarchy& h, int level, exec::LevelExecutor* ex) {
         }
         // Step 2: sibling copies (highest-resolution data wins), including
         // periodic images.  For a single periodic root grid the self-copy
-        // with nonzero shift implements the wrap.  The cached links replay
-        // the all-pairs scan order exactly (sources ascending, shifts in
-        // canonical nesting), so both branches fill bytes identically.
-        if (topo != nullptr) {
-          for (const SiblingLink& ln : topo->siblings(level, n)) {
-            if (ln.overlap.empty()) continue;
-            g->copy_from_sibling(*level_grids[ln.src], ln.shift);
-          }
-        } else {
-          const auto shifts = periodic_image_shifts(dims, periodic);
-          // enzo-lint: allow(topology-allpairs) reference cross-check path
-          for (Grid* s : level_grids) {
-            for (std::int64_t kz : shifts[2])
-              for (std::int64_t ky : shifts[1])
-                for (std::int64_t kx : shifts[0]) {
-                  if (s == g && kx == 0 && ky == 0 && kz == 0) continue;
-                  g->copy_from_sibling(*s, {kx, ky, kz});
-                }
-          }
+        // with nonzero shift implements the wrap.  The links list sources
+        // ascending and shifts in canonical nesting, which fixes the order
+        // in which overlapping copies land.
+        for (const SiblingLink& ln : topo->siblings(level, n)) {
+          if (ln.overlap.empty()) continue;
+          g->copy_from_sibling(*level_grids[ln.src], ln.shift);
         }
       },
       [&](std::size_t n) {

@@ -7,15 +7,15 @@
 //      the ghost region — "this ensures that all boundary values are set
 //      using the highest resolution solution available."
 //
-// Step 2 overwrites every ghost cell inside a sibling overlap, so with the
-// cached topology (Hierarchy::use_topology()) step 1 leaves those cells out:
-// each grid's SiblingLink::overlap boxes go to the parent fill as covered
-// boxes, and only the ghost cells no sibling reaches are interpolated.  The
-// bytes are the same as interpolating all of them, since the copies run
-// after the parent fill; the all-pairs path still interpolates every ghost
-// cell and stays the reference.  Counters: boundary.ghost_cells_filled
-// (ghost cells per grid per fill) and boundary.ghost_cells_interpolated
-// (the part step 1 computed).
+// Both steps read the level's cached OverlapTopology.  Step 2 overwrites
+// every ghost cell inside a sibling overlap, so step 1 leaves those cells
+// out: each grid's SiblingLink::overlap boxes go to the parent fill as
+// covered boxes, and only the ghost cells no sibling reaches are
+// interpolated.  The bytes are the same as interpolating all of them, since
+// the copies run after the parent fill; mesh_test's all-pairs fill, which
+// interpolates every ghost cell, is the reference (BoundaryFillOracle).
+// Counters: boundary.ghost_cells_filled (ghost cells per grid per fill) and
+// boundary.ghost_cells_interpolated (the part step 1 computed).
 //
 // The root level has no parent: its external boundary is periodic (sibling
 // copies with domain-shift images, including self-copies for a single root

@@ -193,15 +193,6 @@ Grid* Hierarchy::insert_grid(std::unique_ptr<Grid> g) {
 void Hierarchy::rebuild(int level, const FlagFn& flag) {
   ENZO_REQUIRE(!exec::in_phase(),
                "hierarchy mutation inside an executor phase");
-  // Previous-generation topology for the incremental diff (the PR-5 cache):
-  // usable only when it was built for the structure this rebuild replaces.
-  // The object stays alive through the rebuild — it is only dropped on the
-  // next topology() query — and per-level queries below always target
-  // levels that have not been swapped yet.
-  const OverlapTopology* prev_topo = nullptr;
-  if (params_.arena.incremental &&
-      topology_generation_.load(std::memory_order_acquire) == generation_)
-    prev_topo = topology_.get();
   ++generation_;
   ENZO_REQUIRE(level >= 1, "cannot rebuild the root level");
   ENZO_REQUIRE(level < static_cast<int>(levels_.size()) + 1,
@@ -296,14 +287,14 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
     // ---- 3. create the new grids, fill, and swap ----------------------------
     // Incremental regrid: before building a grid for a canonical
     // (cluster box × parent) piece, look for a previous-generation grid
-    // with *exactly* that box — through the PR-5 topology point index when
-    // the cache is fresh, else a box-anchored lookup — and keep it (and
-    // its storage) alive instead of reallocating and refilling.  A kept
-    // grid's active bytes equal what the full path would rebuild: the full
-    // path's same-box self-copy restores its own data verbatim, disjoint
-    // same-level neighbours contribute nothing, and the parent
-    // interpolation underneath is fully overwritten.  Only auxiliary state
-    // needs resetting (Grid::reset_for_reuse).
+    // with *exactly* that box — by its low corner, which is unique since a
+    // level's grids are disjoint — and keep it (and its storage) alive
+    // instead of reallocating and refilling.  A kept grid's active bytes
+    // equal what the full path would rebuild: the full path's same-box
+    // self-copy restores its own data verbatim, disjoint same-level
+    // neighbours contribute nothing, and the parent interpolation
+    // underneath is fully overwritten.  Only auxiliary state needs
+    // resetting (Grid::reset_for_reuse).
     std::vector<Grid*> old_raw;  // pre-rebuild level-l grids, in level order
     std::unordered_map<std::uint64_t, std::size_t> old_by_lo;  // lookup only
     if (l < static_cast<int>(levels_.size())) {
@@ -341,20 +332,10 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
           }
           Grid* reuse = nullptr;
           std::size_t reuse_idx = 0;
-          if (params_.arena.incremental && !old_raw.empty()) {
-            Grid* cand = prev_topo != nullptr
-                             ? prev_topo->grid_at(l, fine.lo)
-                             : nullptr;
-            if (cand == nullptr) {
-              const auto it = old_by_lo.find(key_of(fine.lo));
-              if (it != old_by_lo.end()) cand = old_raw[it->second];
-            }
-            if (cand != nullptr && cand->box() == fine) {
-              const auto it = old_by_lo.find(key_of(cand->box().lo));
-              ENZO_REQUIRE(it != old_by_lo.end() &&
-                               old_raw[it->second] == cand,
-                           "incremental regrid diff index out of sync");
-              reuse = cand;
+          if (params_.arena.incremental) {
+            const auto it = old_by_lo.find(key_of(fine.lo));
+            if (it != old_by_lo.end() && old_raw[it->second]->box() == fine) {
+              reuse = old_raw[it->second];
               reuse_idx = it->second;
             }
           }

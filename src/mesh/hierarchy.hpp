@@ -43,10 +43,6 @@ struct HierarchyParams {
   /// Storage pooling + incremental-regrid strategy (deck keys ArenaMode /
   /// BlockGranularity).
   ArenaOptions arena;
-  /// Route overlap consumers through the regrid-cached OverlapTopology;
-  /// off = the all-pairs reference scans (kept compiled for the
-  /// equivalence tests and benches).  Per-hierarchy, not process-global.
-  bool use_overlap_topology = true;
 };
 
 /// Sterile object: everything a remote rank needs to know about a grid in
@@ -97,13 +93,10 @@ class Hierarchy {
   /// The storage arena for a level, created on first use.
   [[nodiscard]] std::shared_ptr<StorageArena> arena_for_level(int level);
 
-  /// Per-hierarchy switch for the cached-topology fast paths (see
-  /// HierarchyParams::use_overlap_topology); mutable so equivalence tests
-  /// and benches can flip one hierarchy without global state.
-  [[nodiscard]] bool use_topology() const {
-    return params_.use_overlap_topology;
-  }
-  void set_use_topology(bool on) { params_.use_overlap_topology = on; }
+  /// Every overlap consumer reads topology(); there is no other path.  Kept
+  /// as a constant because perfbench/src/replay.cpp:284, its one caller,
+  /// compiles against it.
+  [[nodiscard]] static constexpr bool use_topology() { return true; }
 
   /// Flag callback: append the *global* (level index space) indices of the
   /// grid's active cells that require refinement.

@@ -3,23 +3,25 @@
 //
 // Every SAMR sweep that touches neighbours — sibling ghost exchange,
 // potential boundary exchange, particle re-homing, the auditor's ghost
-// agreement pass, the distributed exchange planner — used to rediscover the
-// same overlaps with an O(grids² × 27 periodic shifts) scan per call.  The
-// hierarchy only changes at RebuildHierarchy, so the overlap structure is a
-// pure function of the structure generation: compute it once per rebuild and
-// let every consumer read the cached lists.
+// agreement pass, the distributed exchange planner — needs the same
+// overlaps, and scanning for them costs O(grids² × 27 periodic shifts) per
+// call.  The hierarchy only changes at RebuildHierarchy, so the overlap
+// structure is a pure function of the structure generation: compute it once
+// per rebuild and let every consumer read the cached lists.  This cache is
+// the only neighbour path; tests/mesh_test.cpp keeps the all-pairs scans as
+// the reference for every query it answers.
 //
 // Per level the cache holds:
 //   (a) sibling neighbour lists — for each grid, the (source ordinal,
 //       periodic-image shift) pairs with a nonempty intersection against the
 //       grid's ghost-grown box, with that intersection precomputed.  Link
-//       order reproduces the historical all-pairs scan exactly (sources in
-//       level order, shifts enumerated {0, +dims, -dims} nested kz/ky/kx),
-//       so routing a consumer through the cache preserves its overwrite
-//       semantics bit for bit — the PR-3 determinism contract.
+//       order is the all-pairs scan order (sources in level order, shifts
+//       enumerated {0, +dims, -dims} nested kz/ky/kx), which fixes the order
+//       in which a consumer's overlapping copies land and so keeps results
+//       byte-identical across thread counts.
 //   (b) parent↔child overlap pair lists grouped by parent, in first-seen
 //       child order (the grouping flux projection and mass restriction
-//       previously rebuilt with a linear find_if per child, per call).
+//       run their per-parent tasks over).
 //   (c) a uniform-bin spatial index over the level's bounding box supporting
 //       point → finest-containing-grid queries (particle re-homing, ghost
 //       owner lookup) without walking every grid of every level.

@@ -178,22 +178,17 @@ TEST(Deck, ArenaKeysMapThroughAndRoundTrip) {
   const auto d = parse(R"(
 ArenaMode        = 0
 BlockGranularity = 512
-UseOverlapTopology = 0
 )");
   EXPECT_FALSE(d.config.hierarchy.arena.pool);
   EXPECT_FALSE(d.config.hierarchy.arena.incremental);
   EXPECT_EQ(d.config.hierarchy.arena.granularity, 512);
-  EXPECT_FALSE(d.config.hierarchy.use_overlap_topology);
 
-  // Defaults: arena on, overlap topology on — and those defaults stay
-  // implicit in a rendered deck.
+  // Defaults: arena on — and that default stays implicit in a rendered deck.
   const auto def = parse("Gamma = 1.4\n");
   EXPECT_TRUE(def.config.hierarchy.arena.pool);
   EXPECT_TRUE(def.config.hierarchy.arena.incremental);
-  EXPECT_TRUE(def.config.hierarchy.use_overlap_topology);
   const std::string def_text = core::render_deck(def);
   EXPECT_EQ(def_text.find("ArenaMode"), std::string::npos);
-  EXPECT_EQ(def_text.find("UseOverlapTopology"), std::string::npos);
 
   // Non-default settings survive a render → parse round trip (restart path).
   std::istringstream in(core::render_deck(d));
@@ -201,9 +196,11 @@ UseOverlapTopology = 0
   EXPECT_FALSE(d2.config.hierarchy.arena.pool);
   EXPECT_FALSE(d2.config.hierarchy.arena.incremental);
   EXPECT_EQ(d2.config.hierarchy.arena.granularity, 512);
-  EXPECT_FALSE(d2.config.hierarchy.use_overlap_topology);
 
   EXPECT_THROW(parse("BlockGranularity = 0\n"), enzo::Error);
+  // The overlap-topology cache is the only neighbour path; its old switch
+  // is an unknown parameter.
+  EXPECT_THROW(parse("UseOverlapTopology = 1\n"), enzo::Error);
 }
 
 TEST(Deck, UnknownProblemTypeListsRegisteredNames) {

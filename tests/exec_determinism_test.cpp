@@ -17,7 +17,6 @@
 #include "core/parameter_file.hpp"
 #include "core/simulation.hpp"
 #include "exec/exec_config.hpp"
-#include "mesh/topology.hpp"
 #include "perf/diagnostics.hpp"
 
 using namespace enzo;
@@ -119,49 +118,9 @@ TEST(ExecDeterminismTest, ThreadPoolIsRepeatable) {
   EXPECT_EQ(a.audit_energy, b.audit_energy);
 }
 
-// The cached overlap topology must be invisible to the physics: routing the
-// sibling/potential/particle sweeps through the regrid-cached neighbor lists
-// has to reproduce the all-pairs scan paths byte for byte, serially and on
-// the 8-lane pool.
-TEST(ExecDeterminismTest, TopologyCacheIsByteIdenticalToAllPairs) {
-  const std::string dir = ::testing::TempDir();
-  struct Config {
-    bool cached;
-    exec::Backend backend;
-    int threads;
-    const char* tag;
-  };
-  const Config configs[] = {
-      {false, exec::Backend::kSerial, 1, "ref_serial"},
-      {true, exec::Backend::kSerial, 1, "topo_serial"},
-      {true, exec::Backend::kThreadPool, 8, "topo_pool"},
-  };
-  std::vector<RunResult> results;
-  for (const Config& c : configs) {
-    results.push_back(run_cosmology_box(
-        c.backend, c.threads, dir + "exec_det_" + c.tag + ".jsonl",
-        [&](core::ParameterDeck& deck) {
-          deck.config.hierarchy.use_overlap_topology = c.cached;
-        }));
-  }
-  const RunResult& ref = results[0];
-  ASSERT_EQ(ref.records.size(), static_cast<std::size_t>(kSteps));
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    ASSERT_EQ(results[r].records.size(), ref.records.size())
-        << configs[r].tag;
-    for (std::size_t i = 0; i < ref.records.size(); ++i)
-      EXPECT_EQ(results[r].records[i], ref.records[i])
-          << configs[r].tag << " step " << i;
-    EXPECT_EQ(results[r].audit_mass, ref.audit_mass) << configs[r].tag;
-    EXPECT_EQ(results[r].audit_energy, ref.audit_energy) << configs[r].tag;
-    EXPECT_EQ(results[r].audit_violations, 0u) << configs[r].tag;
-  }
-  EXPECT_EQ(ref.audit_violations, 0u);
-}
-
-// The storage arena and the incremental regrid must likewise be invisible to
-// the physics: pooled blocks, recycled particle vectors and kept-alive
-// subtrees have to reproduce the arena-off full-rebuild run byte for byte.
+// The storage arena and the incremental regrid must be invisible to the
+// physics: pooled blocks, recycled particle vectors and kept-alive subtrees
+// have to reproduce the arena-off full-rebuild run byte for byte.
 // (Grid ids may differ — kept grids keep theirs — but ids are not part of
 // any diagnostic record or audit sum.)
 TEST(ExecDeterminismTest, ArenaAndIncrementalRegridAreByteIdentical) {

@@ -801,11 +801,13 @@ namespace {
 /// the link-equivalence checks compare two enumeration strategies, so the
 /// boxes need not form a physically valid refinement pattern.
 Hierarchy make_random_hierarchy(std::uint64_t seed, Index3 root_dims,
-                                bool periodic, int root_tiles) {
+                                bool periodic, int root_tiles,
+                                int nghost = 4) {
   enzo::util::Rng rng(seed);
   HierarchyParams p;
   p.root_dims = root_dims;
   p.periodic = periodic;
+  p.nghost = nghost;
   p.max_level = 2;
   Hierarchy h(p);
   h.build_root(root_tiles);
@@ -858,14 +860,22 @@ TEST(Topology, SiblingLinksMatchAllPairsReference) {
     Index3 dims;
     bool periodic;
     int tiles;
+    int nghost;
   };
-  const Case cases[] = {{1, {16, 16, 16}, true, 2},
-                        {2, {16, 16, 16}, false, 2},
-                        {3, {32, 32, 1}, true, 1},
-                        {4, {16, 16, 16}, true, 1},
-                        {5, {8, 16, 32}, true, 2}};
+  // The nghost 0 and 1 cases pin the one-cell candidate box the gravity
+  // potential exchange relies on: with nghost 0, touching siblings are
+  // linked with an empty overlap.
+  const Case cases[] = {{1, {16, 16, 16}, true, 2, 4},
+                        {2, {16, 16, 16}, false, 2, 4},
+                        {3, {32, 32, 1}, true, 1, 4},
+                        {4, {16, 16, 16}, true, 1, 4},
+                        {5, {8, 16, 32}, true, 2, 4},
+                        {6, {16, 16, 16}, true, 2, 0},
+                        {7, {16, 16, 16}, false, 2, 0},
+                        {8, {16, 16, 16}, true, 2, 1}};
   for (const Case& c : cases) {
-    Hierarchy h = make_random_hierarchy(c.seed, c.dims, c.periodic, c.tiles);
+    Hierarchy h = make_random_hierarchy(c.seed, c.dims, c.periodic, c.tiles,
+                                        c.nghost);
     const OverlapTopology& topo = h.topology();
     EXPECT_EQ(topo.generation(), h.generation());
     for (int l = 0; l <= h.deepest_level(); ++l) {
@@ -1002,37 +1012,6 @@ TEST(Topology, GenerationInvalidationAndLazyRebuild) {
   EXPECT_EQ(t2.generation(), h.generation());
   EXPECT_EQ(*h.topology_cache_generation(), h.generation());
   EXPECT_EQ(t2.level_grids(1).size(), 1u);
-}
-
-TEST(Topology, BoundaryFillMatchesAllPairsBitwise) {
-  // Two identically constructed hierarchies, one filled through the cached
-  // links and one through the all-pairs reference path: every field byte
-  // must match (the PR-3 determinism contract).
-  auto build_and_fill = [](bool cached) {
-    Hierarchy h = make_random_hierarchy(42, {16, 16, 16}, true, 2);
-    h.set_use_topology(cached);
-    enzo::util::Rng rng(77);
-    for (int l = 0; l <= h.deepest_level(); ++l)
-      for (Grid* g : h.grids(l))
-        for (Field f : g->field_list())
-          for (double& v : g->field(f)) v = rng.uniform(0.5, 2.0);
-    for (int l = 0; l <= h.deepest_level(); ++l) {
-      for (Grid* g : h.grids(l)) g->store_old_fields();
-      set_boundary_values(h, l);
-    }
-    std::vector<double> bytes;
-    for (int l = 0; l <= h.deepest_level(); ++l)
-      for (const Grid* g : h.grids(l))
-        for (Field f : g->field_list())
-          for (const double v : g->field(f)) bytes.push_back(v);
-    return bytes;
-  };
-  const auto with_cache = build_and_fill(true);
-  const auto reference = build_and_fill(false);
-  ASSERT_EQ(with_cache.size(), reference.size());
-  for (std::size_t n = 0; n < reference.size(); ++n) {
-    ASSERT_EQ(with_cache[n], reference[n]) << "field byte " << n << " differs";
-  }
 }
 
 // ---- Table-driven boundary fill vs the historical scalar kernel --------------
@@ -1219,16 +1198,20 @@ struct OracleCase {
   std::uint64_t seed;
   Index3 dims;
   bool periodic;
+  int tiles;
 };
 
-/// Periodic and outflow roots, cubic and elongated, plus 2-D hierarchies
-/// whose z axis is degenerate (rd = 1, ng = 0).
+/// Periodic and outflow roots, cubic and elongated, single-grid and tiled
+/// (root siblings exchange ghosts across tile faces and periodic images),
+/// plus 2-D hierarchies whose z axis is degenerate (rd = 1, ng = 0).
 const OracleCase kOracleCases[] = {
-    {101, {16, 16, 16}, true},  {102, {16, 16, 16}, true},
-    {103, {16, 16, 16}, false}, {104, {16, 16, 16}, false},
-    {105, {8, 16, 32}, true},   {106, {8, 16, 32}, false},
-    {107, {32, 32, 1}, true},   {108, {32, 16, 1}, false},
-    {109, {16, 16, 16}, true},  {110, {16, 16, 16}, false}};
+    {101, {16, 16, 16}, true, 1},  {102, {16, 16, 16}, true, 1},
+    {103, {16, 16, 16}, false, 1}, {104, {16, 16, 16}, false, 1},
+    {105, {8, 16, 32}, true, 1},   {106, {8, 16, 32}, false, 1},
+    {107, {32, 32, 1}, true, 1},   {108, {32, 16, 1}, false, 1},
+    {109, {16, 16, 16}, true, 1},  {110, {16, 16, 16}, false, 1},
+    {111, {16, 16, 16}, true, 2},  {112, {16, 16, 16}, false, 2},
+    {113, {8, 16, 32}, true, 2},   {114, {8, 16, 32}, false, 2}};
 
 /// Random state with what the fill must reproduce exactly: zeros, −0.0 and
 /// negative values (density-like ones then hit the 1e-300 floor), and a
@@ -1282,8 +1265,9 @@ TEST(BoundaryFillOracle, SetBoundaryValuesMatchesScalarKernelBitwise) {
       "boundary.ghost_cells_interpolated");
   std::uint64_t subgrid_ghosts = 0, subgrid_interpolated = 0;
   for (const OracleCase& c : kOracleCases) {
-    Hierarchy ref = make_random_hierarchy(c.seed, c.dims, c.periodic, 1);
-    Hierarchy h = make_random_hierarchy(c.seed, c.dims, c.periodic, 1);
+    Hierarchy ref =
+        make_random_hierarchy(c.seed, c.dims, c.periodic, c.tiles);
+    Hierarchy h = make_random_hierarchy(c.seed, c.dims, c.periodic, c.tiles);
     fill_oracle_state(ref, c.seed);
     fill_oracle_state(h, c.seed);
     ASSERT_EQ(field_bits(ref), field_bits(h));
@@ -1317,8 +1301,9 @@ TEST(BoundaryFillOracle, RebuildFillMatchesScalarKernelBitwise) {
   // (skipping what the old grids cover), then copy from every old grid.
   std::int64_t skipped = 0;
   for (const OracleCase& c : kOracleCases) {
-    Hierarchy ref = make_random_hierarchy(c.seed, c.dims, c.periodic, 1);
-    Hierarchy h = make_random_hierarchy(c.seed, c.dims, c.periodic, 1);
+    Hierarchy ref =
+        make_random_hierarchy(c.seed, c.dims, c.periodic, c.tiles);
+    Hierarchy h = make_random_hierarchy(c.seed, c.dims, c.periodic, c.tiles);
     fill_oracle_state(ref, c.seed);
     fill_oracle_state(h, c.seed);
     const auto ref_grids = ref.grids(1);

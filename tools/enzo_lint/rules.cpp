@@ -480,9 +480,10 @@ void rule_hotpath_transcendental(const SourceFile& f,
 // ---------------------------------------------------------------------------
 // Overlap queries go through mesh::OverlapTopology (PR 5): an inner scan of
 // a level's grid list nested inside another grid sweep is the O(grids²)
-// pattern the cache replaced.  The reference implementations live in
-// src/mesh/topology.cpp / hierarchy.cpp and behind per-hierarchy
-// Hierarchy::set_use_topology(false) allow-directives.
+// pattern the cache replaced.  Only src/mesh/topology.cpp (the cache's own
+// build) and hierarchy.cpp are exempt; no src file carries an allow
+// directive for this rule, and the all-pairs references the cache is
+// checked against live in tests/mesh_test.cpp.
 
 constexpr const char* kRuleAllPairs = "topology-allpairs";
 
