@@ -249,8 +249,12 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
   // Per-grid RHS and initial guess (interpolated parent potential
   // everywhere, which also sets the Dirichlet ghosts).  Each task writes
   // only its own potential/RHS and reads its parent's solved potential,
-  // which this phase never writes.
-  std::vector<util::Array3<double>> rhs(level_grids.size());
+  // which this phase never writes.  The RHS blocks come from the level's
+  // storage arena, whose pool holds this level's same-shaped gravity
+  // fields, so they recycle with the level instead of piling up by shape.
+  util::Arena& arena = h.arena_for_level(level)->doubles();
+  std::vector<mesh::Buffer3> rhs(level_grids.size());
+  for (mesh::Buffer3& b : rhs) b.set_arena(&arena);
   e.for_each(
       {"subgrid_rhs", perf::component::kGravity, level}, level_grids.size(),
       [&](std::size_t n) {
@@ -269,11 +273,12 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
                   parent_potential_at(*g, *parent, g->box().lo[0] + i,
                                       g->box().lo[1] + j, g->box().lo[2] + k);
         rhs[n].resize(pot.nx(), pot.ny(), pot.nz(), 0.0);
+        const mesh::FieldView f = rhs[n].view();
         const mesh::ConstFieldView gm = g->gravitating_mass();
         for (int k = 0; k < g->nx(2); ++k)
           for (int j = 0; j < g->nx(1); ++j)
             for (int i = 0; i < g->nx(0); ++i)
-              rhs[n](i + gx, j + gy, k + gz) =
+              f(i + gx, j + gy, k + gz) =
                   coef * (gm(i + gx, j + gy, k + gz) - p.mean_density);
       },
       grid_cost);

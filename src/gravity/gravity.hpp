@@ -65,9 +65,9 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
 void compute_accelerations(mesh::Grid& g, double a);
 
 /// Multigrid building block, exposed for testing: solve ∇²φ = rhs on the
-/// active region of `phi` (views over arrays with one ghost layer holding
-/// fixed Dirichlet values; rhs same shape, ghosts ignored) with cell width
-/// dx.  Returns the final relative residual.
+/// active region of `phi`, in place (views over distinct arrays with one
+/// ghost layer holding fixed Dirichlet values; rhs same shape, ghosts
+/// ignored) with cell width dx.  Returns the final relative residual.
 double multigrid_solve(mesh::FieldView phi, mesh::ConstFieldView rhs,
                        double dx, const GravityParams& p);
 

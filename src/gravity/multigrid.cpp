@@ -1,20 +1,33 @@
 // Geometric multigrid for the subgrid Poisson problem (§3.3): cell-centered
 // V-cycles with red-black Gauss–Seidel smoothing, full-weighting restriction
-// and piecewise-constant prolongation.  The finest level carries fixed
-// Dirichlet values in its one-cell ghost layer (interpolated from the parent
-// grid / exchanged with siblings by the caller); coarse levels solve the
-// error equation with homogeneous Dirichlet ghosts.
+// and trilinear prolongation.  The finest level carries fixed Dirichlet
+// values in its one-cell ghost layer (interpolated from the parent grid /
+// exchanged with siblings by the caller); coarse levels solve the error
+// equation with homogeneous Dirichlet ghosts.
 //
-// Subgrid extents are always even along refined axes (child boxes are
-// parent cells × the integer refinement factor), so at least one coarsening
-// is always available; coarsening stops at odd or minimal extents.
+// Coarsening halves every active extent and stops at the first level with an
+// odd active extent or one of 2 or less (or at 12 levels).  Subgrid extents
+// are even along refined axes (child boxes are parent cells × the integer
+// refinement factor), but a subgrid one parent cell thick has an extent of 2
+// and gets a 1-level stack, whose every cycle is the 20 coarsest-level
+// sweeps.
+//
+// Kernels (DESIGN.md §13): each operation is one row kernel, templated on
+// the active-axis mask, over `__restrict` rows fetched through
+// ArrayView3::row.  The smoother walks one colour of a row at stride 2, so
+// its cell loop has no branch.  Every cell keeps the operation order of the
+// scalar loops tests/gravity_test.cpp keeps as an oracle, so solves are
+// byte-identical to them.  The finest level works in place on the caller's
+// views; coarser levels and the residuals live in per-lane scratch on
+// util::Arena::scratch(), shaped once per solve.
 
-#include <algorithm>
+#include <array>
 #include <cmath>
-
-#include <vector>
+#include <cstdint>
 
 #include "gravity/gravity.hpp"
+#include "mesh/field_storage.hpp"
+#include "perf/metrics.hpp"
 #include "util/annotations.hpp"
 #include "util/error.hpp"
 #include "util/flops.hpp"
@@ -23,151 +36,370 @@ namespace enzo::gravity {
 
 namespace {
 
+using mesh::ConstFieldView;
+using mesh::FieldView;
+
+constexpr int kMaxLevels = 12;
+
+/// One level of the stack, as views with one ghost layer on active axes
+/// (rhs and res ghosts are never read).
 struct MgLevel {
-  util::Array3<double> phi;  // with 1 ghost on active axes
-  util::Array3<double> rhs;  // same shape; ghosts ignored
-  int n[3];                  // active extents
-  bool active[3];
-  double dx;
+  FieldView phi;
+  ConstFieldView rhs;
+  FieldView res;
+  int n[3] = {1, 1, 1};  // active extents (1 on an inactive axis)
+  int g[3] = {0, 0, 0};  // ghost width: 1 on an active axis, else 0
+  double dx = 0.0;
 };
 
-int ghost(const MgLevel& lv, int d) { return lv.active[d] ? 1 : 0; }
-
-ENZO_HOT void smooth(MgLevel& lv, int sweeps) {
-  const double dx2 = lv.dx * lv.dx;
-  int nterms = 0;
-  for (int d = 0; d < 3; ++d)
-    if (lv.active[d]) nterms += 2;
-  if (nterms == 0) return;
-  const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
-  for (int s = 0; s < sweeps; ++s) {
-    for (int color = 0; color < 2; ++color) {
-      for (int k = 0; k < lv.n[2]; ++k)
-        for (int j = 0; j < lv.n[1]; ++j)
-          for (int i = 0; i < lv.n[0]; ++i) {
-            if (((i + j + k) & 1) != color) continue;
-            const int si = i + gx, sj = j + gy, sk = k + gz;
-            double sum = 0.0;
-            if (lv.active[0])
-              sum += lv.phi(si + 1, sj, sk) + lv.phi(si - 1, sj, sk);
-            if (lv.active[1])
-              sum += lv.phi(si, sj + 1, sk) + lv.phi(si, sj - 1, sk);
-            if (lv.active[2])
-              sum += lv.phi(si, sj, sk + 1) + lv.phi(si, sj, sk - 1);
-            lv.phi(si, sj, sk) = (sum - dx2 * lv.rhs(si, sj, sk)) / nterms;
-          }
+/// Per-lane storage of the coarse levels and of every level's residual.
+struct MgScratch {
+  MgScratch() {
+    for (int l = 0; l < kMaxLevels; ++l) {
+      phi[l].set_arena(&util::Arena::scratch());
+      rhs[l].set_arena(&util::Arena::scratch());
+      res[l].set_arena(&util::Arena::scratch());
     }
   }
-  util::FlopCounter::global().add(
-      "gravity", util::flop_cost::kMultigridPerCellPerSweep *
-                     static_cast<std::uint64_t>(lv.n[0]) * lv.n[1] * lv.n[2] *
-                     2 * sweeps);
+  std::array<mesh::Buffer3, kMaxLevels> phi, rhs, res;  // phi/rhs: l >= 1
+  std::array<MgLevel, kMaxLevels> levels;
+};
+
+constexpr bool has_axis(int axes, int d) { return ((axes >> d) & 1) != 0; }
+
+/// Bit d set when axis d is active.
+int axes_of(const MgLevel& lv) {
+  return lv.g[0] | (lv.g[1] << 1) | (lv.g[2] << 2);
 }
 
-ENZO_HOT void residual(const MgLevel& lv, util::Array3<double>& res) {
+/// Trilinear weight of coarse neighbour (bx, by, bz): 3/4 toward the nearer
+/// coarse cell, 1/4 toward the other one (all products exact).
+template <int kAxes>
+constexpr double prolong_weight(int bx, int by, int bz) {
+  const double w0[3] = {has_axis(kAxes, 0) ? 0.75 : 1.0,
+                        has_axis(kAxes, 1) ? 0.75 : 1.0,
+                        has_axis(kAxes, 2) ? 0.75 : 1.0};
+  return (bx ? 1.0 - w0[0] : w0[0]) * (by ? 1.0 - w0[1] : w0[1]) *
+         (bz ? 1.0 - w0[2] : w0[2]);
+}
+
+// ---- row kernels --------------------------------------------------------
+// Row pointers start at the row's first cell of interest; the x neighbours
+// of c are c[-1] and c[+1], the y/z neighbour rows ym/yp/zm/zp (unused and
+// null on inactive axes).
+
+/// One colour of a row: cells 0, 2, …, 2(cnt-1) of c.
+template <int kAxes>
+ENZO_HOT void smooth_row(double* __restrict c, const double* __restrict ym,
+                         const double* __restrict yp,
+                         const double* __restrict zm,
+                         const double* __restrict zp,
+                         const double* __restrict f, int cnt, double dx2) {
+  constexpr double kTerms = 2.0 * (has_axis(kAxes, 0) + has_axis(kAxes, 1) +
+                                   has_axis(kAxes, 2));
+  for (int m = 0; m < cnt; ++m) {
+    const int i = 2 * m;
+    double sum = 0.0;
+    if constexpr (has_axis(kAxes, 0)) sum += c[i + 1] + c[i - 1];
+    if constexpr (has_axis(kAxes, 1)) sum += yp[i] + ym[i];
+    if constexpr (has_axis(kAxes, 2)) sum += zp[i] + zm[i];
+    c[i] = (sum - dx2 * f[i]) / kTerms;
+  }
+}
+
+template <int kAxes>
+ENZO_HOT void residual_row(double* __restrict r, const double* __restrict c,
+                           const double* __restrict ym,
+                           const double* __restrict yp,
+                           const double* __restrict zm,
+                           const double* __restrict zp,
+                           const double* __restrict f, int n,
+                           double inv_dx2) {
+  for (int i = 0; i < n; ++i) {
+    double lap = 0.0;
+    const double ci = c[i];
+    if constexpr (has_axis(kAxes, 0)) lap += c[i + 1] - 2 * ci + c[i - 1];
+    if constexpr (has_axis(kAxes, 1)) lap += yp[i] - 2 * ci + ym[i];
+    if constexpr (has_axis(kAxes, 2)) lap += zp[i] - 2 * ci + zm[i];
+    r[i] = f[i] - lap * inv_dx2;
+  }
+}
+
+/// Full weighting: coarse cell i averages the fine cells (2i + di, dj, dk)
+/// of the fine rows r[dk][dj], in dk, dj, di order.
+template <int kAxes>
+ENZO_HOT void restrict_row(double* __restrict out,
+                           const double* __restrict r00,
+                           const double* __restrict r01,
+                           const double* __restrict r10,
+                           const double* __restrict r11, int n) {
+  constexpr bool kX = has_axis(kAxes, 0), kY = has_axis(kAxes, 1),
+                 kZ = has_axis(kAxes, 2);
+  constexpr int kCount = (kX ? 2 : 1) * (kY ? 2 : 1) * (kZ ? 2 : 1);
+  constexpr int kStride = kX ? 2 : 1;
+  for (int i = 0; i < n; ++i) {
+    const int f = kStride * i;
+    double sum = 0.0;
+    sum += r00[f];
+    if constexpr (kX) sum += r00[f + 1];
+    if constexpr (kY) {
+      sum += r01[f];
+      if constexpr (kX) sum += r01[f + 1];
+    }
+    if constexpr (kZ) {
+      sum += r10[f];
+      if constexpr (kX) sum += r10[f + 1];
+      if constexpr (kY) {
+        sum += r11[f];
+        if constexpr (kX) sum += r11[f + 1];
+      }
+    }
+    out[i] = sum / kCount;
+  }
+}
+
+/// The correction of one fine cell from coarse cells a (nearer) and b
+/// (farther) along x of the coarse rows p[bz][by], in bz, by, bx order.
+template <int kAxes>
+inline double correction(const double* __restrict p00,
+                         const double* __restrict p01,
+                         const double* __restrict p10,
+                         const double* __restrict p11, int a, int b) {
+  constexpr bool kX = has_axis(kAxes, 0), kY = has_axis(kAxes, 1),
+                 kZ = has_axis(kAxes, 2);
+  double corr = 0.0;
+  corr += prolong_weight<kAxes>(0, 0, 0) * p00[a];
+  if constexpr (kX) corr += prolong_weight<kAxes>(1, 0, 0) * p00[b];
+  if constexpr (kY) {
+    corr += prolong_weight<kAxes>(0, 1, 0) * p01[a];
+    if constexpr (kX) corr += prolong_weight<kAxes>(1, 1, 0) * p01[b];
+  }
+  if constexpr (kZ) {
+    corr += prolong_weight<kAxes>(0, 0, 1) * p10[a];
+    if constexpr (kX) corr += prolong_weight<kAxes>(1, 0, 1) * p10[b];
+    if constexpr (kY) {
+      corr += prolong_weight<kAxes>(0, 1, 1) * p11[a];
+      if constexpr (kX) corr += prolong_weight<kAxes>(1, 1, 1) * p11[b];
+    }
+  }
+  return corr;
+}
+
+/// Add the coarse correction to a fine row of nc coarse cells' children:
+/// fine cell 2m reads coarse m and m − 1, fine cell 2m + 1 coarse m and
+/// m + 1 (ghost indices fall into the zero Dirichlet layer).
+template <int kAxes>
+ENZO_HOT void prolong_row(double* __restrict fine, const double* __restrict p00,
+                          const double* __restrict p01,
+                          const double* __restrict p10,
+                          const double* __restrict p11, int nc) {
+  if constexpr (has_axis(kAxes, 0)) {
+    for (int m = 0; m < nc; ++m) {
+      fine[2 * m] += correction<kAxes>(p00, p01, p10, p11, m, m - 1);
+      fine[2 * m + 1] += correction<kAxes>(p00, p01, p10, p11, m, m + 1);
+    }
+  } else {
+    for (int i = 0; i < nc; ++i)
+      fine[i] += correction<kAxes>(p00, p01, p10, p11, i, i);
+  }
+}
+
+// ---- level operations ---------------------------------------------------
+
+/// The active cells of row (j, k) of `a` (lv's shape).
+template <class View>
+auto* active_row(const View& a, const MgLevel& lv, int j, int k) {
+  return a.row(lv.g[0], lv.n[0], j + lv.g[1], k + lv.g[2]);
+}
+
+template <int kAxes>
+ENZO_HOT void smooth(const MgLevel& lv, int sweeps) {
+  if constexpr (kAxes == 0) return;  // nothing to relax against
+  constexpr bool kY = has_axis(kAxes, 1), kZ = has_axis(kAxes, 2);
+  const double dx2 = lv.dx * lv.dx;
+  const int gx = lv.g[0];
+  for (int s = 0; s < sweeps; ++s)
+    for (int color = 0; color < 2; ++color)
+      for (int k = 0; k < lv.n[2]; ++k)
+        for (int j = 0; j < lv.n[1]; ++j) {
+          const int i0 = (color + j + k) & 1;
+          const int cnt = (lv.n[0] - i0 + 1) / 2;
+          double* c = lv.phi.row(0, lv.n[0] + 2 * gx, j + lv.g[1],
+                                 k + lv.g[2]) + gx + i0;
+          smooth_row<kAxes>(
+              c, kY ? active_row(lv.phi, lv, j - 1, k) + i0 : nullptr,
+              kY ? active_row(lv.phi, lv, j + 1, k) + i0 : nullptr,
+              kZ ? active_row(lv.phi, lv, j, k - 1) + i0 : nullptr,
+              kZ ? active_row(lv.phi, lv, j, k + 1) + i0 : nullptr,
+              active_row(lv.rhs, lv, j, k) + i0, cnt, dx2);
+        }
+}
+
+template <int kAxes>
+ENZO_HOT void residual(const MgLevel& lv) {
+  constexpr bool kY = has_axis(kAxes, 1), kZ = has_axis(kAxes, 2);
   const double inv_dx2 = 1.0 / (lv.dx * lv.dx);
-  const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
+  const int gx = lv.g[0];
   for (int k = 0; k < lv.n[2]; ++k)
     for (int j = 0; j < lv.n[1]; ++j)
-      for (int i = 0; i < lv.n[0]; ++i) {
-        const int si = i + gx, sj = j + gy, sk = k + gz;
-        double lap = 0.0;
-        const double c = lv.phi(si, sj, sk);
-        if (lv.active[0])
-          lap += lv.phi(si + 1, sj, sk) - 2 * c + lv.phi(si - 1, sj, sk);
-        if (lv.active[1])
-          lap += lv.phi(si, sj + 1, sk) - 2 * c + lv.phi(si, sj - 1, sk);
-        if (lv.active[2])
-          lap += lv.phi(si, sj, sk + 1) - 2 * c + lv.phi(si, sj, sk - 1);
-        res(si, sj, sk) = lv.rhs(si, sj, sk) - lap * inv_dx2;
-      }
+      residual_row<kAxes>(
+          active_row(lv.res, lv, j, k),
+          lv.phi.row(0, lv.n[0] + 2 * gx, j + lv.g[1], k + lv.g[2]) + gx,
+          kY ? active_row(lv.phi, lv, j - 1, k) : nullptr,
+          kY ? active_row(lv.phi, lv, j + 1, k) : nullptr,
+          kZ ? active_row(lv.phi, lv, j, k - 1) : nullptr,
+          kZ ? active_row(lv.phi, lv, j, k + 1) : nullptr,
+          active_row(lv.rhs, lv, j, k), lv.n[0], inv_dx2);
+}
+
+/// Restrict lv's residual into the coarse right-hand side `crhs` (cv's
+/// shape).
+template <int kAxes>
+ENZO_HOT void restrict_residual(const MgLevel& lv, const MgLevel& cv,
+                               FieldView crhs) {
+  constexpr bool kY = has_axis(kAxes, 1), kZ = has_axis(kAxes, 2);
+  for (int k = 0; k < cv.n[2]; ++k)
+    for (int j = 0; j < cv.n[1]; ++j) {
+      const int fj = kY ? 2 * j : j, fk = kZ ? 2 * k : k;
+      restrict_row<kAxes>(
+          active_row(crhs, cv, j, k), active_row(lv.res, lv, fj, fk),
+          kY ? active_row(lv.res, lv, fj + 1, fk) : nullptr,
+          kZ ? active_row(lv.res, lv, fj, fk + 1) : nullptr,
+          kY && kZ ? active_row(lv.res, lv, fj + 1, fk + 1) : nullptr,
+          cv.n[0]);
+    }
+}
+
+/// Prolong cv's error correction onto lv: trilinear for cell-centered r=2
+/// (the homogeneous Dirichlet ghosts supply the boundary values).
+template <int kAxes>
+ENZO_HOT void prolong(const MgLevel& lv, const MgLevel& cv) {
+  constexpr bool kY = has_axis(kAxes, 1), kZ = has_axis(kAxes, 2);
+  const int cgx = cv.g[0];
+  // Coarse row (cj, ck) from its first active cell, with both x ghosts.
+  const auto coarse = [&](int cj, int ck) -> const double* {
+    return cv.phi.row(0, cv.n[0] + 2 * cgx, cj + cv.g[1], ck + cv.g[2]) + cgx;
+  };
+  // Nearer and farther coarse index of fine index f along an active axis.
+  const auto nearer = [](int f) { return f / 2; };
+  const auto farther = [](int f) {
+    return f % 2 == 0 ? f / 2 - 1 : f / 2 + 1;
+  };
+  for (int k = 0; k < lv.n[2]; ++k)
+    for (int j = 0; j < lv.n[1]; ++j) {
+      const int j0 = kY ? nearer(j) : j, j1 = kY ? farther(j) : j;
+      const int k0 = kZ ? nearer(k) : k, k1 = kZ ? farther(k) : k;
+      prolong_row<kAxes>(active_row(lv.phi, lv, j, k), coarse(j0, k0),
+                         kY ? coarse(j1, k0) : nullptr,
+                         kZ ? coarse(j0, k1) : nullptr,
+                         kY && kZ ? coarse(j1, k1) : nullptr, cv.n[0]);
+    }
+}
+
+/// ‖a‖₂ over lv's active cells: a serial sum in k, j, i order.
+double norm2(const MgLevel& lv, ConstFieldView a) {
+  double s = 0;
+  for (int k = 0; k < lv.n[2]; ++k)
+    for (int j = 0; j < lv.n[1]; ++j) {
+      const double* v = active_row(a, lv, j, k);
+      for (int i = 0; i < lv.n[0]; ++i) s += v[i] * v[i];
+    }
+  return std::sqrt(s);
+}
+
+/// Level l's part of a V-cycle; adds the cells its sweeps update to
+/// `swept`.
+template <int kAxes>
+void vcycle(MgScratch& s, int l, int depth, const GravityParams& p,
+            std::uint64_t& swept) {
+  const MgLevel& lv = s.levels[l];
+  const std::uint64_t cells =
+      static_cast<std::uint64_t>(lv.n[0]) * lv.n[1] * lv.n[2];
+  if (l + 1 == depth) {
+    // Coarsest: smooth hard.
+    smooth<kAxes>(lv, 20);
+    swept += cells * 2 * 20;
+    return;
+  }
+  smooth<kAxes>(lv, p.mg_pre_smooth);
+  const MgLevel& cv = s.levels[l + 1];
+  residual<kAxes>(lv);
+  cv.phi.fill(0.0);
+  restrict_residual<kAxes>(lv, cv, s.rhs[l + 1].view());
+  vcycle<kAxes>(s, l + 1, depth, p, swept);
+  prolong<kAxes>(lv, cv);
+  smooth<kAxes>(lv, p.mg_post_smooth);
+  swept += cells * 2 * p.mg_pre_smooth + cells * 2 * p.mg_post_smooth;
+}
+
+/// What one solve did: its final relative residual, the V-cycles it ran and
+/// the cell updates its sweeps made.
+struct Outcome {
+  double rel = 1.0;
+  int cycles = 0;
+  std::uint64_t swept = 0;
+};
+
+/// V-cycles on a shaped stack of `depth` levels until the relative residual
+/// drops below the tolerance.
+template <int kAxes>
+Outcome cycle(MgScratch& s, int depth, const GravityParams& p) {
+  const MgLevel& fine = s.levels[0];
+  const double rhs_norm = norm2(fine, fine.rhs);
+  Outcome o;
+  while (o.cycles < p.mg_max_vcycles) {
+    vcycle<kAxes>(s, 0, depth, p, o.swept);
+    ++o.cycles;
+    residual<kAxes>(fine);
+    const double rn = norm2(fine, fine.res);
+    o.rel = rhs_norm > 0 ? rn / rhs_norm : rn;
+    if (o.rel < p.mg_tolerance) break;
+  }
+  return o;
 }
 
 bool can_coarsen(const MgLevel& lv) {
   for (int d = 0; d < 3; ++d)
-    if (lv.active[d] && (lv.n[d] % 2 != 0 || lv.n[d] <= 2)) return false;
+    if (lv.g[d] == 1 && (lv.n[d] % 2 != 0 || lv.n[d] <= 2)) return false;
   return true;
 }
 
-void vcycle(std::vector<MgLevel>& levels, std::size_t l,
-            const GravityParams& p) {
-  MgLevel& lv = levels[l];
-  if (l + 1 == levels.size()) {
-    // Coarsest: smooth hard.
-    smooth(lv, 20);
-    return;
+/// Shape the lane's stack for one solve and return its depth: level 0
+/// views the caller's arrays, each coarser level halves the active extents.
+int build_stack(MgScratch& s, FieldView phi, ConstFieldView rhs, double dx) {
+  MgLevel& fine = s.levels[0];
+  fine.dx = dx;
+  const int tot[3] = {phi.nx(), phi.ny(), phi.nz()};
+  for (int d = 0; d < 3; ++d) {
+    const bool active = tot[d] > 1;
+    fine.g[d] = active ? 1 : 0;
+    fine.n[d] = active ? tot[d] - 2 : 1;
+    ENZO_REQUIRE(fine.n[d] >= 1, "multigrid: degenerate extent");
   }
-  smooth(lv, p.mg_pre_smooth);
-  // Restrict residual (full weighting = 2³ average for cell-centered r=2).
-  MgLevel& cv = levels[l + 1];
-  util::Array3<double> res(lv.phi.nx(), lv.phi.ny(), lv.phi.nz(), 0.0);
-  residual(lv, res);
-  const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
-  const int cgx = ghost(cv, 0), cgy = ghost(cv, 1), cgz = ghost(cv, 2);
-  cv.phi.fill(0.0);
-  for (int k = 0; k < cv.n[2]; ++k)
-    for (int j = 0; j < cv.n[1]; ++j)
-      for (int i = 0; i < cv.n[0]; ++i) {
-        double sum = 0.0;
-        int cnt = 0;
-        for (int dk = 0; dk < (lv.active[2] ? 2 : 1); ++dk)
-          for (int dj = 0; dj < (lv.active[1] ? 2 : 1); ++dj)
-            for (int di = 0; di < (lv.active[0] ? 2 : 1); ++di) {
-              sum += res((lv.active[0] ? 2 * i + di : i) + gx,
-                         (lv.active[1] ? 2 * j + dj : j) + gy,
-                         (lv.active[2] ? 2 * k + dk : k) + gz);
-              ++cnt;
-            }
-        cv.rhs(i + cgx, j + cgy, k + cgz) = sum / cnt;
-      }
-  vcycle(levels, l + 1, p);
-  // Prolong the coarse error correction: trilinear for cell-centered r=2
-  // (weights 3/4, 1/4 toward the nearer coarse neighbour; the homogeneous
-  // Dirichlet ghosts supply the boundary values).
-  for (int k = 0; k < lv.n[2]; ++k)
-    for (int j = 0; j < lv.n[1]; ++j)
-      for (int i = 0; i < lv.n[0]; ++i) {
-        const int f[3] = {i, j, k};
-        int c0[3], c1[3];
-        double w0[3];
-        for (int d = 0; d < 3; ++d) {
-          if (!lv.active[d]) {
-            c0[d] = c1[d] = f[d];
-            w0[d] = 1.0;
-            continue;
-          }
-          const int cc = f[d] / 2;
-          const int nb = (f[d] % 2 == 0) ? cc - 1 : cc + 1;
-          c0[d] = cc;
-          c1[d] = nb;  // ghost indices fall into the zero Dirichlet layer
-          w0[d] = 0.75;
-        }
-        double corr = 0.0;
-        for (int bz = 0; bz < (lv.active[2] ? 2 : 1); ++bz)
-          for (int by = 0; by < (lv.active[1] ? 2 : 1); ++by)
-            for (int bx = 0; bx < (lv.active[0] ? 2 : 1); ++bx) {
-              const double w = (bx ? 1.0 - w0[0] : w0[0]) *
-                               (by ? 1.0 - w0[1] : w0[1]) *
-                               (bz ? 1.0 - w0[2] : w0[2]);
-              corr += w * cv.phi((bx ? c1[0] : c0[0]) + cgx,
-                                 (by ? c1[1] : c0[1]) + cgy,
-                                 (bz ? c1[2] : c0[2]) + cgz);
-            }
-        lv.phi(i + gx, j + gy, k + gz) += corr;
-      }
-  smooth(lv, p.mg_post_smooth);
-}
-
-double norm2(const MgLevel& lv, const util::Array3<double>& a) {
-  const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
-  double s = 0;
-  for (int k = 0; k < lv.n[2]; ++k)
-    for (int j = 0; j < lv.n[1]; ++j)
-      for (int i = 0; i < lv.n[0]; ++i) {
-        const double v = a(i + gx, j + gy, k + gz);
-        s += v * v;
-      }
-  return std::sqrt(s);
+  fine.phi = phi;
+  fine.rhs = rhs;
+  s.res[0].resize(phi.nx(), phi.ny(), phi.nz(), 0.0);
+  fine.res = s.res[0].view();
+  int depth = 1;
+  while (can_coarsen(s.levels[depth - 1]) && depth < kMaxLevels) {
+    const MgLevel& f = s.levels[depth - 1];
+    MgLevel& c = s.levels[depth];
+    c.dx = f.dx * 2.0;
+    for (int d = 0; d < 3; ++d) {
+      c.g[d] = f.g[d];
+      c.n[d] = f.g[d] == 1 ? f.n[d] / 2 : 1;
+    }
+    const int sx = c.n[0] + 2 * c.g[0], sy = c.n[1] + 2 * c.g[1],
+              sz = c.n[2] + 2 * c.g[2];
+    s.phi[depth].resize(sx, sy, sz, 0.0);
+    s.rhs[depth].resize(sx, sy, sz, 0.0);
+    s.res[depth].resize(sx, sy, sz, 0.0);
+    c.phi = s.phi[depth].view();
+    c.rhs = s.rhs[depth].view();
+    c.res = s.res[depth].view();
+    ++depth;
+  }
+  return depth;
 }
 
 }  // namespace
@@ -175,50 +407,26 @@ double norm2(const MgLevel& lv, const util::Array3<double>& a) {
 double multigrid_solve(mesh::FieldView phi, mesh::ConstFieldView rhs,
                        double dx, const GravityParams& p) {
   ENZO_REQUIRE(phi.same_shape(rhs), "multigrid: phi/rhs shape mismatch");
-  // Build the level stack (the fine level works on private copies; the
-  // caller's view is written back once the cycles converge).
-  std::vector<MgLevel> levels;
-  MgLevel fine;
-  fine.dx = dx;
-  for (int d = 0; d < 3; ++d) {
-    const int tot = d == 0 ? phi.nx() : d == 1 ? phi.ny() : phi.nz();
-    fine.active[d] = tot > 1;
-    fine.n[d] = fine.active[d] ? tot - 2 : 1;
-    ENZO_REQUIRE(fine.n[d] >= 1, "multigrid: degenerate extent");
-  }
-  fine.phi.resize(phi.nx(), phi.ny(), phi.nz());
-  std::copy(phi.begin(), phi.end(), fine.phi.begin());
-  fine.rhs.resize(rhs.nx(), rhs.ny(), rhs.nz());
-  std::copy(rhs.begin(), rhs.end(), fine.rhs.begin());
-  levels.push_back(std::move(fine));
-  while (can_coarsen(levels.back()) &&
-         levels.size() < 12) {
-    const MgLevel& f = levels.back();
-    MgLevel c;
-    c.dx = f.dx * 2.0;
-    for (int d = 0; d < 3; ++d) {
-      c.active[d] = f.active[d];
-      c.n[d] = f.active[d] ? f.n[d] / 2 : 1;
-    }
-    c.phi.resize(c.n[0] + 2 * (c.active[0] ? 1 : 0),
-                 c.n[1] + 2 * (c.active[1] ? 1 : 0),
-                 c.n[2] + 2 * (c.active[2] ? 1 : 0), 0.0);
-    c.rhs = c.phi;
-    levels.push_back(std::move(c));
-  }
-
-  util::Array3<double> res(phi.nx(), phi.ny(), phi.nz(), 0.0);
-  const double rhs_norm = norm2(levels[0], levels[0].rhs);
-  double rel = 1.0;
-  for (int cycle = 0; cycle < p.mg_max_vcycles; ++cycle) {
-    vcycle(levels, 0, p);
-    residual(levels[0], res);
-    const double rn = norm2(levels[0], res);
-    rel = rhs_norm > 0 ? rn / rhs_norm : rn;
-    if (rel < p.mg_tolerance) break;
-  }
-  std::copy(levels[0].phi.begin(), levels[0].phi.end(), phi.begin());
-  return rel;
+  ENZO_REQUIRE(phi.data() != rhs.data(), "multigrid: phi aliases rhs");
+  thread_local MgScratch s;
+  const int depth = build_stack(s, phi, rhs, dx);
+  using CycleFn = Outcome (*)(MgScratch&, int, const GravityParams&);
+  constexpr CycleFn kCycle[8] = {cycle<0>, cycle<1>, cycle<2>, cycle<3>,
+                                 cycle<4>, cycle<5>, cycle<6>, cycle<7>};
+  const int axes = axes_of(s.levels[0]);
+  const Outcome o = kCycle[axes](s, depth, p);
+  static perf::Counter& solves =
+      perf::Registry::global().counter("gravity.mg_solves");
+  static perf::Counter& vcycles =
+      perf::Registry::global().counter("gravity.mg_vcycles");
+  solves.add(1);
+  vcycles.add(static_cast<std::uint64_t>(o.cycles));
+  // One post per solve, as each takes the flop counter's global lock.  A
+  // solve with no active axis never smooths, so it posts nothing.
+  if (axes != 0 && o.cycles > 0)
+    util::FlopCounter::global().add(
+        "gravity", util::flop_cost::kMultigridPerCellPerSweep * o.swept);
+  return o.rel;
 }
 
 }  // namespace enzo::gravity

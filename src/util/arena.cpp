@@ -177,6 +177,11 @@ void Arena::heap_release(ArenaBlock&& b) {
 }
 
 Arena& Arena::scratch() {
+  // ~Arena trims into AllocStats and publishes the arena.* gauges to the
+  // registry: construct both first, so that they outlive this arena even
+  // when a solver's scratch is the process's first arena user.
+  (void)AllocStats::global();
+  (void)perf::Registry::global();
   static Arena a{ArenaConfig{/*pool=*/true, /*granularity=*/2048}};
   return a;
 }

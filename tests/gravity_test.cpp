@@ -1,14 +1,24 @@
-// Gravity tests: multigrid against a manufactured solution, FFT root solve
-// against discrete plane-wave eigenfunctions and a compact mass's 1/r²
-// field, mass restriction, subgrid solves with parent BCs, and sibling
-// potential consistency.
+// Gravity tests: multigrid against a manufactured solution and, bit for
+// bit, against the scalar kernels it replaced; FFT root solve against
+// discrete plane-wave eigenfunctions and a compact mass's 1/r² field, mass
+// restriction, subgrid solves with parent BCs, and sibling potential
+// consistency.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "exec/executor.hpp"
 #include "gravity/gravity.hpp"
 #include "mesh/hierarchy.hpp"
+#include "perf/metrics.hpp"
+#include "util/flops.hpp"
+#include "util/rng.hpp"
 
 using namespace enzo;
 using mesh::Field;
@@ -33,6 +43,246 @@ void fill_uniform_gas(Grid& g, double rho0) {
                            f == Field::kInternalEnergy)
                               ? 1.0
                               : 0.0);
+}
+
+std::uint64_t counter(const char* name) {
+  return perf::Registry::global().counter(name).value();
+}
+
+// ---- scalar oracle ----------------------------------------------------------
+// The multigrid kernels src/gravity/multigrid.cpp ran before its row
+// kernels: cell loops through Array3 indexing with a per-cell colour test,
+// a fresh level stack per solve and a fresh residual per V-cycle.  The row
+// kernels must reproduce them bit for bit.
+namespace oracle {
+
+struct MgLevel {
+  util::Array3<double> phi;  // with 1 ghost on active axes
+  util::Array3<double> rhs;  // same shape; ghosts ignored
+  int n[3];                  // active extents
+  bool active[3];
+  double dx;
+};
+
+int ghost(const MgLevel& lv, int d) { return lv.active[d] ? 1 : 0; }
+
+/// Counts the flop estimate the solver posts and the V-cycles it runs.
+struct Tally {
+  std::uint64_t flops = 0;
+  int vcycles = 0;
+};
+
+void smooth(MgLevel& lv, int sweeps, Tally& t) {
+  const double dx2 = lv.dx * lv.dx;
+  int nterms = 0;
+  for (int d = 0; d < 3; ++d)
+    if (lv.active[d]) nterms += 2;
+  if (nterms == 0) return;
+  const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
+  for (int s = 0; s < sweeps; ++s) {
+    for (int color = 0; color < 2; ++color) {
+      for (int k = 0; k < lv.n[2]; ++k)
+        for (int j = 0; j < lv.n[1]; ++j)
+          for (int i = 0; i < lv.n[0]; ++i) {
+            if (((i + j + k) & 1) != color) continue;
+            const int si = i + gx, sj = j + gy, sk = k + gz;
+            double sum = 0.0;
+            if (lv.active[0])
+              sum += lv.phi(si + 1, sj, sk) + lv.phi(si - 1, sj, sk);
+            if (lv.active[1])
+              sum += lv.phi(si, sj + 1, sk) + lv.phi(si, sj - 1, sk);
+            if (lv.active[2])
+              sum += lv.phi(si, sj, sk + 1) + lv.phi(si, sj, sk - 1);
+            lv.phi(si, sj, sk) = (sum - dx2 * lv.rhs(si, sj, sk)) / nterms;
+          }
+    }
+  }
+  t.flops += util::flop_cost::kMultigridPerCellPerSweep *
+             static_cast<std::uint64_t>(lv.n[0]) * lv.n[1] * lv.n[2] * 2 *
+             sweeps;
+}
+
+void residual(const MgLevel& lv, util::Array3<double>& res) {
+  const double inv_dx2 = 1.0 / (lv.dx * lv.dx);
+  const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
+  for (int k = 0; k < lv.n[2]; ++k)
+    for (int j = 0; j < lv.n[1]; ++j)
+      for (int i = 0; i < lv.n[0]; ++i) {
+        const int si = i + gx, sj = j + gy, sk = k + gz;
+        double lap = 0.0;
+        const double c = lv.phi(si, sj, sk);
+        if (lv.active[0])
+          lap += lv.phi(si + 1, sj, sk) - 2 * c + lv.phi(si - 1, sj, sk);
+        if (lv.active[1])
+          lap += lv.phi(si, sj + 1, sk) - 2 * c + lv.phi(si, sj - 1, sk);
+        if (lv.active[2])
+          lap += lv.phi(si, sj, sk + 1) - 2 * c + lv.phi(si, sj, sk - 1);
+        res(si, sj, sk) = lv.rhs(si, sj, sk) - lap * inv_dx2;
+      }
+}
+
+bool can_coarsen(const MgLevel& lv) {
+  for (int d = 0; d < 3; ++d)
+    if (lv.active[d] && (lv.n[d] % 2 != 0 || lv.n[d] <= 2)) return false;
+  return true;
+}
+
+void vcycle(std::vector<MgLevel>& levels, std::size_t l,
+            const gravity::GravityParams& p, Tally& t) {
+  MgLevel& lv = levels[l];
+  if (l + 1 == levels.size()) {
+    smooth(lv, 20, t);
+    return;
+  }
+  smooth(lv, p.mg_pre_smooth, t);
+  MgLevel& cv = levels[l + 1];
+  util::Array3<double> res(lv.phi.nx(), lv.phi.ny(), lv.phi.nz(), 0.0);
+  residual(lv, res);
+  const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
+  const int cgx = ghost(cv, 0), cgy = ghost(cv, 1), cgz = ghost(cv, 2);
+  cv.phi.fill(0.0);
+  for (int k = 0; k < cv.n[2]; ++k)
+    for (int j = 0; j < cv.n[1]; ++j)
+      for (int i = 0; i < cv.n[0]; ++i) {
+        double sum = 0.0;
+        int cnt = 0;
+        for (int dk = 0; dk < (lv.active[2] ? 2 : 1); ++dk)
+          for (int dj = 0; dj < (lv.active[1] ? 2 : 1); ++dj)
+            for (int di = 0; di < (lv.active[0] ? 2 : 1); ++di) {
+              sum += res((lv.active[0] ? 2 * i + di : i) + gx,
+                         (lv.active[1] ? 2 * j + dj : j) + gy,
+                         (lv.active[2] ? 2 * k + dk : k) + gz);
+              ++cnt;
+            }
+        cv.rhs(i + cgx, j + cgy, k + cgz) = sum / cnt;
+      }
+  vcycle(levels, l + 1, p, t);
+  for (int k = 0; k < lv.n[2]; ++k)
+    for (int j = 0; j < lv.n[1]; ++j)
+      for (int i = 0; i < lv.n[0]; ++i) {
+        const int f[3] = {i, j, k};
+        int c0[3], c1[3];
+        double w0[3];
+        for (int d = 0; d < 3; ++d) {
+          if (!lv.active[d]) {
+            c0[d] = c1[d] = f[d];
+            w0[d] = 1.0;
+            continue;
+          }
+          const int cc = f[d] / 2;
+          c0[d] = cc;
+          c1[d] = (f[d] % 2 == 0) ? cc - 1 : cc + 1;
+          w0[d] = 0.75;
+        }
+        double corr = 0.0;
+        for (int bz = 0; bz < (lv.active[2] ? 2 : 1); ++bz)
+          for (int by = 0; by < (lv.active[1] ? 2 : 1); ++by)
+            for (int bx = 0; bx < (lv.active[0] ? 2 : 1); ++bx) {
+              const double w = (bx ? 1.0 - w0[0] : w0[0]) *
+                               (by ? 1.0 - w0[1] : w0[1]) *
+                               (bz ? 1.0 - w0[2] : w0[2]);
+              corr += w * cv.phi((bx ? c1[0] : c0[0]) + cgx,
+                                 (by ? c1[1] : c0[1]) + cgy,
+                                 (bz ? c1[2] : c0[2]) + cgz);
+            }
+        lv.phi(i + gx, j + gy, k + gz) += corr;
+      }
+  smooth(lv, p.mg_post_smooth, t);
+}
+
+double norm2(const MgLevel& lv, const util::Array3<double>& a) {
+  const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
+  double s = 0;
+  for (int k = 0; k < lv.n[2]; ++k)
+    for (int j = 0; j < lv.n[1]; ++j)
+      for (int i = 0; i < lv.n[0]; ++i) {
+        const double v = a(i + gx, j + gy, k + gz);
+        s += v * v;
+      }
+  return std::sqrt(s);
+}
+
+double multigrid_solve(util::Array3<double>& phi,
+                       const util::Array3<double>& rhs, double dx,
+                       const gravity::GravityParams& p, Tally& t) {
+  std::vector<MgLevel> levels;
+  MgLevel fine;
+  fine.dx = dx;
+  const int tot[3] = {phi.nx(), phi.ny(), phi.nz()};
+  for (int d = 0; d < 3; ++d) {
+    fine.active[d] = tot[d] > 1;
+    fine.n[d] = fine.active[d] ? tot[d] - 2 : 1;
+  }
+  fine.phi = phi;
+  fine.rhs = rhs;
+  levels.push_back(std::move(fine));
+  while (can_coarsen(levels.back()) && levels.size() < 12) {
+    const MgLevel& f = levels.back();
+    MgLevel c;
+    c.dx = f.dx * 2.0;
+    for (int d = 0; d < 3; ++d) {
+      c.active[d] = f.active[d];
+      c.n[d] = f.active[d] ? f.n[d] / 2 : 1;
+    }
+    c.phi.resize(c.n[0] + 2 * (c.active[0] ? 1 : 0),
+                 c.n[1] + 2 * (c.active[1] ? 1 : 0),
+                 c.n[2] + 2 * (c.active[2] ? 1 : 0), 0.0);
+    c.rhs = c.phi;
+    levels.push_back(std::move(c));
+  }
+  util::Array3<double> res(phi.nx(), phi.ny(), phi.nz(), 0.0);
+  const double rhs_norm = norm2(levels[0], levels[0].rhs);
+  double rel = 1.0;
+  for (int cycle = 0; cycle < p.mg_max_vcycles; ++cycle) {
+    vcycle(levels, 0, p, t);
+    ++t.vcycles;
+    residual(levels[0], res);
+    const double rn = norm2(levels[0], res);
+    rel = rhs_norm > 0 ? rn / rhs_norm : rn;
+    if (rel < p.mg_tolerance) break;
+  }
+  phi = levels[0].phi;
+  return rel;
+}
+
+}  // namespace oracle
+
+/// A root 16³ (or 16²·1 / 16·1·1) with level-1 siblings of several shapes:
+/// cubic, flat (2 cells thick, a 1-level stack), odd-coarsening and
+/// touching the domain edge, carrying a lumpy mass.  Solved on the root.
+mesh::Hierarchy make_sibling_level(const std::vector<mesh::IndexBox>& boxes,
+                                   std::array<std::int64_t, 3> dims) {
+  mesh::HierarchyParams hp;
+  hp.root_dims = dims;
+  hp.max_level = 1;
+  mesh::Hierarchy h(hp);
+  h.build_root();
+  Grid* root = h.grids(0)[0];
+  fill_uniform_gas(*root, 1.0);
+  root->store_old_fields();
+  for (const mesh::IndexBox& b : boxes) {
+    auto child = std::make_unique<Grid>(h.make_spec(1, b), hp.fields);
+    child->set_parent(root);
+    fill_uniform_gas(*child, 1.0);
+    h.insert_grid(std::move(child));
+  }
+  gravity::begin_gravitating_mass(h, 0);
+  gravity::begin_gravitating_mass(h, 1);
+  util::Rng rng(17);
+  for (Grid* g : h.grids(1))
+    for (double& v : g->gravitating_mass()) v = rng.uniform(0.5, 4.0);
+  gravity::restrict_gravitating_mass(h);
+  gravity::solve_root_gravity(h, gravity::GravityParams{}, 1.0);
+  return h;
+}
+
+bool same_bits(mesh::ConstFieldView a, mesh::ConstFieldView b) {
+  if (!a.same_shape(b)) return false;
+  for (std::size_t n = 0; n < a.size(); ++n)
+    if (std::bit_cast<std::uint64_t>(a.data()[n]) !=
+        std::bit_cast<std::uint64_t>(b.data()[n]))
+      return false;
+  return true;
 }
 
 }  // namespace
@@ -133,6 +383,109 @@ TEST(Multigrid, OddExtentsStillConverge) {
   p.mg_max_vcycles = 60;
   const double rel = gravity::multigrid_solve(phi.view(), rhs.view(), 0.05, p);
   EXPECT_LT(rel, 1e-6);
+}
+
+TEST(Multigrid, RowKernelsMatchScalarOracleBitwise) {
+  // Storage shapes (active extent + 2 on every axis longer than 1): 16³ and
+  // 32³ cubes, 12×10×14 (2-level stack), a 2-cell axis (1-level stack),
+  // odd extents, a 3-level stack, 2-D in two planes, 1-D along x and z,
+  // and no active axis at all.
+  const std::array<int, 3> shapes[] = {
+      {18, 18, 18}, {34, 34, 34}, {14, 12, 16}, {10, 4, 8},
+      {9, 11, 7},   {22, 14, 30}, {18, 18, 1},  {1, 10, 18},
+      {34, 1, 1},   {1, 1, 18},   {1, 1, 1}};
+  // Converged solves forget rounding differences in early cycles, so one
+  // set runs a single V-cycle without post-smoothing: every kernel's
+  // rounding then reaches phi.
+  gravity::GravityParams defaults;
+  gravity::GravityParams uneven;  // unequal smoothing, capped cycles
+  uneven.mg_pre_smooth = 2;
+  uneven.mg_post_smooth = 1;
+  uneven.mg_max_vcycles = 4;
+  gravity::GravityParams single;
+  single.mg_pre_smooth = 1;
+  single.mg_post_smooth = 0;
+  single.mg_max_vcycles = 1;
+  const gravity::GravityParams* params[] = {&defaults, &uneven, &single,
+                                            &defaults};
+  util::Rng rng(2024);
+  // Inputs 0-2 are random; input 3 is φ = −0.0 with rhs = +0.0, where only
+  // each sum's 0.0 start turns the result into +0.0.
+  for (const auto& sh : shapes)
+    for (int input = 0; input < 4; ++input) {
+      const gravity::GravityParams& p = *params[input];
+      util::Array3<double> phi(sh[0], sh[1], sh[2], -0.0);
+      util::Array3<double> rhs(sh[0], sh[1], sh[2], 0.0);
+      if (input < 3) {
+        for (double& v : phi) v = rng.uniform(-1.0, 1.0);  // guess + ghosts
+        for (double& v : rhs) v = rng.uniform(-50.0, 50.0);
+      }
+      const double dx = 1.0 / 16.0;
+      util::Array3<double> ref = phi;
+      oracle::Tally t;
+      const double ref_rel = oracle::multigrid_solve(ref, rhs, dx, p, t);
+
+      const std::uint64_t flops0 =
+          util::FlopCounter::global().component("gravity");
+      const std::uint64_t solves0 = counter("gravity.mg_solves");
+      const std::uint64_t cycles0 = counter("gravity.mg_vcycles");
+      const double rel = gravity::multigrid_solve(phi.view(), rhs.view(), dx, p);
+      const std::string tag = std::to_string(sh[0]) + "x" +
+                              std::to_string(sh[1]) + "x" +
+                              std::to_string(sh[2]) + " input " +
+                              std::to_string(input);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rel),
+                std::bit_cast<std::uint64_t>(ref_rel))
+          << tag << ": rel " << rel << " vs " << ref_rel;
+      EXPECT_TRUE(same_bits(phi.view(), ref.view())) << tag;
+      EXPECT_EQ(util::FlopCounter::global().component("gravity") - flops0,
+                t.flops)
+          << tag;
+      EXPECT_EQ(counter("gravity.mg_solves") - solves0, 1u) << tag;
+      EXPECT_EQ(counter("gravity.mg_vcycles") - cycles0,
+                static_cast<std::uint64_t>(t.vcycles))
+          << tag;
+    }
+}
+
+TEST(Multigrid, SubgridSolveIsLaneIndependentBitwise) {
+  // Per-lane scratch must carry nothing from one solve to the next: a
+  // 4-lane solve of a level whose lanes last solved other shapes equals
+  // the serial solve in every potential cell.
+  const std::vector<mesh::IndexBox> boxes = {
+      {{8, 8, 8}, {16, 16, 16}},    // 8³: 2-level stack
+      {{16, 8, 8}, {24, 12, 20}},   // 8×4×12: 2-level stack, sibling
+      {{8, 16, 8}, {20, 18, 16}},   // 12×2×8: 1-level stack, sibling
+      {{0, 0, 24}, {6, 10, 32}},    // 6×10×8 at the domain edge
+      {{24, 24, 0}, {32, 32, 12}}}; // 8×8×12
+  const std::array<std::int64_t, 3> dims = {16, 16, 16};
+  gravity::GravityParams p;
+  p.sibling_iterations = 2;
+
+  mesh::Hierarchy serial = make_sibling_level(boxes, dims);
+  const std::uint64_t solves0 = counter("gravity.mg_solves");
+  const std::uint64_t cycles0 = counter("gravity.mg_vcycles");
+  gravity::solve_subgrid_gravity(serial, 1, p, 1.0);
+  const std::uint64_t serial_cycles = counter("gravity.mg_vcycles") - cycles0;
+  EXPECT_EQ(counter("gravity.mg_solves") - solves0,
+            boxes.size() * (p.sibling_iterations + 1));
+  EXPECT_GE(serial_cycles, counter("gravity.mg_solves") - solves0);
+
+  exec::ThreadPoolExecutor pool(4);
+  {
+    // Leave other shapes in the lanes' scratch first.
+    mesh::Hierarchy other = make_sibling_level(
+        {{{0, 0, 0}, {30, 30, 30}}, {{30, 0, 0}, {32, 4, 6}}}, dims);
+    gravity::solve_subgrid_gravity(other, 1, p, 1.0, &pool);
+  }
+  mesh::Hierarchy lanes = make_sibling_level(boxes, dims);
+  const std::uint64_t cycles1 = counter("gravity.mg_vcycles");
+  gravity::solve_subgrid_gravity(lanes, 1, p, 1.0, &pool);
+  EXPECT_EQ(counter("gravity.mg_vcycles") - cycles1, serial_cycles);
+  for (std::size_t n = 0; n < boxes.size(); ++n)
+    EXPECT_TRUE(same_bits(serial.grids(1)[n]->potential(),
+                          lanes.grids(1)[n]->potential()))
+        << "grid " << n << " " << serial.grids(1)[n]->box().str();
 }
 
 // ---- FFT root solve ---------------------------------------------------------------
