@@ -49,7 +49,7 @@ inline core::ProblemSetup collapse_setup(const CollapseRun& r) {
 /// an extra potential like the §4 minihalo) for the component-timing table.
 inline void add_dark_matter(core::Simulation& sim, int n_per_axis,
                             double total_mass) {
-  std::array<util::Array3<double>, 3> psi;
+  std::array<util::Buffer3, 3> psi;
   for (auto& a : psi) a.resize(n_per_axis, n_per_axis, n_per_axis, 0.0);
   nbody::create_lattice_particles(*sim.hierarchy().grids(0)[0], n_per_axis,
                                   psi, 0.0, 0.0, total_mass);

@@ -100,7 +100,8 @@ BENCHMARK(BM_PpmSubgrid);
 
 void BM_Fft3(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  util::Array3<fft::cplx> a(n, n, n);
+  std::vector<fft::cplx> cells(static_cast<std::size_t>(n) * n * n);
+  const util::ArrayView3<fft::cplx> a(cells.data(), n, n, n);
   util::Rng rng(3);
   for (auto& c : a) c = fft::cplx(rng.gaussian(), 0.0);
   for (auto _ : state) {
@@ -113,15 +114,16 @@ BENCHMARK(BM_Fft3)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_MultigridSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  util::Array3<double> rhs(n + 2, n + 2, n + 2, 0.0);
+  util::Buffer3 rhs_buf(n + 2, n + 2, n + 2);
+  const mesh::FieldView rhs = rhs_buf.view();
   util::Rng rng(5);
   for (int k = 1; k <= n; ++k)
     for (int j = 1; j <= n; ++j)
       for (int i = 1; i <= n; ++i) rhs(i, j, k) = rng.uniform(-1, 1);
   gravity::GravityParams p;
   for (auto _ : state) {
-    util::Array3<double> phi(n + 2, n + 2, n + 2, 0.0);
-    gravity::multigrid_solve(phi.view(), rhs.view(), 1.0 / n, p);
+    util::Buffer3 phi(n + 2, n + 2, n + 2);
+    gravity::multigrid_solve(phi.view(), rhs, 1.0 / n, p);
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
@@ -132,8 +134,9 @@ BENCHMARK(BM_MultigridSolve)->Arg(16)->Arg(32);
 // initial guess from a smooth parent potential and a central mass.
 void BM_MultigridSubgrid(benchmark::State& state) {
   const int nx = 12, ny = 10, nz = 14;
-  util::Array3<double> guess(nx + 2, ny + 2, nz + 2, 0.0);
-  util::Array3<double> rhs(nx + 2, ny + 2, nz + 2, 0.0);
+  util::Buffer3 guess_buf(nx + 2, ny + 2, nz + 2);
+  util::Buffer3 rhs_buf(nx + 2, ny + 2, nz + 2);
+  const mesh::FieldView guess = guess_buf.view(), rhs = rhs_buf.view();
   for (int k = 0; k < nz + 2; ++k)
     for (int j = 0; j < ny + 2; ++j)
       for (int i = 0; i < nx + 2; ++i) {
@@ -142,12 +145,12 @@ void BM_MultigridSubgrid(benchmark::State& state) {
         guess(i, j, k) = -1.0 / std::sqrt(1.0 + r2);
         rhs(i, j, k) = std::exp(-r2 / 8.0);
       }
-  util::Array3<double> phi = guess;
+  util::Buffer3 phi(nx + 2, ny + 2, nz + 2);
   gravity::GravityParams p;
   for (auto _ : state) {
-    std::copy(guess.begin(), guess.end(), phi.begin());
+    phi.copy_from(guess_buf);
     benchmark::DoNotOptimize(
-        gravity::multigrid_solve(phi.view(), rhs.view(), 1.0 / 64, p));
+        gravity::multigrid_solve(phi.view(), rhs, 1.0 / 64, p));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * nx * ny * nz);

@@ -25,9 +25,9 @@ using namespace enzo::parallel;
 int main() {
   // ---- sterile objects -------------------------------------------------------
   std::printf("=== sterile objects: probe elimination ===\n");
-  util::Array3<double> field(16, 16, 16);
+  util::Buffer3 field(16, 16, 16);
   util::Rng rng(1);
-  for (auto& v : field) v = rng.uniform(-1, 1);
+  for (double& v : field.view()) v = rng.uniform(-1, 1);
   for (bool sterile : {false, true}) {
     DistributedRunInfo info;
     (void)distributed_jacobi(field, 2, 4, sterile, &info);

@@ -273,7 +273,8 @@ std::vector<Clump> find_clumps(const mesh::Hierarchy& h,
   const int nx = static_cast<int>(dims[0]);
   const int ny = static_cast<int>(dims[1]);
   const int nz = static_cast<int>(dims[2]);
-  util::Array3<double> map(nx, ny, nz, 0.0);
+  util::Buffer3 map_buf(nx, ny, nz);
+  const mesh::FieldView map = map_buf.view();
   // Coarse levels first; finer levels overwrite (volume-averaged upward by
   // construction of the hierarchy's projection, so level-l data are the
   // best available on their footprint).
@@ -296,7 +297,8 @@ std::vector<Clump> find_clumps(const mesh::Hierarchy& h,
     }
 
   // 6-connected flood fill above threshold (periodic).
-  util::Array3<int> label(nx, ny, nz, -1);
+  std::vector<int> label_data(map.size(), -1);
+  const util::ArrayView3<int> label(label_data.data(), nx, ny, nz);
   std::vector<Clump> clumps;
   const double cellvol = 1.0 / (static_cast<double>(nx) * ny * nz);
   for (int k0 = 0; k0 < nz; ++k0)

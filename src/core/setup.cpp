@@ -39,7 +39,10 @@ void fill_gas_from_realization(Grid& g, const cosmology::GrfOutput& real,
   const mesh::FieldView vel[3] = {g.field(Field::kVelocityX),
                                   g.field(Field::kVelocityY),
                                   g.field(Field::kVelocityZ)};
-  const int n = real.delta.nx();
+  const util::ArrayView3<const double> delta = real.delta.view();
+  const util::ArrayView3<const double> psi[3] = {
+      real.psi[0].view(), real.psi[1].view(), real.psi[2].view()};
+  const int n = delta.nx();
   for (int k = 0; k < g.nt(2); ++k)
     for (int j = 0; j < g.nt(1); ++j)
       for (int i = 0; i < g.nt(0); ++i) {
@@ -54,10 +57,10 @@ void fill_gas_from_realization(Grid& g, const cosmology::GrfOutput& real,
                             g.spec().level_dims[1]) % n;
         const int gk = wrap(g.box().lo[2] + (k - g.ng(2)),
                             g.spec().level_dims[2]) % n;
-        const double d = growth * real.delta(gi, gj, gk);
+        const double d = growth * delta(gi, gj, gk);
         rho(i, j, k) = rho_mean * std::max(1.0 + d, 0.05);
         for (int c = 0; c < 3; ++c)
-          vel[c](i, j, k) = vfac * real.psi[c](gi, gj, gk);
+          vel[c](i, j, k) = vfac * psi[c](gi, gj, gk);
         double v2 = 0;
         for (int c = 0; c < 3; ++c)
           v2 += vel[c](i, j, k) * vel[c](i, j, k);
@@ -152,7 +155,7 @@ ProblemSetup cosmological_setup(const CosmologySetupOptions& opt) {
     const double fb = cfg.frw.omega_baryon / cfg.frw.omega_matter;
 
     const int n_root = static_cast<int>(cfg.hierarchy.root_dims[0]);
-    auto real0 = gen.realize(n_root, {0, 0, 0}, 1.0);
+    auto real0 = gen.realize(n_root);
     const double e0 = eint_code(T_i, 1.22, cfg.hydro.gamma, cfg.units);
     for (Grid* g : sim.hierarchy().grids(0)) {
       fill_gas_from_realization(*g, real0, growth, vfac, fb, e0);
@@ -166,8 +169,9 @@ ProblemSetup cosmological_setup(const CosmologySetupOptions& opt) {
     if (cfg.enable_particles) {
       const int n_p =
           opt.particles_per_axis > 0 ? opt.particles_per_axis : n_root;
-      const auto real_p =
-          n_p == n_root ? real0 : gen.realize(n_p, {0, 0, 0}, 1.0);
+      cosmology::GrfOutput other;
+      if (n_p != n_root) other = gen.realize(n_p);
+      const cosmology::GrfOutput& real_p = n_p == n_root ? real0 : other;
       nbody::create_lattice_particles(*sim.hierarchy().grids(0)[0], n_p,
                                       real_p.psi, growth, vfac, 1.0 - fb);
     }
@@ -206,7 +210,7 @@ ProblemSetup cosmological_setup(const CosmologySetupOptions& opt) {
                                   sim.hierarchy().deepest_level());
          ++l) {
       const int n_eff = static_cast<int>(sim.hierarchy().level_dims(l)[0]);
-      auto real_l = gen.realize(n_eff, {0, 0, 0}, 1.0);
+      auto real_l = gen.realize(n_eff);
       for (Grid* g : sim.hierarchy().grids(l)) {
         fill_gas_from_realization(*g, real_l, growth, vfac, fb, e0);
         if (cfg.enable_chemistry)

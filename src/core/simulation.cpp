@@ -136,10 +136,14 @@ mesh::Hierarchy::FlagFn Simulation::flagger() {
     const double gc = cfg_.units.grav_const_code;
     const double dx = g.cell_width_d(0);
 
-    // NGP dark-matter mass per cell (for the DM mass criterion).
-    util::Array3<double> dm;
+    // NGP dark-matter mass per cell (for the DM mass criterion), in a
+    // scratch block recycled across grids and rebuilds.
+    util::Buffer3 dm_buf;
+    mesh::FieldView dm;
     if (rc.dm_mass_threshold > 0 && !g.particles().empty()) {
-      dm.resize(g.nx(0), g.nx(1), g.nx(2), 0.0);
+      dm_buf.set_arena(&util::Arena::scratch());
+      dm_buf.resize(g.nx(0), g.nx(1), g.nx(2), 0.0);
+      dm = dm_buf.view();
       for (const mesh::Particle& p : g.particles()) {
         int idx[3];
         bool ok = true;

@@ -1,6 +1,8 @@
 #include "cosmology/grf.hpp"
 
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "fft/fft.hpp"
 #include "util/constants.hpp"
@@ -47,24 +49,27 @@ InitialConditionsGenerator::InitialConditionsGenerator(
   ENZO_REQUIRE(box_cm_ > 0, "IC generator: box size must be positive");
 }
 
-GrfOutput InitialConditionsGenerator::realize(int n,
-                                              const std::array<double, 3>& lo,
-                                              double width) const {
+GrfOutput InitialConditionsGenerator::realize(int n) const {
   ENZO_REQUIRE(fft::is_pow2(n), "IC lattice must be a power of two");
-  ENZO_REQUIRE(width > 0 && width <= 1.0, "IC sub-box width out of range");
-  // The realization is periodic over the requested sub-box; modes are hashed
-  // by their index in *root-box fundamental units* so overlapping mode sets
-  // between realizations at different n (or full-box width=1 vs nested
-  // regions with power-of-two width) agree exactly.
-  const double inv_w = 1.0 / width;
+  // Modes are hashed by their index in root-box fundamental units, so the
+  // mode sets shared by realizations at different n agree exactly.
   const double box_mpc = box_cm_ / constants::kMpc;
-  const double sub_mpc = box_mpc * width;
-  const double v_sub = sub_mpc * sub_mpc * sub_mpc;
-  const double kfund = constants::kTwoPi / sub_mpc;  // Mpc^-1
+  const double v_box = box_mpc * box_mpc * box_mpc;
+  const double kfund = constants::kTwoPi / box_mpc;  // Mpc^-1
 
-  util::Array3<fft::cplx> dk(n, n, n);
-  std::array<util::Array3<fft::cplx>, 3> pk;
-  for (auto& a : pk) a.resize(n, n, n);
+  // Spectrum c is δ_k (c = 0) or ψ_k along axis c − 1.  Each is its own
+  // allocation: freeing one 4n³ block would raise glibc's mmap and trim
+  // thresholds to its size, and the heap would then hold on to more memory
+  // for the rest of the run.
+  const std::size_t cells = static_cast<std::size_t>(n) * n * n;
+  std::array<std::vector<fft::cplx>, 4> spectra;
+  for (std::vector<fft::cplx>& v : spectra) v.resize(cells);
+  auto spectrum = [&](int c) {
+    return util::ArrayView3<fft::cplx>(spectra[c].data(), n, n, n);
+  };
+  const util::ArrayView3<fft::cplx> dk = spectrum(0);
+  const util::ArrayView3<fft::cplx> pk[3] = {spectrum(1), spectrum(2),
+                                             spectrum(3)};
 
   for (int kz = 0; kz < n; ++kz) {
     const int fz = fft::freq_index(kz, n);
@@ -73,17 +78,13 @@ GrfOutput InitialConditionsGenerator::realize(int n,
       for (int kx = 0; kx < n; ++kx) {
         const int fx = fft::freq_index(kx, n);
         if (fx == 0 && fy == 0 && fz == 0) continue;  // no DC power
-        // Physical mode index in root-box units.
-        const int mx = static_cast<int>(std::lround(fx * inv_w));
-        const int my = static_cast<int>(std::lround(fy * inv_w));
-        const int mz = static_cast<int>(std::lround(fz * inv_w));
         // Canonical representative for Hermitian symmetry: lexicographically
         // positive mode carries the random numbers; its mirror conjugates.
-        bool flip = (mz < 0) || (mz == 0 && my < 0) ||
-                    (mz == 0 && my == 0 && mx < 0);
+        bool flip = (fz < 0) || (fz == 0 && fy < 0) ||
+                    (fz == 0 && fy == 0 && fx < 0);
         double g1, g2;
-        mode_gaussians(seed_, flip ? -mx : mx, flip ? -my : my,
-                       flip ? -mz : mz, g1, g2);
+        mode_gaussians(seed_, flip ? -fx : fx, flip ? -fy : fy,
+                       flip ? -fz : fz, g1, g2);
         // Self-conjugate lattice modes (Nyquist planes and the origin) must
         // be real for a real field.
         const bool self_conj = (fx == 0 || fx == -n / 2) &&
@@ -94,7 +95,7 @@ GrfOutput InitialConditionsGenerator::realize(int n,
                                       (1.0 / std::sqrt(2.0));
         const double kxp = fx * kfund, kyp = fy * kfund, kzp = fz * kfund;
         const double kmag = std::sqrt(kxp * kxp + kyp * kyp + kzp * kzp);
-        const fft::cplx delta_k = g * std::sqrt(ps_(kmag) / v_sub);
+        const fft::cplx delta_k = g * std::sqrt(ps_(kmag) / v_box);
         dk(kx, ky, kz) = delta_k;
         // Zel'dovich displacement: ψ_k = i k / k² δ_k (comoving Mpc),
         // converted to code (root-box) length units.
@@ -108,18 +109,16 @@ GrfOutput InitialConditionsGenerator::realize(int n,
   }
   // δ(x) = Σ_k δ_k e^{ikx}: the unnormalized inverse transform.
   GrfOutput out;
-  fft::fft3(dk, /*inverse=*/true);
+  util::Buffer3* const fields[4] = {&out.delta, &out.psi[0], &out.psi[1],
+                                    &out.psi[2]};
   const double nn = static_cast<double>(n) * n * n;
-  out.delta.resize(n, n, n);
-  for (std::size_t i = 0; i < dk.size(); ++i)
-    out.delta.data()[i] = dk.data()[i].real() * nn;
-  for (int c = 0; c < 3; ++c) {
-    fft::fft3(pk[c], /*inverse=*/true);
-    out.psi[c].resize(n, n, n);
-    for (std::size_t i = 0; i < pk[c].size(); ++i)
-      out.psi[c].data()[i] = pk[c].data()[i].real() * nn;
+  for (int c = 0; c < 4; ++c) {
+    const util::ArrayView3<fft::cplx> spec = spectrum(c);
+    fft::fft3(spec, /*inverse=*/true);
+    fields[c]->resize(n, n, n);
+    for (std::size_t i = 0; i < cells; ++i)
+      fields[c]->data()[i] = spec.data()[i].real() * nn;
   }
-  (void)lo;  // lo selects the region label only; periodicity note in header.
   return out;
 }
 

@@ -6,10 +6,11 @@
 // additional nested static refinement levels (equivalent to 512³) covering
 // the proto-star region.  The generator here produces: the linear
 // overdensity field δ(x), the Zel'dovich displacement field ψ(x)
-// (δ = −∇·ψ at D = 1), and the corresponding velocity field, on any
-// (sub)lattice of the root domain, from a single deterministic seed — so a
-// refined region re-realizes *the same* large-scale modes plus additional
-// small-scale power, exactly the restart trick the paper describes.
+// (δ = −∇·ψ at D = 1), and the corresponding velocity field, at any
+// power-of-two lattice resolution of the root box, from a single
+// deterministic seed — so a refined region re-realizes *the same*
+// large-scale modes plus additional small-scale power, exactly the restart
+// trick the paper describes.
 
 #include <array>
 #include <cstdint>
@@ -22,8 +23,8 @@
 namespace enzo::cosmology {
 
 struct GrfOutput {
-  util::Array3<double> delta;                ///< linear overdensity at D=1
-  std::array<util::Array3<double>, 3> psi;   ///< displacement field (code length)
+  util::Buffer3 delta;                ///< linear overdensity at D=1
+  std::array<util::Buffer3, 3> psi;   ///< displacement field (code length)
 };
 
 class InitialConditionsGenerator {
@@ -32,14 +33,12 @@ class InitialConditionsGenerator {
   InitialConditionsGenerator(const Frw& frw, const PowerSpectrum& ps,
                              double box_comoving_cm, std::uint64_t seed);
 
-  /// Realize δ and ψ on an n³-equivalent lattice covering the sub-box
-  /// [lo, lo+width) of the unit domain (lo/width per dimension, width equal
-  /// in all dimensions; the lattice is n per dimension).  The same seed and
-  /// the same (physical) mode k always receives the same random amplitude,
-  /// implemented by hashing the integer mode vector in root-box units — this
-  /// is what makes nested static subgrids consistent with the parent field.
-  GrfOutput realize(int n, const std::array<double, 3>& lo,
-                    double width) const;
+  /// Realize δ and ψ on an n³ lattice over the whole root box.  The same
+  /// seed and the same (physical) mode k always receives the same random
+  /// amplitude, implemented by hashing the integer mode vector in root-box
+  /// units — this is what makes nested static subgrids, realized at their
+  /// own level's resolution, consistent with the parent field.
+  GrfOutput realize(int n) const;
 
   /// Linear theory rms of δ on the n-per-root-box lattice (for tests).
   double expected_sigma(int n) const;

@@ -73,19 +73,16 @@ void fft(std::vector<cplx>& v, bool inverse) {
   }
 }
 
-void fft3(util::Array3<cplx>& a, bool inverse) {
+void fft3(util::ArrayView3<cplx> a, bool inverse) {
   const int nx = a.nx(), ny = a.ny(), nz = a.nz();
-  int log2_total = 0;
-  for (int n : {nx, ny, nz}) {
+  for (int n : {nx, ny, nz})
     ENZO_REQUIRE(n == 1 || is_pow2(n), "fft3 extents must be powers of two");
-    while ((1 << log2_total) < n && n > 1) ++log2_total;
-  }
 
   std::vector<cplx> pencil;
   // x pencils (stride 1).
   if (nx > 1) {
     for (int k = 0; k < nz; ++k)
-      for (int j = 0; j < ny; ++j) fft_inplace(&a(0, j, k), nx, inverse);
+      for (int j = 0; j < ny; ++j) fft_inplace(a.row(0, nx, j, k), nx, inverse);
   }
   // y pencils.
   if (ny > 1) {
@@ -118,19 +115,17 @@ void fft3(util::Array3<cplx>& a, bool inverse) {
       "fft", util::flop_cost::kFftPerPointLog2 * a.size() * log2n);
 }
 
-util::Array3<cplx> fft3_real(const util::Array3<double>& a) {
-  util::Array3<cplx> out(a.nx(), a.ny(), a.nz());
+void fft3_real(util::ArrayView3<const double> a, util::ArrayView3<cplx> out) {
+  ENZO_REQUIRE(out.same_shape(a), "fft3_real shape mismatch");
   for (std::size_t n = 0; n < a.size(); ++n) out.data()[n] = a.data()[n];
   fft3(out, /*inverse=*/false);
-  return out;
 }
 
-util::Array3<double> ifft3_real(const util::Array3<cplx>& spec) {
-  util::Array3<cplx> tmp = spec;
-  fft3(tmp, /*inverse=*/true);
-  util::Array3<double> out(spec.nx(), spec.ny(), spec.nz());
-  for (std::size_t n = 0; n < out.size(); ++n) out.data()[n] = tmp.data()[n].real();
-  return out;
+void ifft3_real(util::ArrayView3<cplx> spec, util::ArrayView3<double> out) {
+  ENZO_REQUIRE(out.same_shape(spec), "ifft3_real shape mismatch");
+  fft3(spec, /*inverse=*/true);
+  for (std::size_t n = 0; n < out.size(); ++n)
+    out.data()[n] = spec.data()[n].real();
 }
 
 }  // namespace enzo::fft

@@ -46,16 +46,18 @@ void fft_inplace(cplx* data, int n, bool inverse);
 /// Convenience: forward/inverse transform of a vector (inverse normalizes).
 void fft(std::vector<cplx>& v, bool inverse);
 
-/// 3-d in-place complex FFT on an Array3 (each extent a power of two;
+/// 3-d in-place complex FFT over a view (each extent a power of two;
 /// extents of 1 are skipped, so 1-d/2-d arrays work transparently).
 /// inverse=true applies the conjugate transform and divides by nx*ny*nz.
-void fft3(util::Array3<cplx>& a, bool inverse);
+void fft3(util::ArrayView3<cplx> a, bool inverse);
 
-/// Forward transform of a real field into a full complex spectrum.
-util::Array3<cplx> fft3_real(const util::Array3<double>& a);
+/// Forward transform of a real field into its full complex spectrum `out`
+/// (same shape).
+void fft3_real(util::ArrayView3<const double> a, util::ArrayView3<cplx> out);
 
-/// Inverse transform of a spectrum back to its real part.
-util::Array3<double> ifft3_real(const util::Array3<cplx>& spec);
+/// Inverse transform of `spec` in place, writing its real part to `out`
+/// (same shape); `spec` is left holding the complex inverse.
+void ifft3_real(util::ArrayView3<cplx> spec, util::ArrayView3<double> out);
 
 /// Wavenumber index helper: FFT bin m of size n maps to signed frequency
 /// m <= n/2 ? m : m - n (units of fundamental 2*pi/L handled by caller).

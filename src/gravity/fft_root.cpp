@@ -5,10 +5,12 @@
 // with a periodic ghost layer.
 
 #include <cmath>
+#include <vector>
 
 #include "fft/fft.hpp"
 #include "gravity/gravity.hpp"
 #include "perf/trace.hpp"
+#include "util/array3.hpp"
 #include "util/constants.hpp"
 #include "util/error.hpp"
 
@@ -25,8 +27,16 @@ void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p,
   const int ny = static_cast<int>(dims[1]);
   const int nz = static_cast<int>(dims[2]);
 
+  // ρ and then φ live in scratch blocks recycled across solves.
+  util::Buffer3 rho_buf, phi_buf;
+  rho_buf.set_arena(&util::Arena::scratch());
+  phi_buf.set_arena(&util::Arena::scratch());
+  rho_buf.resize(nx, ny, nz, 0.0);
+  phi_buf.resize(nx, ny, nz);
+  const mesh::FieldView rho = rho_buf.view();
+  const mesh::FieldView phi = phi_buf.view();
+
   // ---- assemble the global gravitating mass --------------------------------
-  util::Array3<double> rho(nx, ny, nz, 0.0);
   for (mesh::Grid* g : roots) {
     auto glo = [&](int d) { return g->spec().level_dims[d] > 1 ? 1 : 0; };
     const auto& gm = g->gravitating_mass();
@@ -40,9 +50,10 @@ void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p,
   }
 
   // ---- FFT solve: ∇²φ = (G/a)(ρ − ρ̄) ---------------------------------------
-  const double mean = rho.sum() / static_cast<double>(rho.size());
   const double coef = p.grav_const_code / a;
-  util::Array3<fft::cplx> spec = fft::fft3_real(rho);
+  std::vector<fft::cplx> spec_data(rho.size());
+  const util::ArrayView3<fft::cplx> spec(spec_data.data(), nx, ny, nz);
+  fft::fft3_real(rho, spec);
   const double dx[3] = {1.0 / nx, 1.0 / ny, 1.0 / nz};
   for (int kz = 0; kz < nz; ++kz)
     for (int ky = 0; ky < ny; ++ky)
@@ -62,8 +73,7 @@ void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p,
         }
         spec(kx, ky, kz) *= coef / lam;
       }
-  (void)mean;  // mean removal is the k=0 projection above
-  util::Array3<double> phi = fft::ifft3_real(spec);
+  fft::ifft3_real(spec, phi);
 
   // ---- scatter back with periodic ghosts ------------------------------------
   for (mesh::Grid* g : roots) {

@@ -253,8 +253,8 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
   // storage arena, whose pool holds this level's same-shaped gravity
   // fields, so they recycle with the level instead of piling up by shape.
   util::Arena& arena = h.arena_for_level(level)->doubles();
-  std::vector<mesh::Buffer3> rhs(level_grids.size());
-  for (mesh::Buffer3& b : rhs) b.set_arena(&arena);
+  std::vector<util::Buffer3> rhs(level_grids.size());
+  for (util::Buffer3& b : rhs) b.set_arena(&arena);
   e.for_each(
       {"subgrid_rhs", perf::component::kGravity, level}, level_grids.size(),
       [&](std::size_t n) {

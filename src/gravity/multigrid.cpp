@@ -29,6 +29,7 @@
 #include "mesh/field_storage.hpp"
 #include "perf/metrics.hpp"
 #include "util/annotations.hpp"
+#include "util/array3.hpp"
 #include "util/error.hpp"
 #include "util/flops.hpp"
 
@@ -61,7 +62,7 @@ struct MgScratch {
       res[l].set_arena(&util::Arena::scratch());
     }
   }
-  std::array<mesh::Buffer3, kMaxLevels> phi, rhs, res;  // phi/rhs: l >= 1
+  std::array<util::Buffer3, kMaxLevels> phi, rhs, res;  // phi/rhs: l >= 1
   std::array<MgLevel, kMaxLevels> levels;
 };
 

@@ -21,7 +21,7 @@
 #include <cstdint>
 
 #include "hydro/hydro.hpp"
-#include "mesh/field_storage.hpp"
+#include "util/array3.hpp"
 
 namespace enzo::hydro {
 
@@ -107,7 +107,7 @@ struct Pencil {
  private:
   int cs_ = 0, fs_ = 0;  // padded cell/face lane lengths
   double *scal0_ = nullptr, *smass0_ = nullptr, *fscal0_ = nullptr;
-  mesh::Buffer3 buf_;
+  util::Buffer3 buf_;
 };
 
 /// Raw x-fastest base pointers of the grid fields one sweep touches, hoisted

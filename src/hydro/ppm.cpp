@@ -18,9 +18,9 @@
 
 #include "hydro/pencil.hpp"
 #include "hydro/riemann.hpp"
-#include "mesh/field_storage.hpp"
 #include "util/annotations.hpp"
 #include "util/arena.hpp"
+#include "util/array3.hpp"
 
 namespace enzo::hydro {
 
@@ -107,7 +107,7 @@ ENZO_HOT void build_parabola(int n, const double* __restrict q,
 /// so recycling is observationally identical to fresh construction — at any
 /// executor chunking, which keeps the determinism contract.
 struct PpmScratch {
-  mesh::Buffer3 buf;
+  util::Buffer3 buf;
   std::vector<ParabolaView> scal;  // nscal parabola views (pointers only)
   double* flat = nullptr;
   double* f0 = nullptr;

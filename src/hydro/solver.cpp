@@ -39,8 +39,8 @@ std::vector<Field> species_fields(const Grid& g) {
 /// solver scratch arena, so repeated calls on same-shaped grids are
 /// allocation-free and differently-shaped grids recycle each other's blocks.
 struct ZeusScratch {
-  mesh::Buffer3 q[3];
-  mesh::Buffer3 p;
+  util::Buffer3 q[3];
+  util::Buffer3 p;
 };
 
 struct ZeusViews {

@@ -1,12 +1,12 @@
 #pragma once
-// Grid storage layer: arena-backed buffers and the view/handle API.
+// Grid storage layer: the view/handle API over util::Buffer3 field blocks.
 //
-// Grids no longer expose util::Array3 members — every accessor returns a
-// FieldView / ParticleView handle, so callers never observe where the bytes
-// live (heap, per-level arena block, scratch pool).  Buffer3 is the owning
-// side: a shaped block on loan from a util::Arena (or the aligned heap
-// fallback when unattached), released back to the pool on destruction so
-// regrids recycle storage instead of churning the allocator (§5).
+// Grids expose no owning arrays — every accessor returns a FieldView /
+// ParticleView handle, so callers never observe where the bytes live (heap,
+// per-level arena block, scratch pool).  Field data sits in util::Buffer3
+// blocks on loan from a util::Arena, released back to the pool on
+// destruction so regrids recycle storage instead of churning the allocator
+// (§5).
 //
 // StorageArena bundles the per-level double arena with a particle-vector
 // pool; Hierarchy owns one per level (shared_ptr — grids keep a reference
@@ -51,78 +51,6 @@ struct ArenaOptions {
   bool incremental = true;
   /// Capacity quantum in doubles for the size-class free lists.
   std::int64_t granularity = 2048;
-};
-
-/// An owning, shaped 3-d double buffer whose storage is on loan from a
-/// util::Arena (or the aligned heap fallback when no arena is attached).
-/// Move-only; resize always writes every element (matching Array3::resize's
-/// assign semantics) so recycled blocks are bitwise indistinguishable from
-/// fresh ones.
-class Buffer3 {
- public:
-  Buffer3() = default;
-  ~Buffer3() { release(); }
-  Buffer3(Buffer3&& o) noexcept { move_from(o); }
-  Buffer3& operator=(Buffer3&& o) noexcept {
-    if (this != &o) {
-      release();
-      move_from(o);
-    }
-    return *this;
-  }
-  Buffer3(const Buffer3&) = delete;
-  Buffer3& operator=(const Buffer3&) = delete;
-
-  /// Attach to an arena; must be called while empty (before first resize).
-  void set_arena(util::Arena* a);
-
-  /// Shape to (nx,ny,nz) and set every element to `fill`, acquiring a
-  /// (possibly recycled) block when capacity is insufficient.
-  void resize(int nx, int ny, int nz, double fill = 0.0);
-
-  /// Return the block to its arena/heap and go empty (0×0×0).
-  void release();
-
-  void fill(double v) { view().fill(v); }
-
-  /// Become a same-shaped copy of `o` (contents included).
-  void copy_from(const Buffer3& o);
-
-  [[nodiscard]] int nx() const { return nx_; }
-  [[nodiscard]] int ny() const { return ny_; }
-  [[nodiscard]] int nz() const { return nz_; }
-  [[nodiscard]] std::size_t size() const {
-    return static_cast<std::size_t>(nx_) * ny_ * nz_;
-  }
-  [[nodiscard]] bool empty() const { return size() == 0; }
-
-  /// Rounded capacity of the held block in doubles (0 when empty).  Lets
-  /// owners of long-lived scratch decide when a shrinking shape should
-  /// release the block back to its size class instead of squatting on it.
-  [[nodiscard]] std::size_t capacity() const { return block_.capacity; }
-
-  [[nodiscard]] FieldView view() { return {block_.ptr, nx_, ny_, nz_}; }
-  [[nodiscard]] ConstFieldView view() const {
-    return {block_.ptr, nx_, ny_, nz_};
-  }
-
-  double* data() { return block_.ptr; }
-  const double* data() const { return block_.ptr; }
-
- private:
-  void move_from(Buffer3& o) {
-    arena_ = o.arena_;
-    block_ = o.block_;
-    nx_ = o.nx_;
-    ny_ = o.ny_;
-    nz_ = o.nz_;
-    o.block_ = {};
-    o.nx_ = o.ny_ = o.nz_ = 0;
-  }
-
-  util::Arena* arena_ = nullptr;  // nullptr -> aligned heap fallback
-  util::ArenaBlock block_;
-  int nx_ = 0, ny_ = 0, nz_ = 0;
 };
 
 /// Forwarding handle over a grid's particle list.  Like FieldView it is a

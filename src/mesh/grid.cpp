@@ -95,13 +95,13 @@ bool Grid::contains_position(const ext::PosVec& x) const {
 }
 
 FieldView Grid::field(Field f) {
-  Buffer3& a = fields_[field_index(f)];
+  util::Buffer3& a = fields_[field_index(f)];
   ENZO_REQUIRE(!a.empty(), std::string("field not allocated: ") +
                                std::string(field_name(f)));
   return a.view();
 }
 ConstFieldView Grid::field(Field f) const {
-  const Buffer3& a = fields_[field_index(f)];
+  const util::Buffer3& a = fields_[field_index(f)];
   ENZO_REQUIRE(!a.empty(), std::string("field not allocated: ") +
                                std::string(field_name(f)));
   return a.view();
@@ -207,7 +207,7 @@ void Grid::reset_for_reuse(Grid* parent) {
 
 void Grid::scrub_ghosts() {
   for (Field f : field_list_) {
-    Buffer3& b = fields_[field_index(f)];
+    util::Buffer3& b = fields_[field_index(f)];
     if (b.empty()) continue;
     FieldView a = b.view();
     const int nxa = nx(0), nya = nx(1), nza = nx(2);

@@ -210,13 +210,13 @@ class Grid {
   // The arena is declared before every buffer so buffers (destroyed in
   // reverse order) always release into a live arena.
   std::shared_ptr<StorageArena> arena_;
-  std::array<Buffer3, kNumFields> fields_;
-  std::array<Buffer3, kNumFields> old_fields_;
-  std::array<std::array<Buffer3, 3>, kNumFields> fluxes_;
-  std::array<std::array<std::array<Buffer3, 2>, 3>, kNumFields> bfluxes_;
-  Buffer3 gravitating_mass_;
-  Buffer3 potential_;
-  std::array<Buffer3, 3> accel_;
+  std::array<util::Buffer3, kNumFields> fields_;
+  std::array<util::Buffer3, kNumFields> old_fields_;
+  std::array<std::array<util::Buffer3, 3>, kNumFields> fluxes_;
+  std::array<std::array<std::array<util::Buffer3, 2>, 3>, kNumFields> bfluxes_;
+  util::Buffer3 gravitating_mass_;
+  util::Buffer3 potential_;
+  std::array<util::Buffer3, 3> accel_;
   std::vector<Particle> particles_;
   ext::pos_t time_{0.0};
   ext::pos_t old_time_{0.0};

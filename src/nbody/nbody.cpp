@@ -221,10 +221,12 @@ double total_particle_mass(const mesh::Hierarchy& h) {
 }
 
 void create_lattice_particles(Grid& root, int n,
-                              const std::array<util::Array3<double>, 3>& psi,
+                              const std::array<util::Buffer3, 3>& psi,
                               double growth, double vfac, double total_mass) {
   ENZO_REQUIRE(psi[0].nx() == n && psi[0].ny() == n && psi[0].nz() == n,
                "displacement field resolution mismatch");
+  const util::ArrayView3<const double> disp_field[3] = {
+      psi[0].view(), psi[1].view(), psi[2].view()};
   const double mass = total_mass / (static_cast<double>(n) * n * n);
   const mesh::ParticleView pp = root.particles();
   pp.reserve(pp.size() + static_cast<std::size_t>(n) * n * n);
@@ -237,13 +239,13 @@ void create_lattice_particles(Grid& root, int n,
         Particle p;
         const int idx[3] = {i, j, k};
         for (int d = 0; d < 3; ++d) {
-          const double disp = growth * psi[d](i, j, k);
+          const double disp = growth * disp_field[d](i, j, k);
           p.x[d] = ext::fmod_pos(
               (ext::pos_t(static_cast<double>(idx[d])) + ext::pos_t(0.5)) *
                       inv_n +
                   ext::pos_t(disp),
               one);
-          p.v[d] = vfac * psi[d](i, j, k);
+          p.v[d] = vfac * disp_field[d](i, j, k);
         }
         p.mass = mass;
         p.id = id++;

@@ -47,7 +47,7 @@ double total_particle_mass(const mesh::Hierarchy& h);
 /// factor), total mass = omega_dm_fraction (code units).  Appends to the
 /// root grid (redistribute afterwards if refined levels exist).
 void create_lattice_particles(mesh::Grid& root, int n,
-                              const std::array<util::Array3<double>, 3>& psi,
+                              const std::array<util::Buffer3, 3>& psi,
                               double growth, double vfac, double total_mass);
 
 }  // namespace enzo::nbody

@@ -20,30 +20,31 @@ struct TileGeom {
 
 }  // namespace
 
-util::Array3<double> serial_jacobi(const util::Array3<double>& input,
-                                   int iters) {
+util::Buffer3 serial_jacobi(const util::Buffer3& input, int iters) {
   const int n = input.nx();
-  util::Array3<double> a = input, b(n, n, n, 0.0);
-  auto P = [&](const util::Array3<double>& f, int i, int j, int k) {
-    return f(((i % n) + n) % n, ((j % n) + n) % n, ((k % n) + n) % n);
-  };
+  util::Buffer3 a, b(n, n, n);
+  a.copy_from(input);
   for (int it = 0; it < iters; ++it) {
+    const util::ArrayView3<const double> f = a.view();
+    const util::ArrayView3<double> out = b.view();
+    auto P = [&](int i, int j, int k) {
+      return f(((i % n) + n) % n, ((j % n) + n) % n, ((k % n) + n) % n);
+    };
     for (int k = 0; k < n; ++k)
       for (int j = 0; j < n; ++j)
         for (int i = 0; i < n; ++i)
-          b(i, j, k) = (P(a, i - 1, j, k) + P(a, i + 1, j, k) +
-                        P(a, i, j - 1, k) + P(a, i, j + 1, k) +
-                        P(a, i, j, k - 1) + P(a, i, j, k + 1) + a(i, j, k)) /
-                       7.0;
+          out(i, j, k) = (P(i - 1, j, k) + P(i + 1, j, k) + P(i, j - 1, k) +
+                          P(i, j + 1, k) + P(i, j, k - 1) + P(i, j, k + 1) +
+                          f(i, j, k)) /
+                         7.0;
     std::swap(a, b);
   }
   return a;
 }
 
-util::Array3<double> distributed_jacobi(const util::Array3<double>& input,
-                                        int tiles_per_axis, int iters,
-                                        bool use_sterile,
-                                        DistributedRunInfo* info) {
+util::Buffer3 distributed_jacobi(const util::Buffer3& input,
+                                 int tiles_per_axis, int iters,
+                                 bool use_sterile, DistributedRunInfo* info) {
   const int n = input.nx();
   ENZO_REQUIRE(input.ny() == n && input.nz() == n, "domain must be cubic");
   ENZO_REQUIRE(n % tiles_per_axis == 0, "tiles must divide the domain");
@@ -51,7 +52,9 @@ util::Array3<double> distributed_jacobi(const util::Array3<double>& input,
   const int nranks = tiles_per_axis * tiles_per_axis * tiles_per_axis;
   Transport transport(nranks);
 
-  util::Array3<double> result(n, n, n, 0.0);
+  util::Buffer3 result_buf(n, n, n);
+  const util::ArrayView3<const double> in = input.view();
+  const util::ArrayView3<double> result = result_buf.view();
   std::mutex result_mu;
 
   run_ranks(transport, [&](int rank) {
@@ -60,13 +63,14 @@ util::Array3<double> distributed_jacobi(const util::Array3<double>& input,
     const int tk = rank / (geo.tpa * geo.tpa);
     const int w = geo.w;
     // Local tile with one ghost layer.
-    util::Array3<double> tile(w + 2, w + 2, w + 2, 0.0);
-    util::Array3<double> next(w + 2, w + 2, w + 2, 0.0);
+    util::Buffer3 tile_buf(w + 2, w + 2, w + 2);
+    util::Buffer3 next_buf(w + 2, w + 2, w + 2);
+    util::ArrayView3<double> tile = tile_buf.view();
+    util::ArrayView3<double> next = next_buf.view();
     for (int k = 0; k < w; ++k)
       for (int j = 0; j < w; ++j)
         for (int i = 0; i < w; ++i)
-          tile(i + 1, j + 1, k + 1) =
-              input(ti * w + i, tj * w + j, tk * w + k);
+          tile(i + 1, j + 1, k + 1) = in(ti * w + i, tj * w + j, tk * w + k);
 
     // Face index helpers: face f = (axis d, side s).
     auto neighbor_rank = [&](int d, int s) {
@@ -140,7 +144,7 @@ util::Array3<double> distributed_jacobi(const util::Array3<double>& input,
     info->stats = transport.stats();
     info->nranks = nranks;
   }
-  return result;
+  return result_buf;
 }
 
 }  // namespace enzo::parallel

@@ -21,13 +21,12 @@ struct DistributedRunInfo {
 /// distributed over tiles_per_axis³ ranks.  use_sterile=true posts direct
 /// (source, tag)-matched receives; false uses any-source receives, each of
 /// which the transport counts as a probe.  Returns the reassembled field.
-util::Array3<double> distributed_jacobi(const util::Array3<double>& input,
-                                        int tiles_per_axis, int iters,
-                                        bool use_sterile,
-                                        DistributedRunInfo* info = nullptr);
+util::Buffer3 distributed_jacobi(const util::Buffer3& input,
+                                 int tiles_per_axis, int iters,
+                                 bool use_sterile,
+                                 DistributedRunInfo* info = nullptr);
 
 /// Serial reference for the same operation.
-util::Array3<double> serial_jacobi(const util::Array3<double>& input,
-                                   int iters);
+util::Buffer3 serial_jacobi(const util::Buffer3& input, int iters);
 
 }  // namespace enzo::parallel

@@ -1,6 +1,8 @@
 #include "util/arena.hpp"
 
 #include <atomic>
+#include <cstring>
+#include <memory>
 #include <new>
 
 #include "perf/metrics.hpp"
@@ -47,6 +49,29 @@ double* aligned_new(std::size_t doubles) {
 }
 void aligned_delete(double* p) {
   ::operator delete(p, std::align_val_t{kAlign});
+}
+
+// The heap fallback aligns a plain allocation by hand and keeps the raw
+// pointer in the word below the block.  glibc's aligned allocation splits a
+// small chunk off the front of each misaligned block, and those pinned
+// chunks stop later frees from coalescing.  Unattached buffers include
+// large short-lived ones (the initial conditions), so with aligned_new each
+// set-up of a cosmology deck left the heap a few megabytes larger.
+double* heap_new(std::size_t doubles) {
+  const std::size_t bytes = doubles * sizeof(double);
+  char* raw = static_cast<char*>(::operator new(bytes + kAlign));
+  // raw is at least 8-aligned, so aligning raw + 8 moves it at most 56
+  // bytes: the block and the word below it always fit.
+  void* p = raw + sizeof raw;
+  std::size_t space = bytes + kAlign - sizeof raw;
+  std::align(kAlign, bytes, p, space);
+  std::memcpy(static_cast<char*>(p) - sizeof raw, &raw, sizeof raw);
+  return static_cast<double*>(p);
+}
+void heap_delete(double* p) {
+  char* raw = nullptr;
+  std::memcpy(&raw, reinterpret_cast<char*>(p) - sizeof raw, sizeof raw);
+  ::operator delete(raw);
 }
 
 // Blocks trimmed from every pooling arena, by capacity.  Never destroyed, so
@@ -163,14 +188,14 @@ std::size_t Arena::bytes_pooled() const {
 
 ArenaBlock Arena::heap_acquire(std::size_t doubles) {
   const std::size_t cap = doubles == 0 ? 1 : doubles;
-  ArenaBlock b{aligned_new(cap), cap};
+  ArenaBlock b{heap_new(cap), cap};
   AllocStats::global().on_alloc(cap * sizeof(double));
   return b;
 }
 
 void Arena::heap_release(ArenaBlock&& b) {
   if (b.ptr == nullptr) return;
-  aligned_delete(b.ptr);
+  heap_delete(b.ptr);
   AllocStats::global().on_free(b.capacity * sizeof(double));
   b.ptr = nullptr;
   b.capacity = 0;

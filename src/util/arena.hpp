@@ -79,9 +79,9 @@ class Arena {
   [[nodiscard]] const ArenaConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t bytes_pooled() const;
 
-  // Heap fallback used by buffers not attached to any arena (directly
-  // constructed grids in tests, etc.): same alignment and AllocStats
-  // reporting, never pooled.
+  // Heap fallback used by buffers not attached to any arena (the initial
+  // conditions, analysis maps, directly constructed grids in tests): same
+  // alignment and AllocStats reporting, never pooled.
   [[nodiscard]] static ArenaBlock heap_acquire(std::size_t doubles);
   static void heap_release(ArenaBlock&& b);
 

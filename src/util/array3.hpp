@@ -1,26 +1,31 @@
 #pragma once
-// Array3<T>: an owning, contiguous 3-d array used for all per-grid fields.
+// The 3-d array types: ArrayView3<T> indexes, Buffer3 owns.
 //
 // Layout is Fortran-ish x-fastest (i + nx*(j + ny*k)) so that 1-d hydro
 // sweeps along x are stride-1 and the x-pencil extraction in the PPM/ZEUS
 // solvers is a memcpy.  2-d and 1-d problems simply use nz==1 (and ny==1).
 //
-// The class intentionally has no ghost-zone notion of its own: grids decide
-// how many ghost cells a field carries and index accordingly.
+// ArrayView3 is the only indexed type: every field, flux register, solver
+// scratch array and spectrum is read and written through one.  Buffer3 owns
+// the double arrays (grid fields, solver scratch, initial conditions) in
+// 64-byte-aligned blocks from a util::Arena or its heap fallback; the few
+// non-double arrays (complex spectra, integer labels) are std::vectors read
+// through a view.
+//
+// Neither type has a ghost-zone notion of its own: grids decide how many
+// ghost cells a field carries and index accordingly.
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <vector>
 
+#include "util/arena.hpp"
 #include "util/error.hpp"
 
 namespace enzo::util {
 
-/// ArrayView3<T>: a non-owning span over a contiguous 3-d array with the
-/// same x-fastest layout, indexing and bounds-check behaviour as Array3.
+/// ArrayView3<T>: a non-owning span over a contiguous x-fastest 3-d array.
 /// Views are shallow-const handles (a `const ArrayView3<double>` still
 /// yields mutable elements, like a span); use ArrayView3<const T> for a
 /// read-only view.  Grid storage hands these out so callers never observe
@@ -47,7 +52,9 @@ class ArrayView3 {
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
-  /// Signed-64 flattening, identical to Array3::index.
+  /// Computed in signed 64-bit so a negative index yields a negative offset
+  /// (caught by at()/ENZO_BOUNDS_CHECK) instead of silently wrapping through
+  /// size_t into a huge in-range-looking value.
   [[nodiscard]] std::size_t index(int i, int j, int k) const {
     const std::int64_t off =
         static_cast<std::int64_t>(i) +
@@ -58,6 +65,9 @@ class ArrayView3 {
   }
 
 #ifdef ENZO_BOUNDS_CHECK
+  // Debug mode: every access goes through the checked accessor, so an
+  // out-of-range (i,j,k) — including one whose flattened offset happens to
+  // land inside the array — fails loudly at the call site.
   T& operator()(int i, int j, int k) const { return at(i, j, k); }
 #else
   T& operator()(int i, int j, int k) const { return data_[index(i, j, k)]; }
@@ -118,7 +128,7 @@ class ArrayView3 {
     return nx_ == o.nx() && ny_ == o.ny() && nz_ == o.nz();
   }
 
-  // min/max/sum walk the data in storage order, matching Array3 exactly.
+  // min/max/sum walk the data in storage order.
   value_type min() const {
     return empty() ? value_type{} : *std::min_element(data_, data_ + size());
   }
@@ -139,99 +149,79 @@ class ArrayView3 {
   int nx_ = 0, ny_ = 0, nz_ = 0;
 };
 
-template <typename T>
-class Array3 {
+/// An owning, shaped 3-d double buffer whose storage is on loan from a
+/// util::Arena (or the aligned heap fallback when no arena is attached).
+/// Move-only; resize always writes every element so recycled blocks are
+/// bitwise indistinguishable from fresh ones.
+class Buffer3 {
  public:
-  Array3() = default;
-  Array3(int nx, int ny, int nz, T fill = T{}) { resize(nx, ny, nz, fill); }
-
-  void resize(int nx, int ny, int nz, T fill = T{}) {
-    ENZO_REQUIRE(nx >= 0 && ny >= 0 && nz >= 0, "negative Array3 extent");
-    nx_ = nx;
-    ny_ = ny;
-    nz_ = nz;
-    data_.assign(static_cast<std::size_t>(nx) * ny * nz, fill);
+  Buffer3() = default;
+  /// An unattached (heap-backed) nx×ny×nz buffer with every element `fill`.
+  Buffer3(int nx, int ny, int nz, double fill = 0.0) {
+    resize(nx, ny, nz, fill);
   }
+  ~Buffer3() { release(); }
+  Buffer3(Buffer3&& o) noexcept { move_from(o); }
+  Buffer3& operator=(Buffer3&& o) noexcept {
+    if (this != &o) {
+      release();
+      move_from(o);
+    }
+    return *this;
+  }
+  Buffer3(const Buffer3&) = delete;
+  Buffer3& operator=(const Buffer3&) = delete;
+
+  /// Attach to an arena; must be called while empty (before first resize).
+  void set_arena(Arena* a);
+
+  /// Shape to (nx,ny,nz) and set every element to `fill`, acquiring a
+  /// (possibly recycled) block when capacity is insufficient.
+  void resize(int nx, int ny, int nz, double fill = 0.0);
+
+  /// Return the block to its arena/heap and go empty (0×0×0).
+  void release();
+
+  void fill(double v) { view().fill(v); }
+
+  /// Become a same-shaped copy of `o` (contents included).
+  void copy_from(const Buffer3& o);
 
   [[nodiscard]] int nx() const { return nx_; }
   [[nodiscard]] int ny() const { return ny_; }
   [[nodiscard]] int nz() const { return nz_; }
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] bool empty() const { return data_.empty(); }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(nx_) * ny_ * nz_;
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
-  /// Computed in signed 64-bit so a negative index yields a negative offset
-  /// (caught by at()/ENZO_BOUNDS_CHECK) instead of silently wrapping through
-  /// size_t into a huge in-range-looking value.
-  [[nodiscard]] std::size_t index(int i, int j, int k) const {
-    const std::int64_t off =
-        static_cast<std::int64_t>(i) +
-        static_cast<std::int64_t>(nx_) *
-            (static_cast<std::int64_t>(j) +
-             static_cast<std::int64_t>(ny_) * static_cast<std::int64_t>(k));
-    return static_cast<std::size_t>(off);
+  /// Rounded capacity of the held block in doubles (0 when empty).  Lets
+  /// owners of long-lived scratch decide when a shrinking shape should
+  /// release the block back to its size class instead of squatting on it.
+  [[nodiscard]] std::size_t capacity() const { return block_.capacity; }
+
+  [[nodiscard]] ArrayView3<double> view() { return {block_.ptr, nx_, ny_, nz_}; }
+  [[nodiscard]] ArrayView3<const double> view() const {
+    return {block_.ptr, nx_, ny_, nz_};
   }
 
-#ifdef ENZO_BOUNDS_CHECK
-  // Debug mode: every field access goes through the checked accessor, so an
-  // out-of-range (i,j,k) — including one whose flattened offset happens to
-  // land inside the allocation — fails loudly at the call site.
-  T& operator()(int i, int j, int k) { return at(i, j, k); }
-  const T& operator()(int i, int j, int k) const { return at(i, j, k); }
-#else
-  T& operator()(int i, int j, int k) { return data_[index(i, j, k)]; }
-  const T& operator()(int i, int j, int k) const { return data_[index(i, j, k)]; }
-#endif
-
-  T& at(int i, int j, int k) {
-    ENZO_REQUIRE(contains(i, j, k), "Array3::at out of range");
-    return data_[index(i, j, k)];
-  }
-  const T& at(int i, int j, int k) const {
-    ENZO_REQUIRE(contains(i, j, k), "Array3::at out of range");
-    return data_[index(i, j, k)];
-  }
-
-  [[nodiscard]] bool contains(int i, int j, int k) const {
-    return i >= 0 && i < nx_ && j >= 0 && j < ny_ && k >= 0 && k < nz_;
-  }
-
-  T* data() { return data_.data(); }
-  const T* data() const { return data_.data(); }
-
-  void fill(T v) { std::fill(data_.begin(), data_.end(), v); }
-
-  /// Element-wise accumulate (same shape required).
-  void add(const Array3& other, T scale = T{1}) {
-    ENZO_REQUIRE(same_shape(other), "Array3::add shape mismatch");
-    for (std::size_t n = 0; n < data_.size(); ++n) data_[n] += scale * other.data_[n];
-  }
-
-  [[nodiscard]] bool same_shape(const Array3& o) const {
-    return nx_ == o.nx_ && ny_ == o.ny_ && nz_ == o.nz_;
-  }
-
-  T min() const { return data_.empty() ? T{} : *std::min_element(data_.begin(), data_.end()); }
-  T max() const { return data_.empty() ? T{} : *std::max_element(data_.begin(), data_.end()); }
-  T sum() const {
-    T s{};
-    for (const T& v : data_) s += v;
-    return s;
-  }
-
-  auto begin() { return data_.begin(); }
-  auto end() { return data_.end(); }
-  auto begin() const { return data_.begin(); }
-  auto end() const { return data_.end(); }
-
-  /// Non-owning views for interop with the FieldView-based grid APIs.
-  [[nodiscard]] ArrayView3<T> view() { return {data_.data(), nx_, ny_, nz_}; }
-  [[nodiscard]] ArrayView3<const T> view() const {
-    return {data_.data(), nx_, ny_, nz_};
-  }
+  double* data() { return block_.ptr; }
+  const double* data() const { return block_.ptr; }
 
  private:
+  void move_from(Buffer3& o) {
+    arena_ = o.arena_;
+    block_ = o.block_;
+    nx_ = o.nx_;
+    ny_ = o.ny_;
+    nz_ = o.nz_;
+    o.block_ = {};
+    o.nx_ = o.ny_ = o.nz_ = 0;
+  }
+
+  Arena* arena_ = nullptr;  // nullptr -> aligned heap fallback
+  ArenaBlock block_;
   int nx_ = 0, ny_ = 0, nz_ = 0;
-  std::vector<T> data_;
 };
 
 }  // namespace enzo::util

@@ -22,6 +22,7 @@
 #include "perf/metrics.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/arena.hpp"
+#include "util/array3.hpp"
 
 using namespace enzo;
 using mesh::Field;
@@ -96,27 +97,35 @@ TEST(Arena, TrimmedBlocksServeTheNextArena) {
 }
 
 TEST(Arena, HeapFallbackMatchesAlignmentContract) {
-  util::ArenaBlock b = util::Arena::heap_acquire(77);
-  ASSERT_NE(b.ptr, nullptr);
-  EXPECT_GE(b.capacity, 77u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.ptr) % 64, 0u);
-  util::Arena::heap_release(std::move(b));
+  // Several live blocks, so the plain allocations behind them start at
+  // different offsets from a 64-byte boundary.
+  const std::size_t sizes[] = {0, 1, 7, 77, 1000, 4099, 262144};
+  std::vector<util::ArenaBlock> blocks;
+  for (std::size_t n : sizes) {
+    util::ArenaBlock b = util::Arena::heap_acquire(n);
+    ASSERT_NE(b.ptr, nullptr);
+    EXPECT_GE(b.capacity, std::max<std::size_t>(n, 1));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.ptr) % 64, 0u);
+    std::fill(b.ptr, b.ptr + b.capacity, 1.0);  // the whole block is usable
+    blocks.push_back(b);
+  }
+  for (util::ArenaBlock& b : blocks) util::Arena::heap_release(std::move(b));
 }
 
-// ---- mesh::Buffer3 / mesh::StorageArena ----------------------------------------
+// ---- util::Buffer3 / mesh::StorageArena ----------------------------------------
 
 TEST(Buffer3, ResizeFillsEveryElementAndRecyclesThroughArena) {
   util::Arena a;
   const double* recycled = nullptr;
   {
-    mesh::Buffer3 b;
+    util::Buffer3 b;
     b.set_arena(&a);
     b.resize(4, 5, 6, 3.5);
     EXPECT_EQ(b.size(), 4u * 5u * 6u);
     for (double v : b.view()) EXPECT_EQ(v, 3.5);
     recycled = b.data();
   }  // released back to the pool
-  mesh::Buffer3 c;
+  util::Buffer3 c;
   c.set_arena(&a);
   c.resize(6, 5, 4, 0.0);  // same size class: must reuse the pooled block
   EXPECT_EQ(c.data(), recycled);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cosmology/frw.hpp"
 #include "cosmology/grf.hpp"
@@ -155,11 +156,11 @@ TEST(Grf, FieldHasZeroMeanAndExpectedVariance) {
   const double box = 4.0 * cn::kMpc;  // large enough for decent power
   ec::InitialConditionsGenerator gen(f, ps, box, 2024);
   const int n = 32;
-  auto out = gen.realize(n, {0, 0, 0}, 1.0);
-  double mean = out.delta.sum() / out.delta.size();
+  auto out = gen.realize(n);
+  double mean = out.delta.view().sum() / out.delta.size();
   EXPECT_NEAR(mean, 0.0, 1e-10);
   double var = 0;
-  for (double d : out.delta) var += d * d;
+  for (double d : out.delta.view()) var += d * d;
   var /= out.delta.size();
   const double expected = gen.expected_sigma(n);
   // One realization of ~32³ modes: few-percent accuracy expected.
@@ -170,8 +171,8 @@ TEST(Grf, DeterministicAcrossCalls) {
   ec::Frw f = eds();
   ec::PowerSpectrum ps(f);
   ec::InitialConditionsGenerator gen(f, ps, cn::kMpc, 7);
-  auto a = gen.realize(16, {0, 0, 0}, 1.0);
-  auto b = gen.realize(16, {0, 0, 0}, 1.0);
+  auto a = gen.realize(16);
+  auto b = gen.realize(16);
   for (std::size_t i = 0; i < a.delta.size(); ++i)
     EXPECT_DOUBLE_EQ(a.delta.data()[i], b.delta.data()[i]);
 }
@@ -181,8 +182,8 @@ TEST(Grf, SeedChangesField) {
   ec::PowerSpectrum ps(f);
   ec::InitialConditionsGenerator g1(f, ps, cn::kMpc, 7);
   ec::InitialConditionsGenerator g2(f, ps, cn::kMpc, 8);
-  auto a = g1.realize(16, {0, 0, 0}, 1.0);
-  auto b = g2.realize(16, {0, 0, 0}, 1.0);
+  auto a = g1.realize(16);
+  auto b = g2.realize(16);
   double diff = 0;
   for (std::size_t i = 0; i < a.delta.size(); ++i)
     diff += std::abs(a.delta.data()[i] - b.delta.data()[i]);
@@ -197,12 +198,17 @@ TEST(Grf, ModeConsistencyAcrossResolutions) {
   ec::Frw f = eds();
   ec::PowerSpectrum ps(f);
   ec::InitialConditionsGenerator gen(f, ps, 4.0 * cn::kMpc, 99);
-  auto lo = gen.realize(16, {0, 0, 0}, 1.0);
-  auto hi = gen.realize(32, {0, 0, 0}, 1.0);
+  auto lo = gen.realize(16);
+  auto hi = gen.realize(32);
   // Exact invariant: the Fourier coefficients of every mode representable at
   // both resolutions (|f| < 8, excluding Nyquist planes) agree.
-  auto lo_k = enzo::fft::fft3_real(lo.delta);
-  auto hi_k = enzo::fft::fft3_real(hi.delta);
+  using Spectrum = enzo::util::ArrayView3<enzo::fft::cplx>;
+  std::vector<enzo::fft::cplx> lo_cells(lo.delta.size());
+  std::vector<enzo::fft::cplx> hi_cells(hi.delta.size());
+  const Spectrum lo_k(lo_cells.data(), 16, 16, 16);
+  const Spectrum hi_k(hi_cells.data(), 32, 32, 32);
+  enzo::fft::fft3_real(lo.delta.view(), lo_k);
+  enzo::fft::fft3_real(hi.delta.view(), hi_k);
   const double n_lo = 16.0 * 16 * 16, n_hi = 32.0 * 32 * 32;
   int checked = 0;
   for (int kz = 0; kz < 16; ++kz)
@@ -223,18 +229,21 @@ TEST(Grf, ModeConsistencyAcrossResolutions) {
   EXPECT_GT(checked, 3000);
   // And the real-space fields are strongly (not perfectly — extra small-scale
   // power) correlated after averaging down.
-  enzo::util::Array3<double> down(16, 16, 16, 0.0);
+  enzo::util::Buffer3 down_buf(16, 16, 16);
+  const auto down = down_buf.view();
+  const auto lo_d = lo.delta.view();
+  const auto hi_d = hi.delta.view();
   for (int k = 0; k < 32; ++k)
     for (int j = 0; j < 32; ++j)
       for (int i = 0; i < 32; ++i)
-        down(i / 2, j / 2, k / 2) += hi.delta(i, j, k) / 8.0;
+        down(i / 2, j / 2, k / 2) += hi_d(i, j, k) / 8.0;
   double num = 0, d1 = 0, d2 = 0;
   for (int k = 0; k < 16; ++k)
     for (int j = 0; j < 16; ++j)
       for (int i = 0; i < 16; ++i) {
-        num += down(i, j, k) * lo.delta(i, j, k);
+        num += down(i, j, k) * lo_d(i, j, k);
         d1 += down(i, j, k) * down(i, j, k);
-        d2 += lo.delta(i, j, k) * lo.delta(i, j, k);
+        d2 += lo_d(i, j, k) * lo_d(i, j, k);
       }
   EXPECT_GT(num / std::sqrt(d1 * d2), 0.8);
 }
@@ -246,23 +255,23 @@ TEST(Grf, DisplacementDivergenceIsMinusDelta) {
   ec::PowerSpectrum ps(f);
   const int n = 16;
   ec::InitialConditionsGenerator gen(f, ps, 8.0 * cn::kMpc, 13);
-  auto out = gen.realize(n, {0, 0, 0}, 1.0);
+  auto out = gen.realize(n);
+  const auto delta = out.delta.view();
   const double dx = 1.0 / n;  // code units
   double err = 0, norm = 0;
   for (int k = 0; k < n; ++k)
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < n; ++i) {
-        auto P = [&](const enzo::util::Array3<double>& a, int ii, int jj,
-                     int kk) {
-          return a((ii + n) % n, (jj + n) % n, (kk + n) % n);
+        auto P = [&](const enzo::util::Buffer3& a, int ii, int jj, int kk) {
+          return a.view()((ii + n) % n, (jj + n) % n, (kk + n) % n);
         };
         const double div =
             (P(out.psi[0], i + 1, j, k) - P(out.psi[0], i - 1, j, k) +
              P(out.psi[1], i, j + 1, k) - P(out.psi[1], i, j - 1, k) +
              P(out.psi[2], i, j, k + 1) - P(out.psi[2], i, j, k - 1)) /
             (2 * dx);
-        err += std::pow(div + out.delta(i, j, k), 2);
-        norm += std::pow(out.delta(i, j, k), 2);
+        err += std::pow(div + delta(i, j, k), 2);
+        norm += std::pow(delta(i, j, k), 2);
       }
   // Central differences under-resolve the highest modes; demand the bulk.
   EXPECT_LT(std::sqrt(err / norm), 0.5);

@@ -10,11 +10,13 @@
 #include <vector>
 
 #include "fft/fft.hpp"
+#include "util/array3.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace ef = enzo::fft;
 using ef::cplx;
+using Spectrum = enzo::util::ArrayView3<cplx>;
 
 namespace {
 std::vector<cplx> brute_dft(const std::vector<cplx>& in, bool inverse) {
@@ -119,17 +121,15 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
 
 TEST(Fft3, RoundTrip3d) {
   enzo::util::Rng rng(31);
-  enzo::util::Array3<cplx> a(8, 4, 16);
-  enzo::util::Array3<cplx> orig(8, 4, 16);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a.data()[i] = cplx(rng.gaussian(), rng.gaussian());
-    orig.data()[i] = a.data()[i];
-  }
+  std::vector<cplx> cells(8 * 4 * 16);
+  for (cplx& c : cells) c = cplx(rng.gaussian(), rng.gaussian());
+  const std::vector<cplx> orig = cells;
+  const Spectrum a(cells.data(), 8, 4, 16);
   ef::fft3(a, false);
   ef::fft3(a, true);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a.data()[i].real(), orig.data()[i].real(), 1e-10);
-    EXPECT_NEAR(a.data()[i].imag(), orig.data()[i].imag(), 1e-10);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_NEAR(cells[i].real(), orig[i].real(), 1e-10);
+    EXPECT_NEAR(cells[i].imag(), orig[i].imag(), 1e-10);
   }
 }
 
@@ -137,7 +137,8 @@ TEST(Fft3, DegenerateDimensionsActAs1d) {
   // nz == ny == 1: fft3 must match the 1-d transform.
   const int n = 16;
   enzo::util::Rng rng(77);
-  enzo::util::Array3<cplx> a(n, 1, 1);
+  std::vector<cplx> cells(n);
+  const Spectrum a(cells.data(), n, 1, 1);
   std::vector<cplx> v(n);
   for (int i = 0; i < n; ++i) {
     v[i] = cplx(rng.uniform(-1, 1), 0.0);
@@ -153,7 +154,8 @@ TEST(Fft3, DegenerateDimensionsActAs1d) {
 
 TEST(Fft3, PlaneWaveSeparates) {
   const int n = 8;
-  enzo::util::Array3<cplx> a(n, n, n);
+  std::vector<cplx> cells(n * n * n);
+  const Spectrum a(cells.data(), n, n, n);
   for (int k = 0; k < n; ++k)
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < n; ++i) {
@@ -172,12 +174,16 @@ TEST(Fft3, PlaneWaveSeparates) {
 
 TEST(Fft3, RealTransformsRoundTrip) {
   enzo::util::Rng rng(3);
-  enzo::util::Array3<double> f(8, 8, 8);
-  for (auto& v : f) v = rng.gaussian();
-  auto spec = ef::fft3_real(f);
-  auto back = ef::ifft3_real(spec);
+  enzo::util::Buffer3 f(8, 8, 8), back(8, 8, 8);
+  for (double& v : f.view()) v = rng.gaussian();
+  std::vector<cplx> cells(f.size());
+  const Spectrum spec(cells.data(), 8, 8, 8);
+  ef::fft3_real(f.view(), spec);
+  ef::ifft3_real(spec, back.view());
   for (std::size_t i = 0; i < f.size(); ++i)
     EXPECT_NEAR(back.data()[i], f.data()[i], 1e-10);
+  EXPECT_THROW(ef::fft3_real(f.view(), Spectrum(cells.data(), 8, 8, 4)),
+               enzo::Error);
 }
 
 TEST(Fft, FreqIndex) {

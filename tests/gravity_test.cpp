@@ -51,15 +51,15 @@ std::uint64_t counter(const char* name) {
 
 // ---- scalar oracle ----------------------------------------------------------
 // The multigrid kernels src/gravity/multigrid.cpp ran before its row
-// kernels: cell loops through Array3 indexing with a per-cell colour test,
+// kernels: cell loops through 3-d indexing with a per-cell colour test,
 // a fresh level stack per solve and a fresh residual per V-cycle.  The row
 // kernels must reproduce them bit for bit.
 namespace oracle {
 
 struct MgLevel {
-  util::Array3<double> phi;  // with 1 ghost on active axes
-  util::Array3<double> rhs;  // same shape; ghosts ignored
-  int n[3];                  // active extents
+  util::Buffer3 phi;  // with 1 ghost on active axes
+  util::Buffer3 rhs;  // same shape; ghosts ignored
+  int n[3];           // active extents
   bool active[3];
   double dx;
 };
@@ -79,6 +79,8 @@ void smooth(MgLevel& lv, int sweeps, Tally& t) {
     if (lv.active[d]) nterms += 2;
   if (nterms == 0) return;
   const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
+  const mesh::FieldView phi = lv.phi.view();
+  const mesh::ConstFieldView rhs = lv.rhs.view();
   for (int s = 0; s < sweeps; ++s) {
     for (int color = 0; color < 2; ++color) {
       for (int k = 0; k < lv.n[2]; ++k)
@@ -88,12 +90,12 @@ void smooth(MgLevel& lv, int sweeps, Tally& t) {
             const int si = i + gx, sj = j + gy, sk = k + gz;
             double sum = 0.0;
             if (lv.active[0])
-              sum += lv.phi(si + 1, sj, sk) + lv.phi(si - 1, sj, sk);
+              sum += phi(si + 1, sj, sk) + phi(si - 1, sj, sk);
             if (lv.active[1])
-              sum += lv.phi(si, sj + 1, sk) + lv.phi(si, sj - 1, sk);
+              sum += phi(si, sj + 1, sk) + phi(si, sj - 1, sk);
             if (lv.active[2])
-              sum += lv.phi(si, sj, sk + 1) + lv.phi(si, sj, sk - 1);
-            lv.phi(si, sj, sk) = (sum - dx2 * lv.rhs(si, sj, sk)) / nterms;
+              sum += phi(si, sj, sk + 1) + phi(si, sj, sk - 1);
+            phi(si, sj, sk) = (sum - dx2 * rhs(si, sj, sk)) / nterms;
           }
     }
   }
@@ -102,22 +104,24 @@ void smooth(MgLevel& lv, int sweeps, Tally& t) {
              sweeps;
 }
 
-void residual(const MgLevel& lv, util::Array3<double>& res) {
+void residual(const MgLevel& lv, mesh::FieldView res) {
   const double inv_dx2 = 1.0 / (lv.dx * lv.dx);
   const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
+  const mesh::ConstFieldView phi = lv.phi.view();
+  const mesh::ConstFieldView rhs = lv.rhs.view();
   for (int k = 0; k < lv.n[2]; ++k)
     for (int j = 0; j < lv.n[1]; ++j)
       for (int i = 0; i < lv.n[0]; ++i) {
         const int si = i + gx, sj = j + gy, sk = k + gz;
         double lap = 0.0;
-        const double c = lv.phi(si, sj, sk);
+        const double c = phi(si, sj, sk);
         if (lv.active[0])
-          lap += lv.phi(si + 1, sj, sk) - 2 * c + lv.phi(si - 1, sj, sk);
+          lap += phi(si + 1, sj, sk) - 2 * c + phi(si - 1, sj, sk);
         if (lv.active[1])
-          lap += lv.phi(si, sj + 1, sk) - 2 * c + lv.phi(si, sj - 1, sk);
+          lap += phi(si, sj + 1, sk) - 2 * c + phi(si, sj - 1, sk);
         if (lv.active[2])
-          lap += lv.phi(si, sj, sk + 1) - 2 * c + lv.phi(si, sj, sk - 1);
-        res(si, sj, sk) = lv.rhs(si, sj, sk) - lap * inv_dx2;
+          lap += phi(si, sj, sk + 1) - 2 * c + phi(si, sj, sk - 1);
+        res(si, sj, sk) = rhs(si, sj, sk) - lap * inv_dx2;
       }
 }
 
@@ -136,8 +140,12 @@ void vcycle(std::vector<MgLevel>& levels, std::size_t l,
   }
   smooth(lv, p.mg_pre_smooth, t);
   MgLevel& cv = levels[l + 1];
-  util::Array3<double> res(lv.phi.nx(), lv.phi.ny(), lv.phi.nz(), 0.0);
+  util::Buffer3 res_buf(lv.phi.nx(), lv.phi.ny(), lv.phi.nz());
+  const mesh::FieldView res = res_buf.view();
   residual(lv, res);
+  const mesh::FieldView phi = lv.phi.view();
+  const mesh::FieldView cphi = cv.phi.view();
+  const mesh::FieldView crhs = cv.rhs.view();
   const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
   const int cgx = ghost(cv, 0), cgy = ghost(cv, 1), cgz = ghost(cv, 2);
   cv.phi.fill(0.0);
@@ -154,7 +162,7 @@ void vcycle(std::vector<MgLevel>& levels, std::size_t l,
                          (lv.active[2] ? 2 * k + dk : k) + gz);
               ++cnt;
             }
-        cv.rhs(i + cgx, j + cgy, k + cgz) = sum / cnt;
+        crhs(i + cgx, j + cgy, k + cgz) = sum / cnt;
       }
   vcycle(levels, l + 1, p, t);
   for (int k = 0; k < lv.n[2]; ++k)
@@ -181,16 +189,16 @@ void vcycle(std::vector<MgLevel>& levels, std::size_t l,
               const double w = (bx ? 1.0 - w0[0] : w0[0]) *
                                (by ? 1.0 - w0[1] : w0[1]) *
                                (bz ? 1.0 - w0[2] : w0[2]);
-              corr += w * cv.phi((bx ? c1[0] : c0[0]) + cgx,
-                                 (by ? c1[1] : c0[1]) + cgy,
-                                 (bz ? c1[2] : c0[2]) + cgz);
+              corr += w * cphi((bx ? c1[0] : c0[0]) + cgx,
+                               (by ? c1[1] : c0[1]) + cgy,
+                               (bz ? c1[2] : c0[2]) + cgz);
             }
-        lv.phi(i + gx, j + gy, k + gz) += corr;
+        phi(i + gx, j + gy, k + gz) += corr;
       }
   smooth(lv, p.mg_post_smooth, t);
 }
 
-double norm2(const MgLevel& lv, const util::Array3<double>& a) {
+double norm2(const MgLevel& lv, mesh::ConstFieldView a) {
   const int gx = ghost(lv, 0), gy = ghost(lv, 1), gz = ghost(lv, 2);
   double s = 0;
   for (int k = 0; k < lv.n[2]; ++k)
@@ -202,8 +210,7 @@ double norm2(const MgLevel& lv, const util::Array3<double>& a) {
   return std::sqrt(s);
 }
 
-double multigrid_solve(util::Array3<double>& phi,
-                       const util::Array3<double>& rhs, double dx,
+double multigrid_solve(util::Buffer3& phi, const util::Buffer3& rhs, double dx,
                        const gravity::GravityParams& p, Tally& t) {
   std::vector<MgLevel> levels;
   MgLevel fine;
@@ -213,8 +220,8 @@ double multigrid_solve(util::Array3<double>& phi,
     fine.active[d] = tot[d] > 1;
     fine.n[d] = fine.active[d] ? tot[d] - 2 : 1;
   }
-  fine.phi = phi;
-  fine.rhs = rhs;
+  fine.phi.copy_from(phi);
+  fine.rhs.copy_from(rhs);
   levels.push_back(std::move(fine));
   while (can_coarsen(levels.back()) && levels.size() < 12) {
     const MgLevel& f = levels.back();
@@ -227,21 +234,21 @@ double multigrid_solve(util::Array3<double>& phi,
     c.phi.resize(c.n[0] + 2 * (c.active[0] ? 1 : 0),
                  c.n[1] + 2 * (c.active[1] ? 1 : 0),
                  c.n[2] + 2 * (c.active[2] ? 1 : 0), 0.0);
-    c.rhs = c.phi;
+    c.rhs.copy_from(c.phi);
     levels.push_back(std::move(c));
   }
-  util::Array3<double> res(phi.nx(), phi.ny(), phi.nz(), 0.0);
-  const double rhs_norm = norm2(levels[0], levels[0].rhs);
+  util::Buffer3 res(phi.nx(), phi.ny(), phi.nz());
+  const double rhs_norm = norm2(levels[0], levels[0].rhs.view());
   double rel = 1.0;
   for (int cycle = 0; cycle < p.mg_max_vcycles; ++cycle) {
     vcycle(levels, 0, p, t);
     ++t.vcycles;
-    residual(levels[0], res);
-    const double rn = norm2(levels[0], res);
+    residual(levels[0], res.view());
+    const double rn = norm2(levels[0], res.view());
     rel = rhs_norm > 0 ? rn / rhs_norm : rn;
     if (rel < p.mg_tolerance) break;
   }
-  phi = levels[0].phi;
+  phi.copy_from(levels[0].phi);
   return rel;
 }
 
@@ -294,8 +301,8 @@ TEST(Multigrid, ManufacturedSolutionConverges) {
   // ghosts from the analytic solution.
   const int n = 32;
   const double dx = 1.0 / n;
-  util::Array3<double> phi(n + 2, n + 2, n + 2, 0.0);
-  util::Array3<double> rhs(n + 2, n + 2, n + 2, 0.0);
+  util::Buffer3 phi_buf(n + 2, n + 2, n + 2), rhs_buf(n + 2, n + 2, n + 2);
+  const mesh::FieldView phi = phi_buf.view(), rhs = rhs_buf.view();
   auto exact = [&](int i, int j, int k) {
     const double x = (i - 0.5) * dx, y = (j - 0.5) * dx, z = (k - 0.5) * dx;
     return std::sin(M_PI * x) * std::sin(M_PI * y) * std::sin(M_PI * z);
@@ -311,7 +318,7 @@ TEST(Multigrid, ManufacturedSolutionConverges) {
           phi(i, j, k) = exact(i, j, k);
       }
   gravity::GravityParams p;
-  const double rel = gravity::multigrid_solve(phi.view(), rhs.view(), dx, p);
+  const double rel = gravity::multigrid_solve(phi, rhs, dx, p);
   EXPECT_LT(rel, p.mg_tolerance);
   double max_err = 0;
   for (int k = 1; k <= n; ++k)
@@ -325,8 +332,8 @@ TEST(Multigrid, ManufacturedSolutionConverges) {
 TEST(Multigrid, DiscretizationErrorIsSecondOrder) {
   auto run = [](int n) {
     const double dx = 1.0 / n;
-    util::Array3<double> phi(n + 2, n + 2, n + 2, 0.0);
-    util::Array3<double> rhs(n + 2, n + 2, n + 2, 0.0);
+    util::Buffer3 phi_buf(n + 2, n + 2, n + 2), rhs_buf(n + 2, n + 2, n + 2);
+    const mesh::FieldView phi = phi_buf.view(), rhs = rhs_buf.view();
     auto exact = [&](int i, int j, int k) {
       const double x = (i - 0.5) * dx, y = (j - 0.5) * dx, z = (k - 0.5) * dx;
       return std::sin(M_PI * x) * std::sin(M_PI * y) * std::sin(M_PI * z);
@@ -342,7 +349,7 @@ TEST(Multigrid, DiscretizationErrorIsSecondOrder) {
             phi(i, j, k) = exact(i, j, k);
         }
     gravity::GravityParams p;
-    gravity::multigrid_solve(phi.view(), rhs.view(), 1.0 / n, p);
+    gravity::multigrid_solve(phi, rhs, 1.0 / n, p);
     double err = 0;
     for (int k = 1; k <= n; ++k)
       for (int j = 1; j <= n; ++j)
@@ -358,8 +365,8 @@ TEST(Multigrid, ZeroRhsReproducesHarmonicBoundary) {
   // rhs = 0 with linear BC φ = x: the exact discrete solution is linear.
   const int n = 16;
   const double dx = 1.0 / n;
-  util::Array3<double> phi(n + 2, n + 2, n + 2, 0.0);
-  util::Array3<double> rhs(n + 2, n + 2, n + 2, 0.0);
+  util::Buffer3 phi_buf(n + 2, n + 2, n + 2), rhs_buf(n + 2, n + 2, n + 2);
+  const mesh::FieldView phi = phi_buf.view(), rhs = rhs_buf.view();
   for (int k = 0; k < n + 2; ++k)
     for (int j = 0; j < n + 2; ++j)
       for (int i = 0; i < n + 2; ++i)
@@ -367,7 +374,7 @@ TEST(Multigrid, ZeroRhsReproducesHarmonicBoundary) {
             k == n + 1)
           phi(i, j, k) = (i - 0.5) * dx;
   gravity::GravityParams p;
-  gravity::multigrid_solve(phi.view(), rhs.view(), dx, p);
+  gravity::multigrid_solve(phi, rhs, dx, p);
   for (int k = 1; k <= n; ++k)
     for (int i = 1; i <= n; ++i)
       EXPECT_NEAR(phi(i, 8, k), (i - 0.5) * dx, 1e-7);
@@ -376,12 +383,12 @@ TEST(Multigrid, ZeroRhsReproducesHarmonicBoundary) {
 TEST(Multigrid, OddExtentsStillConverge) {
   // A 12×10×14 box coarsens a couple of times then bottoms out; the solver
   // must still reach a reasonable residual.
-  util::Array3<double> phi(14, 12, 16, 0.0);
-  util::Array3<double> rhs(14, 12, 16, 0.0);
+  util::Buffer3 phi_buf(14, 12, 16), rhs_buf(14, 12, 16);
+  const mesh::FieldView phi = phi_buf.view(), rhs = rhs_buf.view();
   rhs(7, 6, 8) = 100.0;
   gravity::GravityParams p;
   p.mg_max_vcycles = 60;
-  const double rel = gravity::multigrid_solve(phi.view(), rhs.view(), 0.05, p);
+  const double rel = gravity::multigrid_solve(phi, rhs, 0.05, p);
   EXPECT_LT(rel, 1e-6);
 }
 
@@ -414,14 +421,15 @@ TEST(Multigrid, RowKernelsMatchScalarOracleBitwise) {
   for (const auto& sh : shapes)
     for (int input = 0; input < 4; ++input) {
       const gravity::GravityParams& p = *params[input];
-      util::Array3<double> phi(sh[0], sh[1], sh[2], -0.0);
-      util::Array3<double> rhs(sh[0], sh[1], sh[2], 0.0);
+      util::Buffer3 phi(sh[0], sh[1], sh[2], -0.0);
+      util::Buffer3 rhs(sh[0], sh[1], sh[2], 0.0);
       if (input < 3) {
-        for (double& v : phi) v = rng.uniform(-1.0, 1.0);  // guess + ghosts
-        for (double& v : rhs) v = rng.uniform(-50.0, 50.0);
+        for (double& v : phi.view()) v = rng.uniform(-1.0, 1.0);  // + ghosts
+        for (double& v : rhs.view()) v = rng.uniform(-50.0, 50.0);
       }
       const double dx = 1.0 / 16.0;
-      util::Array3<double> ref = phi;
+      util::Buffer3 ref;
+      ref.copy_from(phi);
       oracle::Tally t;
       const double ref_rel = oracle::multigrid_solve(ref, rhs, dx, p, t);
 

@@ -600,8 +600,8 @@ namespace oracle {
 /// The pre-live-pencil register layout: ghost-aligned, per field (in
 /// field-list order) and axis (nt+1)·nt² faces and two nt² planes.
 struct Registers {
-  std::vector<std::array<util::Array3<double>, 3>> face;
-  std::vector<std::array<std::array<util::Array3<double>, 2>, 3>> plane;
+  std::vector<std::array<util::Buffer3, 3>> face;
+  std::vector<std::array<std::array<util::Buffer3, 2>, 3>> plane;
 };
 
 /// The sweep driver as it was before it skipped dead pencils: a pencil
@@ -621,8 +621,8 @@ std::uint64_t sweep_all_axes(mesh::Grid& g, double dt,
   for (Field f : fields)
     if (mesh::is_species(f)) species.push_back(f);
   const int nscal = static_cast<int>(species.size());
-  reg.face.assign(fields.size(), {});
-  reg.plane.assign(fields.size(), {});
+  reg.face = decltype(reg.face)(fields.size());
+  reg.plane = decltype(reg.plane)(fields.size());
   for (std::size_t n = 0; n < fields.size(); ++n)
     for (int d = 0; d < 3; ++d) {
       reg.face[n][d].resize(g.nt(0) + (d == 0 ? 1 : 0),
@@ -668,13 +668,13 @@ std::uint64_t sweep_all_axes(mesh::Grid& g, double dt,
         gathered += static_cast<std::uint64_t>(np);
         const double dt_w = dt / exp.a;
         auto accumulate = [&](Field f, const double* ff) {
-          util::Array3<double>& r = reg.face[slot(f)][d];
+          util::Buffer3& r = reg.face[slot(f)][d];
           const hydro::PencilMap fm =
               hydro::pencil_map(d, r.nx(), r.ny(), r.nz(), j1, j2);
           for (int i = lo; i <= hi; ++i)
             r.data()[fm.base + i * fm.stride] += dt_w * ff[i];
-          util::Array3<double>& bl = reg.plane[slot(f)][d][0];
-          util::Array3<double>& bh = reg.plane[slot(f)][d][1];
+          util::Buffer3& bl = reg.plane[slot(f)][d][0];
+          util::Buffer3& bh = reg.plane[slot(f)][d][1];
           const hydro::PencilMap bm =
               hydro::pencil_map(d, bl.nx(), bl.ny(), bl.nz(), j1, j2);
           bl.data()[bm.base] += dt_w * ff[lo];
@@ -823,22 +823,23 @@ TEST(Hydro, LiveSweepMatchesFullPencilOracleBitwise) {
           if (g.spec().level_dims[d] == 1) continue;
           // Active face (i, j, k) is ghost-aligned face (i, j, k) + ng.
           const auto face = g.flux(f, d);
+          const auto want_face = want.face[n][d].view();
           for (int k = 0; k < face.nz(); ++k)
             for (int j = 0; j < face.ny(); ++j)
               for (int i = 0; i < face.nx(); ++i)
                 check(face(i, j, k),
-                      want.face[n][d](i + ng[0], j + ng[1], k + ng[2]),
+                      want_face(i + ng[0], j + ng[1], k + ng[2]),
                       fname + " face axis " + std::to_string(d));
           for (int side = 0; side < 2; ++side) {
             const auto plane = g.boundary_flux(f, d, side);
+            const auto want_plane = want.plane[n][d][side].view();
             int off[3] = {ng[0], ng[1], ng[2]};
             off[d] = 0;
             for (int k = 0; k < plane.nz(); ++k)
               for (int j = 0; j < plane.ny(); ++j)
                 for (int i = 0; i < plane.nx(); ++i)
                   check(plane(i, j, k),
-                        want.plane[n][d][side](i + off[0], j + off[1],
-                                               k + off[2]),
+                        want_plane(i + off[0], j + off[1], k + off[2]),
                         fname + " plane axis " + std::to_string(d));
           }
         }

@@ -116,7 +116,8 @@ TEST_P(RefineFactor, HierarchyMachineryWorksAtAnyIntegerFactor) {
   // compare with the pre-refinement root values.
   Grid* child = h.grids(1)[0];
   const auto rho_view = root->field(Field::kDensity);
-  util::Array3<double> before(rho_view.nx(), rho_view.ny(), rho_view.nz());
+  util::Buffer3 before_buf(rho_view.nx(), rho_view.ny(), rho_view.nz());
+  const mesh::FieldView before = before_buf.view();
   std::copy(rho_view.begin(), rho_view.end(), before.begin());
   mesh::project_to_parent(*child, *root);
   for (int k = 0; k < 8; ++k)

@@ -176,9 +176,9 @@ TEST(Nbody, RedistributeFindsFinestOwner) {
 TEST(Nbody, LatticeCreationStatistics) {
   mesh::Hierarchy h = make_box(8);
   Grid* g = h.grids(0)[0];
-  std::array<util::Array3<double>, 3> psi;
+  std::array<util::Buffer3, 3> psi;
   for (auto& a : psi) a.resize(8, 8, 8, 0.0);
-  psi[0](0, 0, 0) = 0.01;  // one displaced particle
+  psi[0].view()(0, 0, 0) = 0.01;  // one displaced particle
   nbody::create_lattice_particles(*g, 8, psi, /*growth=*/1.0, /*vfac=*/2.0,
                                   /*total_mass=*/1.0);
   EXPECT_EQ(g->particles().size(), 512u);
@@ -206,12 +206,13 @@ TEST(Nbody, PlaneWaveCollapseAcceleratesTowardOverdensity) {
   const int n = 16;
   mesh::Hierarchy h = make_box(n);
   Grid* g = h.grids(0)[0];
-  std::array<util::Array3<double>, 3> psi;
+  std::array<util::Buffer3, 3> psi;
   for (auto& a : psi) a.resize(n, n, n, 0.0);
+  const mesh::FieldView psi_x = psi[0].view();
   for (int k = 0; k < n; ++k)
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < n; ++i)
-        psi[0](i, j, k) = -0.02 * std::sin(2 * M_PI * (i + 0.5) / n);
+        psi_x(i, j, k) = -0.02 * std::sin(2 * M_PI * (i + 0.5) / n);
   nbody::create_lattice_particles(*g, n, psi, 1.0, 0.0, 1.0);
   // δ = −∂ψ/∂x ∝ +cos(2πx): overdensity at x = 0.
   gravity::begin_gravitating_mass(h, 0);

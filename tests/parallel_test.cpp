@@ -218,9 +218,9 @@ TEST(Pipeline, AlreadyOrderedGainsNothing) {
 
 TEST(Distributed, MatchesSerialBitForBit) {
   const int n = 16;
-  util::Array3<double> field(n, n, n);
+  util::Buffer3 field(n, n, n);
   util::Rng rng(9);
-  for (auto& v : field) v = rng.uniform(-1, 1);
+  for (double& v : field.view()) v = rng.uniform(-1, 1);
   const auto serial = serial_jacobi(field, 3);
   DistributedRunInfo info;
   const auto dist = distributed_jacobi(field, 2, 3, /*use_sterile=*/true,
@@ -234,9 +234,9 @@ TEST(Distributed, MatchesSerialBitForBit) {
 
 TEST(Distributed, WithoutSterileMetadataEveryReceiveProbes) {
   const int n = 8;
-  util::Array3<double> field(n, n, n);
+  util::Buffer3 field(n, n, n);
   util::Rng rng(10);
-  for (auto& v : field) v = rng.uniform(-1, 1);
+  for (double& v : field.view()) v = rng.uniform(-1, 1);
   DistributedRunInfo info;
   const auto dist = distributed_jacobi(field, 2, 2, /*use_sterile=*/false,
                                        &info);
@@ -252,9 +252,9 @@ TEST(Distributed, WithoutSterileMetadataEveryReceiveProbes) {
 
 TEST(Distributed, SingleRankDegenerates) {
   const int n = 8;
-  util::Array3<double> field(n, n, n);
+  util::Buffer3 field(n, n, n);
   util::Rng rng(11);
-  for (auto& v : field) v = rng.uniform(0, 1);
+  for (double& v : field.view()) v = rng.uniform(0, 1);
   const auto serial = serial_jacobi(field, 2);
   const auto dist = distributed_jacobi(field, 1, 2, true);
   for (std::size_t i = 0; i < serial.size(); ++i)

@@ -117,9 +117,7 @@ TEST(Stress, GrfRejectsInvalidLattices) {
   cosmology::Frw frw(fp);
   cosmology::PowerSpectrum ps(frw);
   cosmology::InitialConditionsGenerator gen(frw, ps, constants::kMpc, 1);
-  EXPECT_THROW(gen.realize(12, {0, 0, 0}, 1.0), enzo::Error);   // not pow2
-  EXPECT_THROW(gen.realize(16, {0, 0, 0}, 2.0), enzo::Error);   // width > 1
-  EXPECT_THROW(gen.realize(16, {0, 0, 0}, 0.0), enzo::Error);   // width 0
+  EXPECT_THROW(gen.realize(12), enzo::Error);  // not pow2
 }
 
 TEST(Stress, DdStringParsingRejectsGarbage) {

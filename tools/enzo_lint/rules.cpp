@@ -356,7 +356,7 @@ void rule_hotpath(const SourceFile& f, const std::vector<FuncDef>& funcs,
       "vector", "string", "deque",  "list",         "map",
       "set",    "multimap", "multiset",
       "unordered_map",      "unordered_set",        "function",
-      "Array3", "stringstream", "ostringstream",    "shared_ptr",
+      "stringstream",       "ostringstream",        "shared_ptr",
       "unique_ptr"};
   static const std::set<std::string> kAllocCalls = {
       "malloc", "calloc", "realloc", "strdup", "to_string", "make_unique",
