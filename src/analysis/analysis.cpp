@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "analysis/leaf_cells.hpp"
 #include "util/constants.hpp"
 #include "util/error.hpp"
 
@@ -11,68 +12,20 @@ namespace enzo::analysis {
 using mesh::Field;
 using mesh::Grid;
 
-namespace {
-
-/// Boxes of a grid's children in the grid's own index space (coarsened).
-std::vector<mesh::IndexBox> child_footprints(const mesh::Hierarchy& h,
-                                             const Grid& g) {
-  std::vector<mesh::IndexBox> out;
-  for (const Grid* c : h.grids(g.level() + 1)) {
-    if (c->parent() != &g) continue;
-    int rd[3];
-    mesh::IndexBox foot;
-    for (int d = 0; d < 3; ++d) {
-      rd[d] = static_cast<int>(c->spec().level_dims[d] /
-                               g.spec().level_dims[d]);
-      foot.lo[d] = c->box().lo[d] / rd[d];
-      foot.hi[d] = c->box().hi[d] / rd[d];
-    }
-    out.push_back(foot);
-  }
-  return out;
-}
-
-bool covered(const std::vector<mesh::IndexBox>& foots, std::int64_t gi,
-             std::int64_t gj, std::int64_t gk) {
-  for (const auto& b : foots)
-    if (b.contains(mesh::Index3{gi, gj, gk})) return true;
-  return false;
-}
-
-/// Minimum-image separation along one axis (code units).
-double sep(ext::pos_t x, ext::pos_t c, bool periodic) {
-  double d = ext::pos_to_double(x - c);
-  if (periodic) {
-    if (d > 0.5) d -= 1.0;
-    if (d < -0.5) d += 1.0;
-  }
-  return d;
-}
-
-}  // namespace
+using detail::for_each_leaf_cell;
+using detail::sep;
 
 Peak find_densest_point(const mesh::Hierarchy& h) {
   Peak best;
   best.density = -1.0;
-  for (int l = 0; l <= h.deepest_level(); ++l) {
-    for (const Grid* g : h.grids(l)) {
-      const auto foots = child_footprints(h, *g);
-      const auto& rho = g->field(Field::kDensity);
-      for (int k = 0; k < g->nx(2); ++k)
-        for (int j = 0; j < g->nx(1); ++j)
-          for (int i = 0; i < g->nx(0); ++i) {
-            if (covered(foots, g->box().lo[0] + i, g->box().lo[1] + j,
-                        g->box().lo[2] + k))
-              continue;
-            const double v = rho(g->sx(i), g->sy(j), g->sz(k));
-            if (v > best.density) {
-              best.density = v;
-              best.position = g->cell_center(i, j, k);
-              best.level = l;
-            }
-          }
+  for_each_leaf_cell(h, [&](const Grid& g, int i, int j, int k, double) {
+    const double v = g.field(Field::kDensity)(g.sx(i), g.sy(j), g.sz(k));
+    if (v > best.density) {
+      best.density = v;
+      best.position = g.cell_center(i, j, k);
+      best.level = g.level();
     }
-  }
+  });
   ENZO_REQUIRE(best.density >= 0, "empty hierarchy in find_densest_point");
   return best;
 }
@@ -101,67 +54,53 @@ RadialProfile radial_profile(const mesh::Hierarchy& h, const ext::PosVec& c,
   chemistry::ChemistryParams cp;
   cp.gamma = hp.gamma;
 
-  for (int l = 0; l <= h.deepest_level(); ++l) {
-    for (const Grid* g : h.grids(l)) {
-      const auto foots = child_footprints(h, *g);
-      double vol = 1.0;
-      for (int d = 0; d < 3; ++d)
-        vol *= 1.0 / static_cast<double>(g->spec().level_dims[d]);
-      const auto& rho = g->field(Field::kDensity);
-      for (int k = 0; k < g->nx(2); ++k)
-        for (int j = 0; j < g->nx(1); ++j)
-          for (int i = 0; i < g->nx(0); ++i) {
-            if (covered(foots, g->box().lo[0] + i, g->box().lo[1] + j,
-                        g->box().lo[2] + k))
-              continue;
-            const auto x = g->cell_center(i, j, k);
-            const double dx0 = sep(x[0], c[0], opt.periodic);
-            const double dx1 = sep(x[1], c[1], opt.periodic);
-            const double dx2 = sep(x[2], c[2], opt.periodic);
-            const double r =
-                std::sqrt(dx0 * dx0 + dx1 * dx1 + dx2 * dx2);
-            const int b = bin_of(r);
-            if (b < 0) continue;
-            const int si = g->sx(i), sj = g->sy(j), sk = g->sz(k);
-            const double m = rho(si, sj, sk) * vol;
-            mass[b] += m;
-            volume[b] += vol;
-            count[b] += 1;
-            // Radial velocity.
-            const double vr =
-                r > 0 ? (g->field(Field::kVelocityX)(si, sj, sk) * dx0 +
-                         g->field(Field::kVelocityY)(si, sj, sk) * dx1 +
-                         g->field(Field::kVelocityZ)(si, sj, sk) * dx2) /
-                            r
-                      : 0.0;
-            m_vr[b] += m * vr;
-            const double ei =
-                std::max(g->field(Field::kInternalEnergy)(si, sj, sk), 0.0);
-            const double cs = std::sqrt(hp.gamma * (hp.gamma - 1.0) * ei);
-            m_cs[b] += m * cs;
-            double T;
-            if (chem) {
-              T = chemistry::cell_temperature(*g, si, sj, sk, cp, units);
-              const double rH = cp.hydrogen_fraction * rho(si, sj, sk);
-              m_h2[b] += m * g->field(Field::kH2I)(si, sj, sk) / rH;
-              m_hi[b] += m * g->field(Field::kHI)(si, sj, sk) / rH;
-            } else {
-              T = (hp.gamma - 1.0) * ei * units.e_cgs * opt.mu_fallback *
-                  constants::kHydrogenMass / constants::kBoltzmann;
-            }
-            m_T[b] += m * T;
-          }
-      // Dark matter.
+  for_each_leaf_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
+    const auto x = g.cell_center(i, j, k);
+    const double dx0 = sep(x[0], c[0], opt.periodic);
+    const double dx1 = sep(x[1], c[1], opt.periodic);
+    const double dx2 = sep(x[2], c[2], opt.periodic);
+    const double r = std::sqrt(dx0 * dx0 + dx1 * dx1 + dx2 * dx2);
+    const int b = bin_of(r);
+    if (b < 0) return;
+    const int si = g.sx(i), sj = g.sy(j), sk = g.sz(k);
+    const double rho = g.field(Field::kDensity)(si, sj, sk);
+    const double m = rho * vol;
+    mass[b] += m;
+    volume[b] += vol;
+    count[b] += 1;
+    // Radial velocity.
+    const double vr = r > 0 ? (g.field(Field::kVelocityX)(si, sj, sk) * dx0 +
+                               g.field(Field::kVelocityY)(si, sj, sk) * dx1 +
+                               g.field(Field::kVelocityZ)(si, sj, sk) * dx2) /
+                                  r
+                            : 0.0;
+    m_vr[b] += m * vr;
+    const double ei =
+        std::max(g.field(Field::kInternalEnergy)(si, sj, sk), 0.0);
+    const double cs = std::sqrt(hp.gamma * (hp.gamma - 1.0) * ei);
+    m_cs[b] += m * cs;
+    double T;
+    if (chem) {
+      T = chemistry::cell_temperature(g, si, sj, sk, cp, units);
+      const double rH = cp.hydrogen_fraction * rho;
+      m_h2[b] += m * g.field(Field::kH2I)(si, sj, sk) / rH;
+      m_hi[b] += m * g.field(Field::kHI)(si, sj, sk) / rH;
+    } else {
+      T = (hp.gamma - 1.0) * ei * units.e_cgs * opt.mu_fallback *
+          constants::kHydrogenMass / constants::kBoltzmann;
+    }
+    m_T[b] += m * T;
+  });
+  // Dark matter.
+  for (int l = 0; l <= h.deepest_level(); ++l)
+    for (const Grid* g : h.grids(l))
       for (const mesh::Particle& part : g->particles()) {
         const double dx0 = sep(part.x[0], c[0], opt.periodic);
         const double dx1 = sep(part.x[1], c[1], opt.periodic);
         const double dx2 = sep(part.x[2], c[2], opt.periodic);
-        const int b =
-            bin_of(std::sqrt(dx0 * dx0 + dx1 * dx1 + dx2 * dx2));
+        const int b = bin_of(std::sqrt(dx0 * dx0 + dx1 * dx1 + dx2 * dx2));
         if (b >= 0) dm_mass[b] += part.mass;
       }
-    }
-  }
 
   p.gas_density.resize(nb);
   p.dm_density.resize(nb);

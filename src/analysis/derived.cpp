@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 
+#include "analysis/leaf_cells.hpp"
 #include "chemistry/rates.hpp"
 #include "util/constants.hpp"
 #include "util/error.hpp"
@@ -13,63 +14,8 @@ namespace enzo::analysis {
 using mesh::Field;
 using mesh::Grid;
 
-namespace {
-
-/// Child footprints in the grid's own index space (duplicated from
-/// analysis.cpp's internals to keep both translation units self-contained).
-std::vector<mesh::IndexBox> child_feet(const mesh::Hierarchy& h,
-                                       const Grid& g) {
-  std::vector<mesh::IndexBox> out;
-  for (const Grid* c : h.grids(g.level() + 1)) {
-    if (c->parent() != &g) continue;
-    mesh::IndexBox foot;
-    for (int d = 0; d < 3; ++d) {
-      const auto rd = c->spec().level_dims[d] / g.spec().level_dims[d];
-      foot.lo[d] = c->box().lo[d] / rd;
-      foot.hi[d] = c->box().hi[d] / rd;
-    }
-    out.push_back(foot);
-  }
-  return out;
-}
-
-bool in_feet(const std::vector<mesh::IndexBox>& feet, std::int64_t i,
-             std::int64_t j, std::int64_t k) {
-  for (const auto& b : feet)
-    if (b.contains(mesh::Index3{i, j, k})) return true;
-  return false;
-}
-
-double sep(ext::pos_t x, ext::pos_t c, bool periodic) {
-  double d = ext::pos_to_double(x - c);
-  if (periodic) {
-    if (d > 0.5) d -= 1.0;
-    if (d < -0.5) d += 1.0;
-  }
-  return d;
-}
-
-/// Visit every uncovered active cell once: fn(grid, i, j, k, cellvol).
-template <typename F>
-void for_each_unique_cell(const mesh::Hierarchy& h, F&& fn) {
-  for (int l = 0; l <= h.deepest_level(); ++l)
-    for (const Grid* g : h.grids(l)) {
-      const auto feet = child_feet(h, *g);
-      double vol = 1.0;
-      for (int d = 0; d < 3; ++d)
-        vol *= 1.0 / static_cast<double>(g->spec().level_dims[d]);
-      for (int k = 0; k < g->nx(2); ++k)
-        for (int j = 0; j < g->nx(1); ++j)
-          for (int i = 0; i < g->nx(0); ++i) {
-            if (in_feet(feet, g->box().lo[0] + i, g->box().lo[1] + j,
-                        g->box().lo[2] + k))
-              continue;
-            fn(*g, i, j, k, vol);
-          }
-    }
-}
-
-}  // namespace
+using detail::for_each_leaf_cell;
+using detail::sep;
 
 CoolingTimeStats cooling_time_in_sphere(const mesh::Hierarchy& h,
                                         const ext::PosVec& center,
@@ -80,7 +26,7 @@ CoolingTimeStats cooling_time_in_sphere(const mesh::Hierarchy& h,
   out.min = std::numeric_limits<double>::max();
   double msum = 0, mtsum = 0;
   const bool periodic = true;
-  for_each_unique_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
+  for_each_leaf_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
     const auto x = g.cell_center(i, j, k);
     const double dx0 = sep(x[0], center[0], periodic);
     const double dx1 = sep(x[1], center[1], periodic);
@@ -147,7 +93,7 @@ double xray_luminosity(const mesh::Hierarchy& h, const ext::PosVec& center,
                        const chemistry::ChemUnits& units,
                        double length_cm_per_code) {
   double lum = 0;
-  for_each_unique_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
+  for_each_leaf_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
     const auto x = g.cell_center(i, j, k);
     const double dx0 = sep(x[0], center[0], true);
     const double dx1 = sep(x[1], center[1], true);
@@ -208,7 +154,7 @@ double InertiaTensor::sphericity() const {
 InertiaTensor gas_inertia_tensor(const mesh::Hierarchy& h,
                                  const ext::PosVec& center, double radius) {
   InertiaTensor out;
-  for_each_unique_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
+  for_each_leaf_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
     const auto x = g.cell_center(i, j, k);
     const double d[3] = {sep(x[0], center[0], true), sep(x[1], center[1], true),
                          sep(x[2], center[2], true)};
@@ -229,7 +175,7 @@ Projection surface_density(const mesh::Hierarchy& h, int axis, int n) {
   out.n = n;
   out.sigma.assign(static_cast<std::size_t>(n) * n, 0.0);
   const int a1 = (axis + 1) % 3, a2 = (axis + 2) % 3;
-  for_each_unique_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
+  for_each_leaf_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
     const int idx[3] = {i, j, k};
     (void)idx;
     const auto x = g.cell_center(i, j, k);

@@ -86,19 +86,6 @@ struct Parser {
     if (key == "GhostZones") { cfg.hierarchy.nghost = integer(value); return; }
     if (key == "FlagBufferCells") { cfg.hierarchy.flag_buffer = integer(value); return; }
     if (key == "ClusterEfficiency") { cfg.hierarchy.cluster.min_efficiency = num(value); return; }
-    // --- storage -------------------------------------------------------------
-    if (key == "ArenaMode") {
-      const bool on = boolean(value);
-      cfg.hierarchy.arena.pool = on;
-      cfg.hierarchy.arena.incremental = on;
-      return;
-    }
-    if (key == "BlockGranularity") {
-      cfg.hierarchy.arena.granularity = integer(value);
-      if (cfg.hierarchy.arena.granularity < 1)
-        fail("BlockGranularity must be >= 1");
-      return;
-    }
     // --- refinement criteria -----------------------------------------------
     if (key == "RefineByBaryonMass") { cfg.refinement.baryon_mass_threshold = num(value); return; }
     if (key == "RefineByDarkMatterMass") { cfg.refinement.dm_mass_threshold = num(value); return; }
@@ -287,15 +274,6 @@ std::string render_deck(const ParameterDeck& deck) {
       c0.hierarchy.cluster.min_efficiency)
     os << "ClusterEfficiency = " << fmt(cfg.hierarchy.cluster.min_efficiency)
        << "\n";
-  // ArenaMode collapses {pool, incremental}; dump the pair only when they
-  // disagree (only reachable programmatically) so a re-parse reproduces it.
-  if (cfg.hierarchy.arena.pool == cfg.hierarchy.arena.incremental) {
-    if (!cfg.hierarchy.arena.pool) os << "ArenaMode = 0\n";
-  } else {
-    os << "ArenaMode = " << (cfg.hierarchy.arena.pool ? 1 : 0) << "\n";
-  }
-  if (cfg.hierarchy.arena.granularity != mesh::ArenaOptions{}.granularity)
-    os << "BlockGranularity = " << cfg.hierarchy.arena.granularity << "\n";
   os << "HydroEnabled = " << (cfg.enable_hydro ? 1 : 0) << "\n";
   os << "GravityEnabled = " << (cfg.enable_gravity ? 1 : 0) << "\n";
   os << "ChemistryEnabled = " << (cfg.enable_chemistry ? 1 : 0) << "\n";

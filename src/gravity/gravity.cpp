@@ -249,10 +249,11 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
   // Per-grid RHS and initial guess (interpolated parent potential
   // everywhere, which also sets the Dirichlet ghosts).  Each task writes
   // only its own potential/RHS and reads its parent's solved potential,
-  // which this phase never writes.  The RHS blocks come from the level's
-  // storage arena, whose pool holds this level's same-shaped gravity
-  // fields, so they recycle with the level instead of piling up by shape.
-  util::Arena& arena = h.arena_for_level(level)->doubles();
+  // which this phase never writes.  The RHS blocks come from the
+  // hierarchy's storage arena, whose pool holds the grids' same-shaped
+  // gravity fields, so they recycle with the grids instead of piling up by
+  // shape.
+  util::Arena& arena = h.arena().doubles();
   std::vector<util::Buffer3> rhs(level_grids.size());
   for (util::Buffer3& b : rhs) b.set_arena(&arena);
   e.for_each(

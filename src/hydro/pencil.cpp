@@ -79,10 +79,7 @@ void Pencil::reset(int n_cells, int nghost, int ns) {
   // release first: Buffer3::resize alone never shrinks, and thread-local
   // scratch would otherwise pin the largest block ever used (e.g. a
   // 12-scalar chemistry deck followed by a pure-hydro one in one process).
-  const auto gran = static_cast<std::size_t>(
-      util::Arena::scratch().config().granularity);
-  const std::size_t rounded = (need + gran - 1) / gran * gran;
-  if (buf_.capacity() > rounded) buf_.release();
+  if (buf_.capacity() > util::Arena::capacity_for(need)) buf_.release();
   // Same-shape fast path: skip the whole-workspace zero fill.  Every lane
   // slot the sweep reads is written earlier in the same pencil iteration
   // (gather fills all cell lanes over [0,n); the sweeps write fluxes/ustar

@@ -2,22 +2,16 @@
 
 namespace enzo::mesh {
 
-StorageArena::StorageArena(util::ArenaConfig cfg) : arena_(cfg) {}
-
 std::vector<Particle> StorageArena::acquire_particles() {
-  if (arena_.config().pool) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!particle_pool_.empty()) {
-      std::vector<Particle> v = std::move(particle_pool_.back());
-      particle_pool_.pop_back();
-      return v;
-    }
-  }
-  return {};
+  std::lock_guard<std::mutex> lock(mu_);
+  if (particle_pool_.empty()) return {};
+  std::vector<Particle> v = std::move(particle_pool_.back());
+  particle_pool_.pop_back();
+  return v;
 }
 
 void StorageArena::release_particles(std::vector<Particle>&& v) {
-  if (!arena_.config().pool || v.capacity() == 0) return;
+  if (v.capacity() == 0) return;
   v.clear();
   std::lock_guard<std::mutex> lock(mu_);
   particle_pool_.push_back(std::move(v));

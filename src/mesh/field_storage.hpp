@@ -2,15 +2,15 @@
 // Grid storage layer: the view/handle API over util::Buffer3 field blocks.
 //
 // Grids expose no owning arrays — every accessor returns a FieldView /
-// ParticleView handle, so callers never observe where the bytes live (heap,
-// per-level arena block, scratch pool).  Field data sits in util::Buffer3
-// blocks on loan from a util::Arena, released back to the pool on
-// destruction so regrids recycle storage instead of churning the allocator
-// (§5).
+// ParticleView handle, so callers never observe where the bytes live (heap
+// fallback, the hierarchy's arena, scratch pool).  Field data sits in
+// util::Buffer3 blocks on loan from a util::Arena, released back to the
+// pool on destruction so regrids recycle storage instead of churning the
+// allocator (§5).
 //
-// StorageArena bundles the per-level double arena with a particle-vector
-// pool; Hierarchy owns one per level (shared_ptr — grids keep a reference
-// so teardown order is never a hazard).
+// StorageArena bundles the double arena with a particle-vector pool; each
+// Hierarchy owns one for all its levels (shared_ptr — grids keep a
+// reference so teardown order is never a hazard).
 
 #include <array>
 #include <cstddef>
@@ -38,20 +38,6 @@ struct Particle {
 /// shallow-const semantics).
 using FieldView = util::ArrayView3<double>;
 using ConstFieldView = util::ArrayView3<const double>;
-
-/// Storage + regrid strategy for a hierarchy (deck keys ArenaMode /
-/// BlockGranularity).
-struct ArenaOptions {
-  /// Recycle field blocks through per-level free lists across regrids.
-  bool pool = true;
-  /// Diff rebuilt Berger–Rigoutsos boxes against the previous generation
-  /// and keep unchanged grids (and their storage) alive.  Byte-identical to
-  /// a full rebuild by contract (grid ids are the sole, unobservable
-  /// exception: kept grids keep theirs).
-  bool incremental = true;
-  /// Capacity quantum in doubles for the size-class free lists.
-  std::int64_t granularity = 2048;
-};
 
 /// Forwarding handle over a grid's particle list.  Like FieldView it is a
 /// shallow-const span-style handle: copying the view aliases the same
@@ -91,17 +77,15 @@ class ConstParticleView {
   const std::vector<Particle>* v_;
 };
 
-/// Per-level storage pool: the double arena for field blocks plus a
-/// capacity-preserving particle-vector pool, so a rebuilt level reuses both
-/// kinds of storage from the generation it replaced.
+/// A hierarchy's storage pool: the double arena for field blocks plus a
+/// capacity-preserving particle-vector pool, so rebuilt grids reuse both
+/// kinds of storage from the grids they replaced, on any level.
 class StorageArena {
  public:
-  explicit StorageArena(util::ArenaConfig cfg = {});
-
   [[nodiscard]] util::Arena& doubles() { return arena_; }
 
-  /// An empty particle vector, recycled (capacity intact) when pooling is
-  /// on and one is available.
+  /// An empty particle vector, recycled (capacity intact) when one is
+  /// available.
   [[nodiscard]] std::vector<Particle> acquire_particles();
   void release_particles(std::vector<Particle>&& v);
 

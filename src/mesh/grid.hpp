@@ -15,7 +15,7 @@
 //
 // Storage lives in arena-backed Buffer3 blocks; every accessor returns a
 // FieldView / ParticleView handle, so callers never observe whether the
-// bytes came from the heap or from a per-level arena pool.  Alignment logic
+// bytes came from the heap or from the hierarchy's arena pool.  Alignment logic
 // is pure integer arithmetic; only absolute positions/times are extended
 // precision.  Field data is plain double.
 
@@ -188,12 +188,12 @@ class Grid {
   void wrap_own_ghosts();
 
   // ---- regrid recycling ------------------------------------------------------
-  /// Prepare this grid for reuse across a rebuild (incremental regrid, same
-  /// box): release auxiliary storage (fluxes, boundary fluxes, gravity)
-  /// back to the arena, zero the ghost shells, and re-anchor parent/time —
-  /// after which the grid is bitwise indistinguishable from one freshly
-  /// built and filled by the full-rebuild path (grid id excepted: a kept
-  /// grid keeps its id, which no physics or serialized byte observes).
+  /// Prepare this grid for reuse across a rebuild (same box): release
+  /// auxiliary storage (fluxes, boundary fluxes, gravity) back to the
+  /// arena, zero the ghost shells, and re-anchor parent/time — after which
+  /// the grid is bitwise indistinguishable from a new grid the rebuild
+  /// builds for the same box (grid id excepted: a kept grid keeps its id,
+  /// which no physics or serialized byte observes).
   void reset_for_reuse(Grid* parent);
 
  private:

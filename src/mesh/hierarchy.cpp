@@ -14,14 +14,17 @@
 namespace enzo::mesh {
 
 namespace {
-/// Pack an Index3 into a hashable key (coordinates fit easily in 21 bits at
-/// any depth we can afford to store flags for).
-std::uint64_t key_of(const Index3& p) {
-  auto enc = [](std::int64_t v) {
-    return static_cast<std::uint64_t>(v & 0x1FFFFF);
-  };
-  return enc(p[0]) | (enc(p[1]) << 21) | (enc(p[2]) << 42);
-}
+/// Hash of a cell index.  The containers keyed by it compare whole
+/// indices, so cells any distance apart stay distinct keys.
+struct Index3Hash {
+  std::size_t operator()(const Index3& p) const noexcept {
+    constexpr std::uint64_t k = 0x9E3779B97F4A7C15ULL;
+    std::uint64_t h = static_cast<std::uint64_t>(p[0]);
+    h = (h * k) ^ static_cast<std::uint64_t>(p[1]);
+    h = (h * k) ^ static_cast<std::uint64_t>(p[2]);
+    return static_cast<std::size_t>(h);
+  }
+};
 }  // namespace
 
 Hierarchy::Hierarchy(HierarchyParams params) : params_(std::move(params)) {
@@ -38,7 +41,7 @@ Hierarchy::~Hierarchy() = default;
 
 Hierarchy::Hierarchy(Hierarchy&& other) noexcept
     : params_(std::move(other.params_)),
-      arenas_(std::move(other.arenas_)),
+      arena_(std::move(other.arena_)),
       levels_(std::move(other.levels_)),
       generation_(other.generation_),
       topology_(std::move(other.topology_)),
@@ -49,7 +52,7 @@ Hierarchy::Hierarchy(Hierarchy&& other) noexcept
 Hierarchy& Hierarchy::operator=(Hierarchy&& other) noexcept {
   if (this != &other) {
     params_ = std::move(other.params_);
-    arenas_ = std::move(other.arenas_);
+    arena_ = std::move(other.arena_);
     levels_ = std::move(other.levels_);
     generation_ = other.generation_;
     topology_ = std::move(other.topology_);
@@ -59,17 +62,9 @@ Hierarchy& Hierarchy::operator=(Hierarchy&& other) noexcept {
   return *this;
 }
 
-std::shared_ptr<StorageArena> Hierarchy::arena_for_level(int level) {
-  ENZO_REQUIRE(level >= 0, "negative level");
-  while (static_cast<int>(arenas_.size()) <= level)
-    arenas_.push_back(std::make_shared<StorageArena>(util::ArenaConfig{
-        params_.arena.pool, params_.arena.granularity}));
-  return arenas_[level];
-}
-
 std::unique_ptr<Grid> Hierarchy::make_grid(int level, const IndexBox& box) {
   return std::make_unique<Grid>(make_spec(level, box), params_.fields,
-                                arena_for_level(level));
+                                arena_);
 }
 
 const OverlapTopology& Hierarchy::topology() const {
@@ -259,12 +254,12 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
       flags.swap(grown);
     }
     {
-      std::unordered_set<std::uint64_t> seen;
+      std::unordered_set<Index3, Index3Hash> seen;  // lookup only
       seen.reserve(flags.size());
       std::vector<Index3> unique;
       unique.reserve(flags.size());
       for (const Index3& p : flags)
-        if (seen.insert(key_of(p)).second) unique.push_back(p);
+        if (seen.insert(p).second) unique.push_back(p);
       flags.swap(unique);
     }
     // Keep only flags actually covered by a parent grid (buffering can push
@@ -285,23 +280,23 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
     std::vector<IndexBox> boxes = cluster_flags(flags, params_.cluster);
 
     // ---- 3. create the new grids, fill, and swap ----------------------------
-    // Incremental regrid: before building a grid for a canonical
-    // (cluster box × parent) piece, look for a previous-generation grid
-    // with *exactly* that box — by its low corner, which is unique since a
-    // level's grids are disjoint — and keep it (and its storage) alive
-    // instead of reallocating and refilling.  A kept grid's active bytes
-    // equal what the full path would rebuild: the full path's same-box
-    // self-copy restores its own data verbatim, disjoint same-level
-    // neighbours contribute nothing, and the parent interpolation
-    // underneath is fully overwritten.  Only auxiliary state needs
-    // resetting (Grid::reset_for_reuse).
+    // Before building a grid for a canonical (cluster box × parent) piece,
+    // look for a previous-generation grid with *exactly* that box — by its
+    // low corner, which is unique since a level's grids are disjoint — and
+    // keep it (and its storage) alive instead of reallocating and refilling.
+    // A kept grid's active bytes equal what a new grid would get: a new
+    // grid's same-box copy from the old grid restores its data verbatim,
+    // disjoint same-level neighbours contribute nothing, and the parent
+    // interpolation underneath is fully overwritten.  Only auxiliary state
+    // needs resetting (Grid::reset_for_reuse).  RegridStorm's
+    // KeptGridsMatchAFreshBuildBitwise builds that new grid as an oracle.
     std::vector<Grid*> old_raw;  // pre-rebuild level-l grids, in level order
-    std::unordered_map<std::uint64_t, std::size_t> old_by_lo;  // lookup only
+    std::unordered_map<Index3, std::size_t, Index3Hash> old_by_lo;
     if (l < static_cast<int>(levels_.size())) {
       old_raw.reserve(levels_[l].size());
       for (std::size_t i = 0; i < levels_[l].size(); ++i) {
         old_raw.push_back(levels_[l][i].get());
-        old_by_lo.emplace(key_of(levels_[l][i]->box().lo), i);
+        old_by_lo.emplace(levels_[l][i]->box().lo, i);
       }
     }
     std::vector<std::unique_ptr<Grid>> fresh;
@@ -330,18 +325,10 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
             // such sliver has no grandchildren, so dropping it is safe.
             continue;
           }
-          Grid* reuse = nullptr;
-          std::size_t reuse_idx = 0;
-          if (params_.arena.incremental) {
-            const auto it = old_by_lo.find(key_of(fine.lo));
-            if (it != old_by_lo.end() && old_raw[it->second]->box() == fine) {
-              reuse = old_raw[it->second];
-              reuse_idx = it->second;
-            }
-          }
-          if (reuse != nullptr) {
-            reuse->reset_for_reuse(parent);
-            fresh.push_back(std::move(levels_[l][reuse_idx]));
+          const auto it = old_by_lo.find(fine.lo);
+          if (it != old_by_lo.end() && old_raw[it->second]->box() == fine) {
+            old_raw[it->second]->reset_for_reuse(parent);
+            fresh.push_back(std::move(levels_[l][it->second]));
             fresh_kept.push_back(1);
             ++kept_count;
           } else {
@@ -381,10 +368,10 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
 
     // Particles: pull down from parents into new grids; push old-grid
     // particles either into the new grids or back up to the parent.  Pulls
-    // are staged per destination and installed after both passes, so the
-    // incremental path reproduces the full path's append order exactly —
+    // are staged per destination and installed after both passes, so every
+    // destination, kept or new, gets the same append order —
     // [parent pulls in parent order] + [old-grid particles in old order] —
-    // even when a destination is itself one of the old grids.
+    // even when it is itself one of the old grids.
     auto grid_ordinal_for = [&](const Particle& p) -> std::ptrdiff_t {
       for (std::size_t i = 0; i < fresh.size(); ++i)
         if (fresh[i]->contains_position(p.x))

@@ -5,9 +5,11 @@
 // grids, and an unbounded stack of refined levels ("no limit on the depth or
 // complexity of the adaptive grid hierarchy").  RebuildHierarchy implements
 // §3.2.2: flag cells on the parent level, cluster them with
-// Berger–Rigoutsos, create the new grids (copying from overlapping old grids
-// of the same level where possible, interpolating from parents otherwise),
-// redistribute particles, and delete the old grids.
+// Berger–Rigoutsos, keep every old grid whose box comes back unchanged,
+// create the new grids (copying from overlapping old grids of the same level
+// where possible, interpolating from parents otherwise), redistribute
+// particles, and delete the old grids that were not kept.  All grids draw
+// their storage from one pooled arena per hierarchy.
 //
 // The paper's "sterile objects" (§3.4), metadata-only GridDescriptors that
 // every rank can hold so neighbour lookups never require probing other
@@ -40,9 +42,6 @@ struct HierarchyParams {
   ClusterParams cluster;
   int flag_buffer = 1;   ///< cells of padding around flagged regions
   std::int64_t min_grid_cells = 8;  ///< discard degenerate slivers
-  /// Storage pooling + incremental-regrid strategy (deck keys ArenaMode /
-  /// BlockGranularity).
-  ArenaOptions arena;
 };
 
 /// Sterile object: everything a remote rank needs to know about a grid in
@@ -83,15 +82,15 @@ class Hierarchy {
   /// level > 0.
   Grid* insert_grid(std::unique_ptr<Grid> g);
 
-  /// Construct a grid backed by the level's storage arena (the factory the
-  /// rebuild, problem setup, and checkpoint-read paths all share, so every
-  /// grid in a hierarchy draws from the same recycled pools).  The caller
-  /// still sets parent/time and hands the grid to insert_grid.
+  /// Construct a grid backed by the hierarchy's storage arena (the factory
+  /// the rebuild, problem setup, and checkpoint-read paths all share, so
+  /// every grid in a hierarchy draws from the same recycled pools).  The
+  /// caller still sets parent/time and hands the grid to insert_grid.
   [[nodiscard]] std::unique_ptr<Grid> make_grid(int level,
                                                 const IndexBox& box);
 
-  /// The storage arena for a level, created on first use.
-  [[nodiscard]] std::shared_ptr<StorageArena> arena_for_level(int level);
+  /// The storage arena every grid of every level draws from.
+  [[nodiscard]] StorageArena& arena() { return *arena_; }
 
   /// Every overlap consumer reads topology(); there is no other path.  Kept
   /// as a constant because perfbench/src/replay.cpp:284, its one caller,
@@ -103,7 +102,9 @@ class Hierarchy {
   using FlagFn = std::function<void(const Grid&, std::vector<Index3>&)>;
 
   /// §3.2.2 RebuildHierarchy: rebuild the given level and all deeper ones.
-  /// level must be >= 1 (the root is never rebuilt).
+  /// level must be >= 1 (the root is never rebuilt).  A grid whose box
+  /// comes back unchanged is kept, storage and all; only new boxes get new
+  /// grids.
   void rebuild(int level, const FlagFn& flag);
 
   /// Verify structural invariants (containment, alignment, non-overlap,
@@ -144,11 +145,11 @@ class Hierarchy {
 
  private:
   HierarchyParams params_;
-  /// Per-level storage pools.  Grids hold a shared_ptr to their arena, so
-  /// the member order relative to levels_ is not a lifetime hazard; pools
-  /// outlive level deletion so a level that empties and later reappears
-  /// reuses its blocks.
-  std::vector<std::shared_ptr<StorageArena>> arenas_;
+  /// One storage pool for all levels: levels never step concurrently, so
+  /// its mutex sees no more contention than a per-level pool would, and a
+  /// block one level frees can serve another.  Grids hold a shared_ptr to
+  /// it, so the member order relative to levels_ is not a lifetime hazard.
+  std::shared_ptr<StorageArena> arena_ = std::make_shared<StorageArena>();
   std::vector<std::vector<std::unique_ptr<Grid>>> levels_;
   std::uint64_t generation_ = 0;
   static constexpr std::uint64_t kNoTopology = ~std::uint64_t{0};

@@ -7,7 +7,6 @@
 
 #include "perf/metrics.hpp"
 #include "util/alloc_stats.hpp"
-#include "util/error.hpp"
 
 namespace enzo::util {
 
@@ -15,7 +14,7 @@ namespace {
 
 constexpr std::size_t kAlign = 64;  // SIMD / cache-line alignment
 
-// Aggregates across every Arena instance (per-level arenas + scratch), so
+// Aggregates across every Arena instance (one per hierarchy + scratch), so
 // the arena.* gauges describe the whole process.
 std::atomic<std::int64_t> g_bytes_live{0};
 std::atomic<std::int64_t> g_bytes_pooled{0};
@@ -43,20 +42,14 @@ void publish_gauges() {
       static_cast<double>(g_bytes_pooled.load(std::memory_order_relaxed)));
 }
 
-double* aligned_new(std::size_t doubles) {
-  return static_cast<double*>(::operator new(
-      doubles * sizeof(double), std::align_val_t{kAlign}));
-}
-void aligned_delete(double* p) {
-  ::operator delete(p, std::align_val_t{kAlign});
-}
-
-// The heap fallback aligns a plain allocation by hand and keeps the raw
-// pointer in the word below the block.  glibc's aligned allocation splits a
-// small chunk off the front of each misaligned block, and those pinned
-// chunks stop later frees from coalescing.  Unattached buffers include
-// large short-lived ones (the initial conditions), so with aligned_new each
-// set-up of a cosmology deck left the heap a few megabytes larger.
+// Every block is a plain allocation aligned by hand, with the raw pointer in
+// the word below the block.  glibc's aligned allocation splits a small
+// chunk off the front of each misaligned block, and those pinned chunks
+// stop later frees from coalescing.  Unattached buffers include large
+// short-lived ones (the initial conditions), so with glibc's aligned
+// allocation each set-up of a cosmology deck left the heap a few megabytes
+// larger.  Pooled blocks are never freed; the spare list keeps their
+// (interior) pointers.
 double* heap_new(std::size_t doubles) {
   const std::size_t bytes = doubles * sizeof(double);
   char* raw = static_cast<char*>(::operator new(bytes + kAlign));
@@ -74,7 +67,7 @@ void heap_delete(double* p) {
   ::operator delete(raw);
 }
 
-// Blocks trimmed from every pooling arena, by capacity.  Never destroyed, so
+// Blocks trimmed from every arena, by capacity.  Never destroyed, so
 // an arena destroyed during static teardown can still trim into it.
 struct SpareBlocks {
   std::mutex mu;
@@ -97,21 +90,11 @@ double* take_spare(std::size_t cap) {
 
 }  // namespace
 
-Arena::Arena(ArenaConfig cfg) : cfg_(cfg) {
-  ENZO_REQUIRE(cfg_.granularity >= 1, "arena granularity must be >= 1");
-}
-
 Arena::~Arena() { trim(); }
 
-std::size_t Arena::round_up(std::size_t doubles) const {
-  const std::size_t g = static_cast<std::size_t>(cfg_.granularity);
-  if (doubles == 0) return g;
-  return ((doubles + g - 1) / g) * g;
-}
-
 ArenaBlock Arena::acquire(std::size_t doubles) {
-  const std::size_t cap = round_up(doubles);
-  if (cfg_.pool) {
+  const std::size_t cap = capacity_for(doubles);
+  {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pool_.find(cap);
     if (it != pool_.end() && !it->second.empty()) {
@@ -129,8 +112,8 @@ ArenaBlock Arena::acquire(std::size_t doubles) {
     }
   }
   misses_counter().add(1);
-  double* p = cfg_.pool ? take_spare(cap) : nullptr;
-  ArenaBlock b{p != nullptr ? p : aligned_new(cap), cap};
+  double* p = take_spare(cap);
+  ArenaBlock b{p != nullptr ? p : heap_new(cap), cap};
   AllocStats::global().on_alloc(cap * sizeof(double));
   g_bytes_live.fetch_add(static_cast<std::int64_t>(cap * sizeof(double)),
                          std::memory_order_relaxed);
@@ -143,19 +126,14 @@ void Arena::release(ArenaBlock&& b) {
   const std::size_t bytes = b.capacity * sizeof(double);
   g_bytes_live.fetch_sub(static_cast<std::int64_t>(bytes),
                          std::memory_order_relaxed);
-  if (cfg_.pool) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pool_[b.capacity].push_back(b.ptr);
-      bytes_pooled_ += bytes;
-    }
-    g_bytes_pooled.fetch_add(static_cast<std::int64_t>(bytes),
-                             std::memory_order_relaxed);
-    recycle_counter().add(1);
-  } else {
-    aligned_delete(b.ptr);
-    AllocStats::global().on_free(bytes);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pool_[b.capacity].push_back(b.ptr);
+    bytes_pooled_ += bytes;
   }
+  g_bytes_pooled.fetch_add(static_cast<std::int64_t>(bytes),
+                           std::memory_order_relaxed);
+  recycle_counter().add(1);
   publish_gauges();
   b.ptr = nullptr;
   b.capacity = 0;
@@ -207,7 +185,7 @@ Arena& Arena::scratch() {
   // when a solver's scratch is the process's first arena user.
   (void)AllocStats::global();
   (void)perf::Registry::global();
-  static Arena a{ArenaConfig{/*pool=*/true, /*granularity=*/2048}};
+  static Arena a;
   return a;
 }
 

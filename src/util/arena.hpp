@@ -7,46 +7,37 @@
 // same handful of shapes over and over, so freed blocks are recycled through
 // size-class free lists instead of returned to the heap (Athena++'s
 // fixed-size MeshBlock pools are the exemplar).  Capacities are rounded up
-// to a configurable granularity so near-miss shapes share a size class, and
-// every block is 64-byte aligned so field arrays are SIMD/cache-line clean.
+// to a fixed quantum (kGranularity) so near-miss shapes share a size class,
+// and every block is 64-byte aligned so field arrays are SIMD/cache-line
+// clean.
 //
 // Pooled blocks also outlive their arena: trim() hands them to a
-// process-wide spare list, which later misses of any pooling arena drain
-// before the heap.  A simulation set up after another one thus reuses its
-// memory.  Freed to the heap all at once, the old hierarchy would let glibc
-// return the top of the heap to the kernel, and the new set-up would fault
-// every page of it back in.
+// process-wide spare list, which later misses of any arena drain before the
+// heap.  A simulation set up after another one thus reuses its memory.
+// Freed to the heap all at once, the old hierarchy would let glibc return
+// the top of the heap to the kernel, and the new set-up would fault every
+// page of it back in.  No block ever goes back to the heap, so a miss the
+// spare list cannot serve takes the same hand-aligned allocation as the
+// heap fallback.
 //
 // Accounting contract: util::AllocStats records only blocks entering or
 // leaving the pools (a miss served by the spare list or the heap, a trim
 // into the spare list) — a pool hit is invisible to it (that is the point:
-// the regrid-storm stress test asserts steady-state allocations per rebuild
-// drop to ~0).  Pool traffic is published separately through the perf
+// the regrid-storm stress tests assert zero steady-state allocations per
+// rebuild).  Pool traffic is published separately through the perf
 // registry as `arena.*` metrics (pool_hits / pool_misses / recycled blocks,
 // bytes live / pooled).
 //
 // Blocks are doubles because every consumer (fields, fluxes, gravity,
 // solver scratch) stores doubles; particle-vector recycling is layered on
-// top in mesh::StorageArena, which owns one Arena per hierarchy level.
+// top in mesh::StorageArena, of which each Hierarchy owns one.
 
 #include <cstddef>
-#include <cstdint>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
 namespace enzo::util {
-
-struct ArenaConfig {
-  /// Recycle released blocks through the free lists.  Off = every acquire
-  /// is a heap allocation and every release a heap free (the pre-arena
-  /// behaviour, kept selectable for the determinism/benchmark comparisons).
-  bool pool = true;
-  /// Capacity quantum in doubles: requested sizes are rounded up to a
-  /// multiple of this, so grids whose shapes differ slightly still hit the
-  /// same size class (deck key BlockGranularity).
-  std::int64_t granularity = 2048;
-};
 
 /// One storage block on loan from an Arena (or from the heap via the
 /// static fallback).  `capacity` is the rounded size in doubles; contents
@@ -58,25 +49,37 @@ struct ArenaBlock {
 
 class Arena {
  public:
-  explicit Arena(ArenaConfig cfg = {});
+  /// Capacity quantum in doubles: requested sizes are rounded up to a
+  /// multiple of this, so grids whose shapes differ slightly still hit the
+  /// same size class.
+  static constexpr std::size_t kGranularity = 2048;
+
+  Arena() = default;
   ~Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// A block with capacity >= `doubles` (rounded up to the granularity),
-  /// from the matching free list when possible, else from the spare list
-  /// or the heap (reported to AllocStats).  Contents are unspecified.
+  /// The capacity a request for `doubles` is served with: a multiple of
+  /// kGranularity, at least one quantum.
+  [[nodiscard]] static constexpr std::size_t capacity_for(
+      std::size_t doubles) {
+    return doubles == 0
+               ? kGranularity
+               : (doubles + kGranularity - 1) / kGranularity * kGranularity;
+  }
+
+  /// A block of capacity_for(doubles), from the matching free list when
+  /// possible, else from the spare list or the heap (reported to
+  /// AllocStats).  Contents are unspecified.
   [[nodiscard]] ArenaBlock acquire(std::size_t doubles);
 
-  /// Return a block.  Pooling on: it joins its size-class free list for the
-  /// next regrid.  Pooling off: freed immediately (reported to AllocStats).
+  /// Return a block: it joins its size-class free list for the next regrid.
   void release(ArenaBlock&& b);
 
   /// Hand every pooled block to the process-wide spare list (reported to
   /// AllocStats as freed).  The destructor trims.
   void trim();
 
-  [[nodiscard]] const ArenaConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t bytes_pooled() const;
 
   // Heap fallback used by buffers not attached to any arena (the initial
@@ -91,9 +94,6 @@ class Arena {
   static Arena& scratch();
 
  private:
-  [[nodiscard]] std::size_t round_up(std::size_t doubles) const;
-
-  ArenaConfig cfg_;
   mutable std::mutex mu_;
   // Size-class free lists keyed by rounded capacity.  Lookup/insert only —
   // never iterated — so pool order cannot leak into observable behaviour.

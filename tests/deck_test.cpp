@@ -174,33 +174,14 @@ StopSteps              = 5
   EXPECT_EQ(d2.stop_steps, d.stop_steps);
 }
 
-TEST(Deck, ArenaKeysMapThroughAndRoundTrip) {
-  const auto d = parse(R"(
-ArenaMode        = 0
-BlockGranularity = 512
-)");
-  EXPECT_FALSE(d.config.hierarchy.arena.pool);
-  EXPECT_FALSE(d.config.hierarchy.arena.incremental);
-  EXPECT_EQ(d.config.hierarchy.arena.granularity, 512);
-
-  // Defaults: arena on — and that default stays implicit in a rendered deck.
-  const auto def = parse("Gamma = 1.4\n");
-  EXPECT_TRUE(def.config.hierarchy.arena.pool);
-  EXPECT_TRUE(def.config.hierarchy.arena.incremental);
-  const std::string def_text = core::render_deck(def);
-  EXPECT_EQ(def_text.find("ArenaMode"), std::string::npos);
-
-  // Non-default settings survive a render → parse round trip (restart path).
-  std::istringstream in(core::render_deck(d));
-  const auto d2 = core::parse_parameter_deck(in);
-  EXPECT_FALSE(d2.config.hierarchy.arena.pool);
-  EXPECT_FALSE(d2.config.hierarchy.arena.incremental);
-  EXPECT_EQ(d2.config.hierarchy.arena.granularity, 512);
-
-  EXPECT_THROW(parse("BlockGranularity = 0\n"), enzo::Error);
-  // The overlap-topology cache is the only neighbour path; its old switch
-  // is an unknown parameter.
-  EXPECT_THROW(parse("UseOverlapTopology = 1\n"), enzo::Error);
+TEST(Deck, RetiredKeysAreUnknown) {
+  // Switches for paths that no longer exist are unknown parameters: the
+  // overlap-topology cache is the only neighbour path, and grid storage has
+  // one policy (a pooled arena per hierarchy that keeps unchanged grids).
+  for (const char* key :
+       {"UseOverlapTopology", "ArenaMode", "BlockGranularity"}) {
+    EXPECT_THROW(parse(std::string(key) + " = 1\n"), enzo::Error) << key;
+  }
 }
 
 TEST(Deck, UnknownProblemTypeListsRegisteredNames) {

@@ -8,7 +8,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,17 +52,13 @@ std::vector<std::string> normalized_records(const std::string& path) {
   return out;
 }
 
-using DeckHook = std::function<void(core::ParameterDeck&)>;
-
 RunResult run_cosmology_box(exec::Backend backend, int threads,
-                            const std::string& diag_path,
-                            const DeckHook& tweak = {}) {
+                            const std::string& diag_path) {
   const std::string deck_path =
       std::string(ENZO_SOURCE_DIR) + "/decks/cosmology_box.enzo";
   core::ParameterDeck deck = core::parse_parameter_file(deck_path);
   deck.config.exec.backend = backend;
   deck.config.exec.threads = threads;
-  if (tweak) tweak(deck);
   core::Simulation sim(deck.config);
   core::setup_from_deck(sim, deck);
   {
@@ -116,46 +111,4 @@ TEST(ExecDeterminismTest, ThreadPoolIsRepeatable) {
     EXPECT_EQ(a.records[i], b.records[i]) << "step " << i;
   EXPECT_EQ(a.audit_mass, b.audit_mass);
   EXPECT_EQ(a.audit_energy, b.audit_energy);
-}
-
-// The storage arena and the incremental regrid must be invisible to the
-// physics: pooled blocks, recycled particle vectors and kept-alive subtrees
-// have to reproduce the arena-off full-rebuild run byte for byte.
-// (Grid ids may differ — kept grids keep theirs — but ids are not part of
-// any diagnostic record or audit sum.)
-TEST(ExecDeterminismTest, ArenaAndIncrementalRegridAreByteIdentical) {
-  const std::string dir = ::testing::TempDir();
-  struct Config {
-    bool pool;
-    bool incremental;
-    const char* tag;
-  };
-  const Config configs[] = {
-      {false, false, "heap_full"},    // reference: plain heap, full rebuild
-      {true, false, "arena_full"},    // pooled storage, full rebuild
-      {false, true, "heap_incr"},     // heap storage, incremental diff
-      {true, true, "arena_incr"},     // production configuration
-  };
-  std::vector<RunResult> results;
-  for (const Config& c : configs) {
-    results.push_back(run_cosmology_box(
-        exec::Backend::kThreadPool, 8, dir + "exec_det_" + c.tag + ".jsonl",
-        [&](core::ParameterDeck& deck) {
-          deck.config.hierarchy.arena.pool = c.pool;
-          deck.config.hierarchy.arena.incremental = c.incremental;
-        }));
-  }
-  const RunResult& ref = results[0];
-  ASSERT_EQ(ref.records.size(), static_cast<std::size_t>(kSteps));
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    ASSERT_EQ(results[r].records.size(), ref.records.size())
-        << configs[r].tag;
-    for (std::size_t i = 0; i < ref.records.size(); ++i)
-      EXPECT_EQ(results[r].records[i], ref.records[i])
-          << configs[r].tag << " step " << i;
-    EXPECT_EQ(results[r].audit_mass, ref.audit_mass) << configs[r].tag;
-    EXPECT_EQ(results[r].audit_energy, ref.audit_energy) << configs[r].tag;
-    EXPECT_EQ(results[r].audit_violations, 0u) << configs[r].tag;
-  }
-  EXPECT_EQ(ref.audit_violations, 0u);
 }

@@ -672,6 +672,35 @@ TEST(Hierarchy, RebuildRootLevelRejected) {
                enzo::Error);
 }
 
+TEST(Hierarchy, RebuildRefinesFlagsTwoPow21Apart) {
+  // A 16-cell root has 2^22 cells per axis on level 18, so the level-19
+  // rebuild sees flags near x = 0.1 and x = 0.6 whose indices differ by
+  // exactly 2^21.  The flag dedupe must keep both clusters.
+  HierarchyParams p;
+  p.root_dims = {16, 1, 1};
+  p.max_level = 19;
+  Hierarchy h(p);
+  h.build_root();
+  const double centers[] = {0.1, 0.6};
+  h.rebuild(1, [&](const Grid& g, std::vector<Index3>& flags) {
+    const double n = static_cast<double>(g.spec().level_dims[0]);
+    for (std::int64_t i = g.box().lo[0]; i < g.box().hi[0]; ++i)
+      for (double c : centers)
+        if (std::abs((static_cast<double>(i) + 0.5) / n - c) < 3.0 / n)
+          flags.push_back({i, 0, 0});
+  });
+  ASSERT_EQ(h.deepest_level(), 19);
+  EXPECT_EQ(h.num_grids(19), 2u);
+  for (double c : centers) {
+    const ext::PosVec x{ext::pos_t(c), ext::pos_t(0.5), ext::pos_t(0.5)};
+    bool covered = false;
+    for (const Grid* g : std::as_const(h).grids(19))
+      covered = covered || g->contains_position(x);
+    EXPECT_TRUE(covered) << "x = " << c;
+  }
+  h.check_invariants();
+}
+
 TEST(Hierarchy, WorkPerLevelWeightsTimesteps) {
   HierarchyParams p;
   p.root_dims = {8, 8, 8};

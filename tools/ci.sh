@@ -16,9 +16,9 @@
 # build-werror tree: `io` (CI_STAGES="io") covers the checkpoint suite, and
 # `topology` (CI_STAGES="topology") covers the `mesh` label — the overlap-
 # topology cache equivalence/invalidation tests and the rest of mesh_test —
-# and `regrid` (CI_STAGES="regrid") the storage-arena / incremental-regrid
-# tests plus the regrid-storm bench, and `kernels` (CI_STAGES="kernels") the
-# SoA kernel gate — check_vec (the kernel TUs must autovectorize), the
+# and `regrid` (CI_STAGES="regrid") the storage-arena and rebuild keep-path
+# tests, and `kernels` (CI_STAGES="kernels") the SoA kernel gate —
+# check_vec (the kernel TUs must autovectorize), the
 # micro-kernel bench (BENCH_micro_kernels.json), and check_kernels (>40%
 # cells/sec regression vs bench/micro_kernels_baseline.json fails), and
 # `regression` (CI_STAGES="regression") the analytic regression harness —
@@ -97,18 +97,16 @@ for stage in $stages; do
       ;;
     regrid)
       banner "stage: regrid arena suite"
-      # Targeted re-run of the storage-arena / incremental-regrid tests plus
-      # the regrid-storm bench (BENCH_regrid.json) against build-werror.
+      # Targeted re-run of the storage-arena tests and the rebuild keep path
+      # (kept grids against a freshly built oracle, zero steady-state heap
+      # allocations, the flag dedupe at depth) against build-werror.
       if [ ! -d build-werror ]; then
         cmake --preset werror && cmake --build --preset werror -j "$jobs" \
           || { failed+=(regrid); continue; }
       fi
-      cmake --build --preset werror -j "$jobs" --target regrid_arena \
-        || { failed+=(regrid); continue; }
       ctest --test-dir build-werror \
-        -R '^(Arena|Buffer3|StorageArena|RegridStorm|ArenaCheckpoint)' \
+        -R '^(Arena|Buffer3|StorageArena|RegridStorm|ArenaCheckpoint)\.|^Hierarchy\.Rebuild' \
         -j "$jobs" --output-on-failure || failed+=(regrid)
-      build-werror/bench/regrid_arena || failed+=(regrid)
       ;;
     kernels)
       banner "stage: SoA kernel gate"
