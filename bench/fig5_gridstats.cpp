@@ -14,12 +14,20 @@
 #include <vector>
 
 #include "collapse_common.hpp"
-#include "util/alloc_stats.hpp"
+#include "perf/metrics.hpp"
 
 using namespace enzo;
 
 int main() {
-  util::AllocStats::global().reset();
+  // The arena's heap-block traffic (the `alloc.*` instruments) over this
+  // run.  Nothing is live when it starts, so the gauges are the run's own.
+  perf::Registry& reg = perf::Registry::global();
+  const auto count = [&](const char* name) -> unsigned long long {
+    return reg.counter(name).value();
+  };
+  const unsigned long long allocations0 = count("alloc.allocations");
+  const unsigned long long frees0 = count("alloc.frees");
+  const unsigned long long total_bytes0 = count("alloc.total_bytes");
   auto run = bench::collapse_run_config(16, 5, /*chemistry=*/true);
   core::Simulation sim(run.cfg);
   sim.initialize(bench::collapse_setup(run));
@@ -69,8 +77,14 @@ int main() {
     std::printf("%6zu %12zu %12zu %12.3f %12.3f\n", l, ge, gl, we, wl);
   }
 
-  std::printf("\nmemory / data-structure churn (§5):\n%s",
-              util::AllocStats::global().report().c_str());
+  std::printf(
+      "\nmemory / data-structure churn (§5):\n"
+      "grid-field allocations: %llu, frees: %llu\n"
+      "live bytes: %.0f, peak bytes: %.0f, cumulative bytes: %llu\n",
+      count("alloc.allocations") - allocations0,
+      count("alloc.frees") - frees0, reg.gauge("alloc.live_bytes").value(),
+      reg.gauge("alloc.peak_bytes").value(),
+      count("alloc.total_bytes") - total_bytes0);
   std::printf(
       "\npaper: >8000 grids, 34 levels, hierarchy rebuilt thousands of\n"
       "times, 20 GB peak; here the same *shapes* at laptop scale — the\n"

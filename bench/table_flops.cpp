@@ -8,26 +8,39 @@
 // delivered in the same 1e6 s wall clock → ~1e44 flop/s.
 //
 // We do the analogous accounting: analytic per-kernel operation counts read
-// back through the metrics registry's "flops" source (fed by the
-// instrumented solvers — the "future project" of §5), wall-clock for the
-// same segment, the identical virtual-rate arithmetic for our scaled run,
-// and a machine-readable BENCH_table_flops.json.
+// back as the change of the metrics registry's `flops.*` counters (posted
+// by the instrumented solvers — the "future project" of §5), wall-clock for
+// the same segment, the identical virtual-rate arithmetic for our scaled
+// run, and a machine-readable BENCH_table_flops.json.
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "collapse_common.hpp"
 #include "perf/json.hpp"
 #include "perf/metrics.hpp"
-#include "util/flops.hpp"
 #include "util/timer.hpp"
 
 using namespace enzo;
 
+namespace {
+
+/// The registry's `flops.<component>` counters by component ("total"
+/// included), read through the snapshot every registry consumer uses.
+std::map<std::string, double> flop_counts() {
+  std::map<std::string, double> out;
+  for (const perf::Registry::Sample& s : perf::Registry::global().snapshot())
+    if (s.name.rfind("flops.", 0) == 0) out[s.name.substr(6)] = s.value;
+  return out;
+}
+
+}  // namespace
+
 int main() {
-  util::FlopCounter::global().reset();
+  const std::map<std::string, double> before = flop_counts();
 
   auto run = bench::collapse_run_config(16, 4, /*chemistry=*/true,
                                         /*with_dark_matter=*/true);
@@ -40,20 +53,16 @@ int main() {
   for (; root_steps < 8; ++root_steps) sim.advance_root_step();
   const double seconds = wall.seconds();
 
-  // Read the per-component counts back through the registry snapshot — the
-  // FlopCounter registers itself as the "flops" source, so this exercises
-  // the same path every registry consumer uses.
+  // Per-component operations of this segment: the change of each counter.
   std::vector<std::pair<std::string, double>> rows;
   double total = 0.0;
-  for (const perf::Registry::Sample& s : perf::Registry::global().snapshot()) {
-    constexpr const char* kPrefix = "flops.";
-    if (s.name.rfind(kPrefix, 0) != 0) continue;
-    const std::string component = s.name.substr(6);
-    if (component == "total") {
-      total = s.value;
-      continue;
-    }
-    rows.emplace_back(component, s.value);
+  for (const auto& [component, count] : flop_counts()) {
+    const auto it = before.find(component);
+    const double ops = count - (it == before.end() ? 0.0 : it->second);
+    if (component == "total")
+      total = ops;
+    else
+      rows.emplace_back(component, ops);
   }
 
   std::printf("sustained-rate accounting (scaled run, %d root steps):\n\n",

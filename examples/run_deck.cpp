@@ -20,10 +20,9 @@
 // "n/a" when the reference does not hold at the final time (a Zel'dovich
 // pancake past its caustic).
 //
-// Execution flags (override the deck's Threads/Executor keys):
+// Execution flag (overrides the deck's Threads key):
 //   --threads N        run level sweeps on N lanes (1 = serial backend,
 //                      0 = all hardware threads); also --threads=N
-//   --executor=NAME    force the backend: serial or threadpool
 //
 // Checkpoint / restart:
 //   --restart          resume from the newest intact snapshot in the deck's
@@ -61,7 +60,6 @@ int main(int argc, char** argv) {
   bool restart = false;
   std::string restart_path;  // empty: use the deck's CheckpointPath
   int threads_override = -1;  // -1: keep the deck's value
-  std::string executor_override;
   std::vector<const char*> decks;
   for (int a = 1; a < argc; ++a) {
     if (std::strncmp(argv[a], "--trace-out=", 12) == 0)
@@ -80,8 +78,6 @@ int main(int argc, char** argv) {
       threads_override = std::atoi(argv[a] + 10);
     else if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc)
       threads_override = std::atoi(argv[++a]);
-    else if (std::strncmp(argv[a], "--executor=", 11) == 0)
-      executor_override = argv[a] + 11;
     else
       decks.push_back(argv[a]);
   }
@@ -89,7 +85,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--trace-out=FILE] [--diag-out=FILE] [--audit] "
                  "[--restart[=PATH]] "
-                 "[--threads N] [--executor=serial|threadpool] "
+                 "[--threads N] "
                  "<parameter-deck> [more decks...]\n",
                  argv[0]);
     return 1;
@@ -114,13 +110,10 @@ int main(int argc, char** argv) {
     if (audit) deck.config.audit_invariants = true;
     if (threads_override >= 0) {
       deck.config.exec.threads = threads_override;
-      if (executor_override.empty())
-        deck.config.exec.backend = threads_override == 1
-                                       ? exec::Backend::kSerial
-                                       : exec::Backend::kThreadPool;
+      deck.config.exec.backend = threads_override == 1
+                                     ? exec::Backend::kSerial
+                                     : exec::Backend::kThreadPool;
     }
-    if (!executor_override.empty())
-      deck.config.exec.backend = exec::backend_from_string(executor_override);
     std::printf("effective parameters:\n%s\n",
                 core::render_deck(deck).c_str());
     core::Simulation sim(deck.config);

@@ -52,7 +52,6 @@ RadialProfile radial_profile(const mesh::Hierarchy& h, const ext::PosVec& c,
   const bool chem = !h.grids(0).empty() &&
                     h.grids(0)[0]->has_field(Field::kH2I);
   chemistry::ChemistryParams cp;
-  cp.gamma = hp.gamma;
 
   for_each_leaf_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
     const auto x = g.cell_center(i, j, k);
@@ -81,7 +80,7 @@ RadialProfile radial_profile(const mesh::Hierarchy& h, const ext::PosVec& c,
     m_cs[b] += m * cs;
     double T;
     if (chem) {
-      T = chemistry::cell_temperature(g, si, sj, sk, cp, units);
+      T = chemistry::cell_temperature(g, si, sj, sk, units);
       const double rH = cp.hydrogen_fraction * rho;
       m_h2[b] += m * g.field(Field::kH2I)(si, sj, sk) / rH;
       m_hi[b] += m * g.field(Field::kHI)(si, sj, sk) / rH;

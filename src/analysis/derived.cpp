@@ -20,7 +20,6 @@ using detail::sep;
 CoolingTimeStats cooling_time_in_sphere(const mesh::Hierarchy& h,
                                         const ext::PosVec& center,
                                         double radius,
-                                        const chemistry::ChemistryParams& cp,
                                         const chemistry::ChemUnits& units) {
   CoolingTimeStats out;
   out.min = std::numeric_limits<double>::max();
@@ -33,7 +32,7 @@ CoolingTimeStats cooling_time_in_sphere(const mesh::Hierarchy& h,
     const double dx2 = sep(x[2], center[2], periodic);
     if (dx0 * dx0 + dx1 * dx1 + dx2 * dx2 > radius * radius) return;
     const int si = g.sx(i), sj = g.sy(j), sk = g.sz(k);
-    const double T = chemistry::cell_temperature(g, si, sj, sk, cp, units);
+    const double T = chemistry::cell_temperature(g, si, sj, sk, units);
     const double nfac = units.n_factor;
     chemistry::CoolingInput ci{
         T,
@@ -89,8 +88,7 @@ double two_body_relaxation_time(const mesh::Hierarchy& h,
 }
 
 double xray_luminosity(const mesh::Hierarchy& h, const ext::PosVec& center,
-                       double radius, const chemistry::ChemistryParams& cp,
-                       const chemistry::ChemUnits& units,
+                       double radius, const chemistry::ChemUnits& units,
                        double length_cm_per_code) {
   double lum = 0;
   for_each_leaf_cell(h, [&](const Grid& g, int i, int j, int k, double vol) {
@@ -100,7 +98,7 @@ double xray_luminosity(const mesh::Hierarchy& h, const ext::PosVec& center,
     const double dx2 = sep(x[2], center[2], true);
     if (dx0 * dx0 + dx1 * dx1 + dx2 * dx2 > radius * radius) return;
     const int si = g.sx(i), sj = g.sy(j), sk = g.sz(k);
-    const double T = chemistry::cell_temperature(g, si, sj, sk, cp, units);
+    const double T = chemistry::cell_temperature(g, si, sj, sk, units);
     const double nfac = units.n_factor;
     const double n_e = g.field(Field::kElectron)(si, sj, sk) * nfac;
     const double n_ion = g.field(Field::kHII)(si, sj, sk) * nfac +

@@ -30,7 +30,6 @@ struct CoolingTimeStats {
 CoolingTimeStats cooling_time_in_sphere(const mesh::Hierarchy& h,
                                         const ext::PosVec& center,
                                         double radius,
-                                        const chemistry::ChemistryParams& cp,
                                         const chemistry::ChemUnits& units);
 
 /// Two-body relaxation time of the N-body particles inside a sphere
@@ -43,8 +42,7 @@ double two_body_relaxation_time(const mesh::Hierarchy& h,
 /// Thermal bremsstrahlung X-ray luminosity of a spherical region (erg/s):
 /// L_X = ∫ 1.42e-27 √T g_ff n_e (n_HII + n_HeII + 4 n_HeIII) dV.
 double xray_luminosity(const mesh::Hierarchy& h, const ext::PosVec& center,
-                       double radius, const chemistry::ChemistryParams& cp,
-                       const chemistry::ChemUnits& units,
+                       double radius, const chemistry::ChemUnits& units,
                        double length_cm_per_code);
 
 /// Gas inertia tensor about a center within a sphere (code units); the

@@ -26,7 +26,6 @@ class LevelExecutor;
 namespace enzo::chemistry {
 
 struct ChemistryParams {
-  double gamma = 5.0 / 3.0;
   bool cooling = true;
   /// Max fractional change of e⁻/H₂/energy per subcycle.
   double accuracy = 0.1;
@@ -37,15 +36,17 @@ struct ChemistryParams {
 };
 
 /// Conversions from code units to the cgs quantities the rate fits need,
-/// at one scale factor.
+/// at one scale factor, and the run's adiabatic index, which converts
+/// specific internal energy to temperature.
 struct ChemUnits {
   double n_factor = 1.0;  ///< n_X [cm⁻³] = ρ_X,code × n_factor / A_X
   double rho_cgs = 1.0;   ///< proper g/cm³ per code density
   double e_cgs = 1.0;     ///< erg/g per code specific energy
   double time_s = 1.0;    ///< seconds per code time
   double t_cmb = 2.725;   ///< CMB temperature now (K)
+  double gamma = 5.0 / 3.0;  ///< the run's γ (hydro): T = (γ−1)·e·μ·m_H/k
 
-  static ChemUnits from(const cosmology::CodeUnits& u, double a);
+  static ChemUnits from(const cosmology::CodeUnits& u, double a, double gamma);
 };
 
 /// Advance every active cell's species and internal energy by dt (code
@@ -60,7 +61,6 @@ void solve_chemistry_step(mesh::Grid& g, double dt,
 
 /// Gas temperature (K) of one cell from its internal energy + composition.
 double cell_temperature(const mesh::Grid& g, int si, int sj, int sk,
-                        const ChemistryParams& params,
                         const ChemUnits& units);
 
 /// Mean molecular weight of one cell (dimensionless).
@@ -76,7 +76,6 @@ void initialize_primordial_composition(mesh::Grid& g,
 
 /// Shortest cooling time over a grid's active cells (code units) —
 /// diagnostic used by the Fig. 4 discussion and by timestep reporting.
-double min_cooling_time(const mesh::Grid& g, const ChemistryParams& params,
-                        const ChemUnits& units);
+double min_cooling_time(const mesh::Grid& g, const ChemUnits& units);
 
 }  // namespace enzo::chemistry

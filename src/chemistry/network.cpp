@@ -77,7 +77,7 @@ struct CellState {
 ENZO_HOT double subcycle_cell(CellState& st, const Rates& r, double lambda,
                               double dt_remaining, double dt_s, double nH_tot,
                               double nHe_tot, double nD_tot, double rho_cgs,
-                              const ChemistryParams& prm) {
+                              const ChemistryParams& prm, double gamma) {
   double* n = st.n;
   // ---- electron / H₂ / energy derivatives for subcycle control ------------
   const double edot = -lambda / rho_cgs;  // erg/g/s
@@ -226,7 +226,7 @@ ENZO_HOT double subcycle_cell(CellState& st, const Rates& r, double lambda,
       // Temperature floor.
       const double mu = mu_of(n);
       const double e_floor = prm.temperature_floor * constants::kBoltzmann /
-                             ((prm.gamma - 1.0) * mu *
+                             ((gamma - 1.0) * mu *
                               constants::kHydrogenMass);
       st.e = std::max(st.e, e_floor);
     }
@@ -280,7 +280,7 @@ struct RowScratch {
 /// to the historical cell-at-a-time loop — only the evaluation order across
 /// cells changes, and each cell's subcycle sequence is untouched.
 int advance_row(RowScratch& ws, int nx, double dt_s,
-                const ChemistryParams& prm, double t_cmb) {
+                const ChemistryParams& prm, const ChemUnits& units) {
   ws.active.clear();
   for (int i = 0; i < nx; ++i) {
     ws.t[i] = 0.0;
@@ -297,7 +297,7 @@ int advance_row(RowScratch& ws, int nx, double dt_s,
     const int m = static_cast<int>(ws.active.size());
     for (int a = 0; a < m; ++a) {
       const CellState& st = ws.st[ws.active[a]];
-      ws.T[a] = temperature_of(st.e, st.n, prm.gamma);
+      ws.T[a] = temperature_of(st.e, st.n, units.gamma);
     }
     ws.rates.compute(m, ws.T.data());
     if (prm.cooling) {
@@ -312,7 +312,7 @@ int advance_row(RowScratch& ws, int nx, double dt_s,
         ws.nH2[a] = n[sH2];
         ws.nHD[a] = n[sHD];
       }
-      const CoolingRowInput cri{t_cmb,          ws.T.data(),
+      const CoolingRowInput cri{units.t_cmb,    ws.T.data(),
                                 ws.nHI.data(),  ws.nHII.data(),
                                 ws.nHeI.data(), ws.nHeII.data(),
                                 ws.nHeIII.data(), ws.ne.data(),
@@ -328,7 +328,8 @@ int advance_row(RowScratch& ws, int nx, double dt_s,
       ++total;
       const double dt_sub = subcycle_cell(
           ws.st[i], ws.rates.row(a), ws.lambda[a], dt_s - ws.t[i], dt_s,
-          ws.nH_tot[i], ws.nHe_tot[i], ws.nD_tot[i], ws.rho_cgs[i], prm);
+          ws.nH_tot[i], ws.nHe_tot[i], ws.nD_tot[i], ws.rho_cgs[i], prm,
+          units.gamma);
       ws.t[i] += dt_sub;
       if (ws.t[i] < dt_s && ws.cycles[i] < prm.max_subcycles)
         ws.next_active.push_back(i);
@@ -341,13 +342,14 @@ int advance_row(RowScratch& ws, int nx, double dt_s,
 }  // namespace
 
 ENZO_UNITS_BOUNDARY ChemUnits ChemUnits::from(
-    const cosmology::CodeUnits& u, double a) {
+    const cosmology::CodeUnits& u, double a, double gamma) {
   ChemUnits c;
   c.rho_cgs = u.density_cgs / (a * a * a);
   c.n_factor = c.rho_cgs / constants::kHydrogenMass;
   c.e_cgs = u.velocity_cgs() * u.velocity_cgs();
   c.time_s = u.time_s;
   c.t_cmb = constants::kTcmb0 / a;
+  c.gamma = gamma;
   return c;
 }
 
@@ -394,7 +396,7 @@ void solve_chemistry_step(Grid& g, double dt, const ChemistryParams& params,
         ws.e0[i] = st.e;
         ws.rho_cgs[i] = rho(si, sj, sk) * units.rho_cgs;
       }
-      local_subcycles += advance_row(ws, ni, dt_s, params, units.t_cmb);
+      local_subcycles += advance_row(ws, ni, dt_s, params, units);
       for (int i = 0; i < ni; ++i) {
         const int si = g.sx(i);
         const CellState& st = ws.st[i];
@@ -409,13 +411,12 @@ void solve_chemistry_step(Grid& g, double dt, const ChemistryParams& params,
   });
   static perf::Counter& subcycle_counter =
       perf::Registry::global().counter("chemistry.subcycles");
+  static util::ComponentFlops flops("chemistry");
   const auto total_subcycles =
       static_cast<std::uint64_t>(subcycles.load(std::memory_order_relaxed));
   subcycle_counter.add(total_subcycles);
   // The measured subcycle count replaces the old fixed ×10 estimate.
-  util::FlopCounter::global().add(
-      "chemistry",
-      util::flop_cost::kChemistryPerCellPerSubcycle * total_subcycles);
+  flops.add(util::flop_cost::kChemistryPerCellPerSubcycle * total_subcycles);
 }
 
 double cell_mu(const Grid& g, int si, int sj, int sk) {
@@ -426,14 +427,13 @@ double cell_mu(const Grid& g, int si, int sj, int sk) {
 }
 
 double cell_temperature(const Grid& g, int si, int sj, int sk,
-                        const ChemistryParams& params,
                         const ChemUnits& units) {
   double n[kNsp];
   for (int s = 0; s < kNsp; ++s)
     n[s] = std::max(g.field(kSpeciesField[s])(si, sj, sk), 0.0) *
            units.n_factor / kA[s];
   const double e = g.field(Field::kInternalEnergy)(si, sj, sk) * units.e_cgs;
-  return temperature_of(e, n, params.gamma);
+  return temperature_of(e, n, units.gamma);
 }
 
 void initialize_primordial_composition(Grid& g, const ChemistryParams& params,
@@ -464,8 +464,7 @@ void initialize_primordial_composition(Grid& g, const ChemistryParams& params,
       }
 }
 
-double min_cooling_time(const Grid& g, const ChemistryParams& params,
-                        const ChemUnits& units) {
+double min_cooling_time(const Grid& g, const ChemUnits& units) {
   double tmin = std::numeric_limits<double>::max();
   for (int k = 0; k < g.nx(2); ++k)
     for (int j = 0; j < g.nx(1); ++j)
@@ -477,7 +476,7 @@ double min_cooling_time(const Grid& g, const ChemistryParams& params,
                  units.n_factor / kA[s];
         const double e =
             g.field(Field::kInternalEnergy)(si, sj, sk) * units.e_cgs;
-        const double T = temperature_of(e, n, params.gamma);
+        const double T = temperature_of(e, n, units.gamma);
         CoolingInput ci{T, units.t_cmb, n[sHI], n[sHII], n[sHeI], n[sHeII],
                         n[sHeIII], n[sE], n[sH2], n[sHD]};
         const double lambda = cooling_rate(ci);

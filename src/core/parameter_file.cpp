@@ -24,10 +24,6 @@ std::string trim(const std::string& s) {
 struct Parser {
   ParameterDeck deck;
   int line_no = 0;
-  /// Whether an explicit `Executor =` key was seen (a later `Threads = 1`
-  /// must not silently demote an explicitly requested threadpool, nor must
-  /// `Threads = 8` override an explicit `Executor = serial`).
-  bool executor_set = false;
 
   [[noreturn]] void fail(const std::string& msg) const {
     throw enzo::Error("parameter deck line " + std::to_string(line_no) + ": " +
@@ -163,20 +159,9 @@ struct Parser {
     if (key == "Threads") {
       cfg.exec.threads = integer(value);
       if (cfg.exec.threads < 0) fail("Threads must be >= 0 (0 = all cores)");
-      // N != 1 implies the caller wants parallelism: auto-select the
-      // threadpool backend unless an explicit Executor key said otherwise.
-      if (!executor_set)
-        cfg.exec.backend = cfg.exec.threads == 1 ? exec::Backend::kSerial
-                                                 : exec::Backend::kThreadPool;
-      return;
-    }
-    if (key == "Executor") {
-      try {
-        cfg.exec.backend = exec::backend_from_string(value);
-      } catch (const enzo::Error&) {
-        fail("unknown Executor '" + value + "' (serial or threadpool)");
-      }
-      executor_set = true;
+      // One lane runs serially; any other count runs on the pool.
+      cfg.exec.backend = cfg.exec.threads == 1 ? exec::Backend::kSerial
+                                               : exec::Backend::kThreadPool;
       return;
     }
     // --- run control ----------------------------------------------------------------
@@ -373,12 +358,8 @@ std::string render_deck(const ParameterDeck& deck) {
     if (cfg.audit_interval != 1)
       os << "AuditInterval = " << cfg.audit_interval << "\n";
   }
-  if (cfg.exec.backend != exec::Backend::kSerial || cfg.exec.threads != 0) {
-    // Executor before Threads so a re-parse sees the explicit backend and
-    // never re-applies the Threads auto-selection.
-    os << "Executor = " << exec::backend_name(cfg.exec.backend) << "\n";
-    if (cfg.exec.threads != 0) os << "Threads = " << cfg.exec.threads << "\n";
-  }
+  if (cfg.exec.backend != exec::Backend::kSerial || cfg.exec.threads != 0)
+    os << "Threads = " << cfg.exec.threads << "\n";
   if (cfg.rebuild_interval != c0.rebuild_interval)
     os << "RebuildInterval = " << cfg.rebuild_interval << "\n";
   os << "StopSteps = " << deck.stop_steps << "\n";

@@ -18,9 +18,7 @@
 #include "perf/log.hpp"
 #include "perf/metrics.hpp"
 #include "perf/trace.hpp"
-#include "util/alloc_stats.hpp"
 #include "util/error.hpp"
-#include "util/flops.hpp"
 
 namespace enzo::core {
 
@@ -240,7 +238,7 @@ cosmology::Expansion Simulation::expansion_at(double t_code) const {
 }
 
 chemistry::ChemUnits Simulation::chem_units() const {
-  return chemistry::ChemUnits::from(cfg_.units, a_);
+  return chemistry::ChemUnits::from(cfg_.units, a_, cfg_.hydro.gamma);
 }
 
 void Simulation::update_scale_factor() {
@@ -637,9 +635,10 @@ perf::StepRecord Simulation::make_step_record(double dt,
   rec.energy_residual = diag_energy0_ != 0.0
                             ? (energy - diag_energy0_) / std::abs(diag_energy0_)
                             : 0.0;
-  rec.peak_bytes = static_cast<std::uint64_t>(
-      util::AllocStats::global().peak_bytes());
-  rec.flops = static_cast<std::uint64_t>(util::FlopCounter::global().total());
+  perf::Registry& reg = perf::Registry::global();
+  rec.peak_bytes =
+      static_cast<std::uint64_t>(reg.gauge("alloc.peak_bytes").value());
+  rec.flops = reg.counter("flops.total").value();
   rec.wall_seconds = wall_seconds;
   return rec;
 }

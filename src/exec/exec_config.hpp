@@ -1,10 +1,8 @@
 #pragma once
 // Execution-backend selection: one struct threaded from the parameter deck
-// (`Threads = 8`, `Executor = threadpool`) or `run_deck --threads N` through
-// SimulationConfig to the LevelExecutor factory, replacing the old
-// env-var-only OMP_NUM_THREADS control.
-
-#include <string>
+// (`Threads = 8`) or `run_deck --threads N` through SimulationConfig to the
+// LevelExecutor factory.  The lane count picks the backend: 1 runs
+// serially, any other count (0 = all cores) on the thread pool.
 
 namespace enzo::exec {
 
@@ -19,10 +17,5 @@ struct ExecConfig {
   /// hardware threads.
   int threads = 0;
 };
-
-/// "serial" | "threadpool" (case-sensitive, like deck keys).  Throws
-/// enzo::Error on anything else.
-Backend backend_from_string(const std::string& s);
-const char* backend_name(Backend b);
 
 }  // namespace enzo::exec

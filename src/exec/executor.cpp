@@ -35,23 +35,6 @@ thread_local int t_slot = 0;
 
 bool in_phase() { return g_phase_depth.load(std::memory_order_relaxed) > 0; }
 
-Backend backend_from_string(const std::string& s) {
-  if (s == "serial") return Backend::kSerial;
-  if (s == "threadpool") return Backend::kThreadPool;
-  throw Error("unknown executor backend \"" + s +
-              "\" (expected serial | threadpool)");
-}
-
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kSerial:
-      return "serial";
-    case Backend::kThreadPool:
-      return "threadpool";
-  }
-  return "?";
-}
-
 void LevelExecutor::for_each(const Phase& phase, std::size_t n,
                              const TaskFn& fn, const CostFn& cost) {
   perf::TraceScope scope(phase.name, phase.component, phase.level);

@@ -4,9 +4,9 @@
 // Per §3.5 of the paper, only quantities involving *absolute* position and
 // time use extended precision; everything O(Δx) stays in 64-bit.  `pos_t` is
 // the type of grid edges, particle positions and simulation time, and a
-// small vector type is provided for convenience.  The policy can be flipped
-// to plain double (ENZO_POSITION_DOUBLE) to reproduce the precision-failure
-// bench (epa_precision), demonstrating why the paper needed 128 bits.
+// small vector type is provided for convenience.  The epa_precision bench
+// compares double and dd arithmetic directly, to show why the paper needed
+// 128 bits.
 
 #include <array>
 
@@ -14,13 +14,8 @@
 
 namespace enzo::ext {
 
-#ifdef ENZO_POSITION_DOUBLE
-using pos_t = double;
-inline double pos_to_double(double p) { return p; }
-#else
 using pos_t = dd;
 inline double pos_to_double(dd p) { return p.to_double(); }
-#endif
 
 using PosVec = std::array<pos_t, 3>;
 

@@ -111,8 +111,8 @@ void fft3(util::ArrayView3<cplx> a, bool inverse) {
   }
   int log2n = 0;
   for (std::size_t t = a.size(); t > 1; t >>= 1) ++log2n;
-  util::FlopCounter::global().add(
-      "fft", util::flop_cost::kFftPerPointLog2 * a.size() * log2n);
+  static util::ComponentFlops flops("fft");
+  flops.add(util::flop_cost::kFftPerPointLog2 * a.size() * log2n);
 }
 
 void fft3_real(util::ArrayView3<const double> a, util::ArrayView3<cplx> out) {

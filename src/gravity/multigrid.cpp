@@ -420,13 +420,12 @@ double multigrid_solve(mesh::FieldView phi, mesh::ConstFieldView rhs,
       perf::Registry::global().counter("gravity.mg_solves");
   static perf::Counter& vcycles =
       perf::Registry::global().counter("gravity.mg_vcycles");
+  static util::ComponentFlops flops("gravity");
   solves.add(1);
   vcycles.add(static_cast<std::uint64_t>(o.cycles));
-  // One post per solve, as each takes the flop counter's global lock.  A
-  // solve with no active axis never smooths, so it posts nothing.
-  if (axes != 0 && o.cycles > 0)
-    util::FlopCounter::global().add(
-        "gravity", util::flop_cost::kMultigridPerCellPerSweep * o.swept);
+  // A solve with no active axis never smooths, so it posts no flops.
+  if (axes != 0)
+    flops.add(util::flop_cost::kMultigridPerCellPerSweep * o.swept);
   return o.rel;
 }
 

@@ -139,6 +139,7 @@ ENZO_HOT std::uint64_t sweep_all_axes(Grid& g, double dt,
   const std::vector<Field> species = species_fields(g);
   const int nscal = static_cast<int>(species.size());
   const SweepParams sp{hp.gamma, hp.flattening, hp.zeus_viscosity};
+  static util::ComponentFlops flops("hydro");
 
   const char* sweep_names[2][3] = {{"ppm_sweep_x", "ppm_sweep_y",
                                     "ppm_sweep_z"},
@@ -279,7 +280,7 @@ ENZO_HOT std::uint64_t sweep_all_axes(Grid& g, double dt,
         (hp.solver == Solver::kPpm ? util::flop_cost::kPpmPerCellPerSweep
                                    : util::flop_cost::kZeusPerCellPerSweep) +
         12 * static_cast<std::uint64_t>(nscal);
-    util::FlopCounter::global().add("hydro", cost * swept);
+    flops.add(cost * swept);
   }
   return pencil_cells;
 }

@@ -50,13 +50,8 @@ struct ByteBuf {
     std::memcpy(b.data() + off, &v, sizeof(T));
   }
   void put_pos(ext::pos_t p) {
-#ifdef ENZO_POSITION_DOUBLE
-    put<double>(p);
-    put<double>(0.0);
-#else
     put<double>(p.hi);
     put<double>(p.lo);
-#endif
   }
 };
 
@@ -77,12 +72,7 @@ struct ByteReader {
   ext::pos_t get_pos() {
     const double hi = get<double>();
     const double lo = get<double>();
-#ifdef ENZO_POSITION_DOUBLE
-    (void)lo;
-    return hi;
-#else
     return ext::pos_t(hi, lo);
-#endif
   }
   bool exhausted() const { return off == n; }
 };

@@ -73,13 +73,8 @@ ext::PosVec Grid::cell_center(int i, int j, int k) const {
 }
 
 std::int64_t global_cell_index(ext::pos_t x, std::int64_t dims) {
-#ifdef ENZO_POSITION_DOUBLE
-  return static_cast<std::int64_t>(
-      std::floor(x * static_cast<double>(dims)));
-#else
   const ext::pos_t scaled = x * ext::pos_t(static_cast<double>(dims));
   return static_cast<std::int64_t>(ext::floor(scaled).to_double());
-#endif
 }
 
 std::int64_t Grid::global_index_of(ext::pos_t x, int d) const {

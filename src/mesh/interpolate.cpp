@@ -245,12 +245,11 @@ ENZO_HOT std::int64_t interpolate_region(Grid& child, const Grid& parent,
   return cells;
 }
 
-/// Post one fill's flop estimate (a mutex-guarded add, so once per fill).
+/// Post one fill's flop estimate.
 void count_flops(const Grid& child, std::int64_t cells) {
-  util::FlopCounter::global().add(
-      "interpolation", util::flop_cost::kInterpolationPerCell *
-                           static_cast<std::uint64_t>(cells) *
-                           child.field_list().size());
+  static util::ComponentFlops flops("interpolation");
+  flops.add(util::flop_cost::kInterpolationPerCell *
+            static_cast<std::uint64_t>(cells) * child.field_list().size());
 }
 
 }  // namespace

@@ -89,9 +89,9 @@ ENZO_HOT std::int64_t project_to_parent(const Grid& child, Grid& parent) {
           parent.field(f)(psi, psj, psk) = v;
         }
       }
-  util::FlopCounter::global().add(
-      "projection", util::flop_cost::kProjectionPerCell * cover.volume() *
-                        parent.field_list().size() * rd[0] * rd[1] * rd[2]);
+  static util::ComponentFlops flops("projection");
+  flops.add(util::flop_cost::kProjectionPerCell * cover.volume() *
+            parent.field_list().size() * rd[0] * rd[1] * rd[2]);
   return cover.volume();
 }
 

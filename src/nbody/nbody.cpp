@@ -41,15 +41,9 @@ Cic cic_of(const Grid& g, const Particle& p) {
     const ext::pos_t xi =
         p.x[d] * ext::pos_t(static_cast<double>(g.spec().level_dims[d])) -
         ext::pos_t(0.5);
-#ifdef ENZO_POSITION_DOUBLE
-    const double fl = std::floor(xi);
-    const std::int64_t gbase = static_cast<std::int64_t>(fl);
-    const double frac = xi - fl;
-#else
     const ext::pos_t fl = ext::floor(xi);
     const std::int64_t gbase = static_cast<std::int64_t>(fl.to_double());
     const double frac = (xi - fl).to_double();
-#endif
     c.base[d] = static_cast<int>(gbase - g.box().lo[d]);
     c.w0[d] = 1.0 - frac;
   }
@@ -105,8 +99,8 @@ void deposit_particles_cic(Grid& g) {
           gm(i + gx, j + gy, k + gz) = 0.0;
         }
   }
-  util::FlopCounter::global().add(
-      "nbody", util::flop_cost::kCicPerParticle * g.particles().size());
+  static util::ComponentFlops flops("nbody");
+  flops.add(util::flop_cost::kCicPerParticle * g.particles().size());
 }
 
 void kick_particles(Grid& g, double dt, double adot_over_a) {
@@ -145,8 +139,8 @@ void kick_particles(Grid& g, double dt, double adot_over_a) {
     for (int d = 0; d < 3; ++d)
       if (g.spec().level_dims[d] == 1) p.v[d] *= decay;
   }
-  util::FlopCounter::global().add(
-      "nbody", util::flop_cost::kCicPerParticle * g.particles().size());
+  static util::ComponentFlops flops("nbody");
+  flops.add(util::flop_cost::kCicPerParticle * g.particles().size());
 }
 
 void drift_particles(Grid& g, double dt, double a) {

@@ -36,8 +36,8 @@ struct StepRecord {
   double mass_residual = 0.0;           ///< (mass - mass₀) / mass₀
   double energy_total = 0.0;            ///< root-level total gas energy
   double energy_residual = 0.0;         ///< (E - E₀) / |E₀|
-  std::uint64_t peak_bytes = 0;         ///< AllocStats peak grid memory
-  std::uint64_t flops = 0;              ///< cumulative FlopCounter total
+  std::uint64_t peak_bytes = 0;         ///< `alloc.peak_bytes` (grid memory)
+  std::uint64_t flops = 0;              ///< `flops.total`: cumulative estimate
   double wall_seconds = 0.0;            ///< wall time of this root step
 };
 

@@ -53,32 +53,16 @@ Histogram& Registry::histogram(const std::string& name) {
   return *slot;
 }
 
-void Registry::register_source(const std::string& name, SourceFn fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sources_[name] = std::move(fn);
-}
-
 std::vector<Registry::Sample> Registry::snapshot() const {
   std::vector<Sample> out;
-  std::vector<SourceFn> srcs;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, c] : counters_)
-      out.push_back({name, "counter", static_cast<double>(c->value())});
-    for (auto& [name, g] : gauges_) out.push_back({name, "gauge", g->value()});
-    for (auto& [name, h] : histograms_) {
-      out.push_back(
-          {name + ".count", "histogram", static_cast<double>(h->count())});
-      out.push_back({name + ".sum", "histogram",
-                     static_cast<double>(h->sum())});
-    }
-    srcs.reserve(sources_.size());
-    for (auto& [name, fn] : sources_) srcs.push_back(fn);
-  }
-  // Poll sources outside the lock: a source may itself consult the registry.
-  for (auto& fn : srcs) {
-    auto rows = fn();
-    out.insert(out.end(), rows.begin(), rows.end());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [name, c] : counters_)
+    out.push_back({name, "counter", static_cast<double>(c->value())});
+  for (auto& [name, g] : gauges_) out.push_back({name, "gauge", g->value()});
+  for (auto& [name, h] : histograms_) {
+    out.push_back(
+        {name + ".count", "histogram", static_cast<double>(h->count())});
+    out.push_back({name + ".sum", "histogram", static_cast<double>(h->sum())});
   }
   return out;
 }

@@ -4,10 +4,12 @@
 //
 // Solvers record the churn statistics §5 of the paper reports alongside the
 // timing table — cells updated, ghost cells filled, chemistry subcycles,
-// hierarchy rebuilds and the grids they create, transport bytes — and the
-// legacy singletons (util::FlopCounter, util::AllocStats) publish into the
-// same snapshot as registered *sources*, so one Registry::global().snapshot()
-// captures everything a bench or diagnostics record needs.
+// hierarchy rebuilds and the grids they create, transport bytes — together
+// with its two run totals: the analytic flop estimates (`flops.<component>`
+// and `flops.total` counters, util/flops.hpp) and the heap-block traffic
+// of util::Arena (`alloc.*` counters and gauges).  One
+// Registry::global().snapshot() captures everything a bench or diagnostics
+// record needs.
 //
 // Lookup by name takes a mutex; instruments themselves are lock-free atomics
 // with stable addresses, so hot paths should cache the reference:
@@ -17,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,12 +38,31 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-written instantaneous value.
+/// Instantaneous value.  set() overwrites it; add() and raise_to() update
+/// it in place without a lock (a compare-and-swap loop on its bits).
 class Gauge {
  public:
   void set(double v) { bits_.store(pack(v), std::memory_order_relaxed); }
   double value() const { return unpack(bits_.load(std::memory_order_relaxed)); }
   void reset() { set(0.0); }
+  /// Adds `d` and returns the value this add produced.
+  double add(double d) {
+    std::uint64_t b = bits_.load(std::memory_order_relaxed);
+    double next;
+    do {
+      next = unpack(b) + d;
+    } while (!bits_.compare_exchange_weak(b, pack(next),
+                                          std::memory_order_relaxed));
+    return next;
+  }
+  /// Raises the value to `v` unless it already is at least `v`, so
+  /// concurrent raises keep the largest (a running peak).
+  void raise_to(double v) {
+    std::uint64_t b = bits_.load(std::memory_order_relaxed);
+    while (unpack(b) < v && !bits_.compare_exchange_weak(
+                                b, pack(v), std::memory_order_relaxed)) {
+    }
+  }
 
  private:
   static std::uint64_t pack(double v) {
@@ -97,21 +117,18 @@ class Registry {
   /// rows plus per-bucket rows in the JSON export.
   struct Sample {
     std::string name;
-    std::string kind;  ///< "counter" | "gauge" | "histogram" | "source"
+    std::string kind;  ///< "counter" | "gauge" | "histogram"
     double value = 0.0;
   };
-  /// External read-only providers (flops, allocation stats, …) polled at
-  /// snapshot time.  Re-registering a name replaces the provider.
-  using SourceFn = std::function<std::vector<Sample>()>;
-  void register_source(const std::string& name, SourceFn fn);
 
-  /// Flat snapshot of every instrument and source.
+  /// Flat snapshot of every instrument.
   std::vector<Sample> snapshot() const;
   /// Snapshot as a JSON object {name: value, ...} (histograms expanded;
   /// bucket rows included only for non-empty buckets).
   std::string json() const;
 
-  /// Reset all owned instruments (sources are external and not touched).
+  /// Reset every instrument.  Only for local registries: the global one
+  /// holds running sums (the arena's live-byte gauges) that a reset breaks.
   void reset();
 
   static Registry& global();
@@ -121,7 +138,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, SourceFn> sources_;
 };
 
 }  // namespace enzo::perf

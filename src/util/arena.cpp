@@ -1,12 +1,10 @@
 #include "util/arena.hpp"
 
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <new>
 
 #include "perf/metrics.hpp"
-#include "util/alloc_stats.hpp"
 
 namespace enzo::util {
 
@@ -14,32 +12,51 @@ namespace {
 
 constexpr std::size_t kAlign = 64;  // SIMD / cache-line alignment
 
-// Aggregates across every Arena instance (one per hierarchy + scratch), so
-// the arena.* gauges describe the whole process.
-std::atomic<std::int64_t> g_bytes_live{0};
-std::atomic<std::int64_t> g_bytes_pooled{0};
+// One set of instruments for every Arena instance (one per hierarchy, plus
+// scratch), so the rows describe the whole process.  arena.* is pool
+// traffic; alloc.* is heap-block traffic, the blocks entering or leaving
+// the pools.
+struct Instruments {
+  perf::Counter& pool_hits;
+  perf::Counter& pool_misses;
+  perf::Counter& recycled_blocks;
+  perf::Gauge& bytes_live;
+  perf::Gauge& bytes_pooled;
+  perf::Counter& allocations;
+  perf::Counter& frees;
+  perf::Counter& total_bytes;
+  perf::Gauge& live_bytes;
+  perf::Gauge& peak_bytes;
+};
+Instruments& instruments() {
+  perf::Registry& r = perf::Registry::global();
+  static Instruments m{r.counter("arena.pool_hits"),
+                       r.counter("arena.pool_misses"),
+                       r.counter("arena.recycled_blocks"),
+                       r.gauge("arena.bytes_live"),
+                       r.gauge("arena.bytes_pooled"),
+                       r.counter("alloc.allocations"),
+                       r.counter("alloc.frees"),
+                       r.counter("alloc.total_bytes"),
+                       r.gauge("alloc.live_bytes"),
+                       r.gauge("alloc.peak_bytes")};
+  return m;
+}
 
-perf::Counter& hits_counter() {
-  static perf::Counter& c = perf::Registry::global().counter("arena.pool_hits");
-  return c;
+/// A block of `bytes` left the heap or the spare list.  The peak is raised
+/// to the live value this block's add produced, so concurrent allocations
+/// can never leave it below a live value that was reached.
+void count_alloc(std::size_t bytes) {
+  Instruments& m = instruments();
+  m.allocations.add(1);
+  m.peak_bytes.raise_to(m.live_bytes.add(static_cast<double>(bytes)));
+  m.total_bytes.add(bytes);
 }
-perf::Counter& misses_counter() {
-  static perf::Counter& c =
-      perf::Registry::global().counter("arena.pool_misses");
-  return c;
-}
-perf::Counter& recycle_counter() {
-  static perf::Counter& c =
-      perf::Registry::global().counter("arena.recycled_blocks");
-  return c;
-}
-void publish_gauges() {
-  static perf::Gauge& live = perf::Registry::global().gauge("arena.bytes_live");
-  static perf::Gauge& pooled =
-      perf::Registry::global().gauge("arena.bytes_pooled");
-  live.set(static_cast<double>(g_bytes_live.load(std::memory_order_relaxed)));
-  pooled.set(
-      static_cast<double>(g_bytes_pooled.load(std::memory_order_relaxed)));
+/// `blocks` blocks of `bytes` each went back to the heap or the spare list.
+void count_free(std::size_t blocks, std::size_t bytes) {
+  Instruments& m = instruments();
+  m.frees.add(blocks);
+  m.live_bytes.add(-static_cast<double>(blocks * bytes));
 }
 
 // Every block is a plain allocation aligned by hand, with the raw pointer in
@@ -94,47 +111,40 @@ Arena::~Arena() { trim(); }
 
 ArenaBlock Arena::acquire(std::size_t doubles) {
   const std::size_t cap = capacity_for(doubles);
+  const std::size_t bytes = cap * sizeof(double);
+  Instruments& m = instruments();
+  m.bytes_live.add(static_cast<double>(bytes));
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pool_.find(cap);
     if (it != pool_.end() && !it->second.empty()) {
       double* p = it->second.back();
       it->second.pop_back();
-      bytes_pooled_ -= cap * sizeof(double);
-      g_bytes_pooled.fetch_sub(
-          static_cast<std::int64_t>(cap * sizeof(double)),
-          std::memory_order_relaxed);
-      g_bytes_live.fetch_add(static_cast<std::int64_t>(cap * sizeof(double)),
-                             std::memory_order_relaxed);
-      hits_counter().add(1);
-      publish_gauges();
+      bytes_pooled_ -= bytes;
+      m.bytes_pooled.add(-static_cast<double>(bytes));
+      m.pool_hits.add(1);
       return {p, cap};
     }
   }
-  misses_counter().add(1);
+  m.pool_misses.add(1);
   double* p = take_spare(cap);
   ArenaBlock b{p != nullptr ? p : heap_new(cap), cap};
-  AllocStats::global().on_alloc(cap * sizeof(double));
-  g_bytes_live.fetch_add(static_cast<std::int64_t>(cap * sizeof(double)),
-                         std::memory_order_relaxed);
-  publish_gauges();
+  count_alloc(bytes);
   return b;
 }
 
 void Arena::release(ArenaBlock&& b) {
   if (b.ptr == nullptr) return;
   const std::size_t bytes = b.capacity * sizeof(double);
-  g_bytes_live.fetch_sub(static_cast<std::int64_t>(bytes),
-                         std::memory_order_relaxed);
+  Instruments& m = instruments();
+  m.bytes_live.add(-static_cast<double>(bytes));
   {
     std::lock_guard<std::mutex> lock(mu_);
     pool_[b.capacity].push_back(b.ptr);
     bytes_pooled_ += bytes;
   }
-  g_bytes_pooled.fetch_add(static_cast<std::int64_t>(bytes),
-                           std::memory_order_relaxed);
-  recycle_counter().add(1);
-  publish_gauges();
+  m.bytes_pooled.add(static_cast<double>(bytes));
+  m.recycled_blocks.add(1);
   b.ptr = nullptr;
   b.capacity = 0;
 }
@@ -147,16 +157,13 @@ void Arena::trim() {
   for (auto& [cap, blocks] : pool_) {
     auto& spare = s.by_capacity[cap];
     spare.insert(spare.end(), blocks.begin(), blocks.end());
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-      AllocStats::global().on_free(cap * sizeof(double));
-    g_bytes_pooled.fetch_sub(
-        static_cast<std::int64_t>(blocks.size() * cap * sizeof(double)),
-        std::memory_order_relaxed);
+    const std::size_t bytes = cap * sizeof(double);
+    count_free(blocks.size(), bytes);
+    instruments().bytes_pooled.add(-static_cast<double>(blocks.size() * bytes));
     blocks.clear();
   }
   pool_.clear();
   bytes_pooled_ = 0;
-  publish_gauges();
 }
 
 std::size_t Arena::bytes_pooled() const {
@@ -167,24 +174,23 @@ std::size_t Arena::bytes_pooled() const {
 ArenaBlock Arena::heap_acquire(std::size_t doubles) {
   const std::size_t cap = doubles == 0 ? 1 : doubles;
   ArenaBlock b{heap_new(cap), cap};
-  AllocStats::global().on_alloc(cap * sizeof(double));
+  count_alloc(cap * sizeof(double));
   return b;
 }
 
 void Arena::heap_release(ArenaBlock&& b) {
   if (b.ptr == nullptr) return;
   heap_delete(b.ptr);
-  AllocStats::global().on_free(b.capacity * sizeof(double));
+  count_free(1, b.capacity * sizeof(double));
   b.ptr = nullptr;
   b.capacity = 0;
 }
 
 Arena& Arena::scratch() {
-  // ~Arena trims into AllocStats and publishes the arena.* gauges to the
-  // registry: construct both first, so that they outlive this arena even
-  // when a solver's scratch is the process's first arena user.
-  (void)AllocStats::global();
-  (void)perf::Registry::global();
+  // ~Arena trims, which posts to the registry: build the registry first, so
+  // that it outlives this arena even when a solver's scratch is the
+  // process's first arena user.
+  (void)instruments();
   static Arena a;
   return a;
 }

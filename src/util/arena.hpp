@@ -20,13 +20,15 @@
 // spare list cannot serve takes the same hand-aligned allocation as the
 // heap fallback.
 //
-// Accounting contract: util::AllocStats records only blocks entering or
-// leaving the pools (a miss served by the spare list or the heap, a trim
-// into the spare list) — a pool hit is invisible to it (that is the point:
-// the regrid-storm stress tests assert zero steady-state allocations per
-// rebuild).  Pool traffic is published separately through the perf
-// registry as `arena.*` metrics (pool_hits / pool_misses / recycled blocks,
-// bytes live / pooled).
+// Accounting contract: the perf registry's `alloc.*` instruments record
+// only blocks entering or leaving the pools (a miss served by the spare
+// list or the heap, a trim into the spare list): counters
+// `alloc.{allocations, frees, total_bytes}` and gauges
+// `alloc.{live_bytes, peak_bytes}`.  A pool hit is invisible to them (that
+// is the point: the regrid-storm stress tests assert zero steady-state
+// allocations per rebuild).  Pool traffic has its own `arena.*` rows
+// (pool_hits / pool_misses / recycled_blocks counters, bytes_live /
+// bytes_pooled gauges).
 //
 // Blocks are doubles because every consumer (fields, fluxes, gravity,
 // solver scratch) stores doubles; particle-vector recycling is layered on
@@ -69,22 +71,22 @@ class Arena {
   }
 
   /// A block of capacity_for(doubles), from the matching free list when
-  /// possible, else from the spare list or the heap (reported to
-  /// AllocStats).  Contents are unspecified.
+  /// possible, else from the spare list or the heap (counted in
+  /// `alloc.*`).  Contents are unspecified.
   [[nodiscard]] ArenaBlock acquire(std::size_t doubles);
 
   /// Return a block: it joins its size-class free list for the next regrid.
   void release(ArenaBlock&& b);
 
-  /// Hand every pooled block to the process-wide spare list (reported to
-  /// AllocStats as freed).  The destructor trims.
+  /// Hand every pooled block to the process-wide spare list (counted in
+  /// `alloc.*` as freed).  The destructor trims.
   void trim();
 
   [[nodiscard]] std::size_t bytes_pooled() const;
 
   // Heap fallback used by buffers not attached to any arena (the initial
   // conditions, analysis maps, directly constructed grids in tests): same
-  // alignment and AllocStats reporting, never pooled.
+  // alignment and `alloc.*` accounting, never pooled.
   [[nodiscard]] static ArenaBlock heap_acquire(std::size_t doubles);
   static void heap_release(ArenaBlock&& b);
 

@@ -6,32 +6,16 @@
 // sustained, then computes a "virtual flop rate" of ~1e44 flop/s versus a
 // hypothetical static 1e12^3 grid.  We instrument each solver with an
 // analytic per-cell operation estimate (the future project mentioned in §5)
-// and accumulate them here; the table_flops bench divides by measured wall
-// time to produce the same two numbers.
+// and post it to the metrics registry as `flops.<component>` and
+// `flops.total` counters (ComponentFlops); the table_flops bench divides by
+// measured wall time to produce the same two numbers.
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
+
+#include "perf/metrics.hpp"
 
 namespace enzo::util {
-
-class FlopCounter {
- public:
-  void add(const std::string& component, std::uint64_t flops);
-  [[nodiscard]] std::uint64_t total() const;
-  [[nodiscard]] std::uint64_t component(const std::string& name) const;
-  std::vector<std::pair<std::string, std::uint64_t>> rows() const;
-  void reset();
-
-  static FlopCounter& global();
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::uint64_t> counts_;
-};
 
 /// Analytic per-cell-update flop estimates for each solver, used consistently
 /// across the code.  These are deliberately conservative (counts of the
@@ -47,5 +31,24 @@ inline constexpr std::uint64_t kCicPerParticle = 60;
 inline constexpr std::uint64_t kInterpolationPerCell = 25;
 inline constexpr std::uint64_t kProjectionPerCell = 4;
 }  // namespace flop_cost
+
+/// One solver's flop counters: `flops.<component>` and `flops.total`, looked
+/// up once.  Call sites keep one in a function-local static; add() is two
+/// lock-free atomic adds.
+class ComponentFlops {
+ public:
+  explicit ComponentFlops(const std::string& component,
+                          perf::Registry& reg = perf::Registry::global())
+      : component_(reg.counter("flops." + component)),
+        total_(reg.counter("flops.total")) {}
+  void add(std::uint64_t n) {
+    component_.add(n);
+    total_.add(n);
+  }
+
+ private:
+  perf::Counter& component_;
+  perf::Counter& total_;
+};
 
 }  // namespace enzo::util

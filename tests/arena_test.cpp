@@ -1,8 +1,9 @@
 // Storage-arena tests: block pooling semantics (size classes, alignment,
-// AllocStats accounting, blocks outliving their arena), Buffer3/particle-
-// vector recycling, the regrid-storm stress contract (§5: zero steady-state
-// heap allocations per rebuild), the rebuild keep path checked bitwise
-// against a new grid built for the same box, and a checkpoint round trip.
+// `alloc.*` heap-block accounting, blocks outliving their arena),
+// Buffer3/particle-vector recycling, the regrid-storm stress contract (§5:
+// zero steady-state heap allocations per rebuild), the rebuild keep path
+// checked bitwise against a new grid built for the same box, and a
+// checkpoint round trip.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,6 @@
 #include "mesh/hierarchy.hpp"
 #include "mesh/interpolate.hpp"
 #include "perf/metrics.hpp"
-#include "util/alloc_stats.hpp"
 #include "util/arena.hpp"
 #include "util/array3.hpp"
 
@@ -33,6 +33,18 @@ using mesh::Grid;
 using mesh::Hierarchy;
 using mesh::HierarchyParams;
 using mesh::Index3;
+
+namespace {
+
+/// Heap-block traffic of every arena so far (the `alloc.*` counters).
+std::uint64_t heap_allocations() {
+  return perf::Registry::global().counter("alloc.allocations").value();
+}
+std::uint64_t heap_frees() {
+  return perf::Registry::global().counter("alloc.frees").value();
+}
+
+}  // namespace
 
 // ---- util::Arena ---------------------------------------------------------------
 
@@ -57,17 +69,17 @@ TEST(Arena, RoundsUpToGranularityAndAligns) {
 
 TEST(Arena, PoolRecyclesBlocksWithoutTouchingTheHeap) {
   util::Arena a;
-  const std::uint64_t heap0 = util::AllocStats::global().allocations();
+  const std::uint64_t heap0 = heap_allocations();
   util::ArenaBlock b1 = a.acquire(100);
   double* first = b1.ptr;
-  EXPECT_EQ(util::AllocStats::global().allocations(), heap0 + 1);
+  EXPECT_EQ(heap_allocations(), heap0 + 1);
   a.release(std::move(b1));
   EXPECT_GT(a.bytes_pooled(), 0u);
   // Same size class (both round up to one granularity quantum): the pooled
-  // block comes back and AllocStats sees no new heap event.
+  // block comes back and `alloc.allocations` sees no new heap event.
   util::ArenaBlock b2 = a.acquire(200);
   EXPECT_EQ(b2.ptr, first);
-  EXPECT_EQ(util::AllocStats::global().allocations(), heap0 + 1);
+  EXPECT_EQ(heap_allocations(), heap0 + 1);
   a.release(std::move(b2));
   a.trim();
   EXPECT_EQ(a.bytes_pooled(), 0u);
@@ -82,14 +94,14 @@ TEST(Arena, TrimmedBlocksServeTheNextArena) {
     a.release(std::move(b));
   }  // the destructor trims the block into the process-wide spare list
   util::Arena next;
-  const std::uint64_t allocs0 = util::AllocStats::global().allocations();
-  const std::uint64_t frees0 = util::AllocStats::global().frees();
+  const std::uint64_t allocs0 = heap_allocations();
+  const std::uint64_t frees0 = heap_frees();
   util::ArenaBlock b = next.acquire(100);
   EXPECT_EQ(b.ptr, parked);
-  EXPECT_EQ(util::AllocStats::global().allocations(), allocs0 + 1);
+  EXPECT_EQ(heap_allocations(), allocs0 + 1);
   next.release(std::move(b));
   next.trim();
-  EXPECT_EQ(util::AllocStats::global().frees(), frees0 + 1);
+  EXPECT_EQ(heap_frees(), frees0 + 1);
 }
 
 TEST(Arena, HeapFallbackMatchesAlignmentContract) {
@@ -199,22 +211,22 @@ struct StormCounts {
   std::uint64_t created = 0;
 };
 
-/// AllocStats heap allocations and kept/new grid counts over `reps` passes
-/// through `cycle`, after three warm-up passes (the first creates level 2,
-/// whose nesting footprint widens the level-1 flags on the next; the rest
-/// prime the pool).
+/// Heap allocations (`alloc.allocations`) and kept/new grid counts over
+/// `reps` passes through `cycle`, after three warm-up passes (the first
+/// creates level 2, whose nesting footprint widens the level-1 flags on the
+/// next; the rest prime the pool).
 StormCounts storm(const std::vector<Hierarchy::FlagFn>& cycle, int reps) {
   Hierarchy h = storm_hierarchy();
   for (int w = 0; w < 3; ++w)
     for (const Hierarchy::FlagFn& f : cycle) h.rebuild(1, f);
   EXPECT_EQ(h.deepest_level(), 2);
-  const std::uint64_t a0 = util::AllocStats::global().allocations();
+  const std::uint64_t a0 = heap_allocations();
   const std::uint64_t k0 = kept_counter().value();
   const std::uint64_t n0 = new_counter().value();
   for (int i = 0; i < reps; ++i)
     for (const Hierarchy::FlagFn& f : cycle) h.rebuild(1, f);
   h.check_invariants();
-  return {util::AllocStats::global().allocations() - a0,
+  return {heap_allocations() - a0,
           kept_counter().value() - k0, new_counter().value() - n0};
 }
 

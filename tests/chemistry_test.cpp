@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "chemistry/chemistry.hpp"
 #include "chemistry/rates.hpp"
+#include "core/parameter_file.hpp"
+#include "core/simulation.hpp"
 #include "mesh/hierarchy.hpp"
 #include "util/constants.hpp"
 
@@ -46,13 +49,15 @@ mesh::Hierarchy chem_box(double rho0) {
   return h;
 }
 
-/// Set the internal energy so the cell temperature is T for its current μ.
-void set_temperature(Grid& g, double T, const chemistry::ChemistryParams& prm) {
+/// Set the internal energy so the cell temperature is T for its current μ,
+/// at make_units' γ.
+void set_temperature(Grid& g, double T) {
+  const double gamma = chemistry::ChemUnits{}.gamma;
   for (int k = 0; k < g.nt(2); ++k)
     for (int j = 0; j < g.nt(1); ++j)
       for (int i = 0; i < g.nt(0); ++i) {
         const double mu = chemistry::cell_mu(g, i, j, k);
-        const double e = T / ((prm.gamma - 1.0) * mu);  // e_cgs = k/m_H units
+        const double e = T / ((gamma - 1.0) * mu);  // e_cgs = k/m_H units
         g.field(Field::kInternalEnergy)(i, j, k) = e;
         g.field(Field::kTotalEnergy)(i, j, k) = e;
       }
@@ -148,7 +153,7 @@ TEST(Chemistry, ConservesNucleiAndCharge) {
   chemistry::ChemistryParams prm;
   prm.cooling = false;
   chemistry::initialize_primordial_composition(*g, prm, 0.1, 1e-4);
-  set_temperature(*g, 5000.0, prm);
+  set_temperature(*g, 5000.0);
   auto u = make_units(10.0);
   const int si = g->sx(2), sj = g->sy(2), sk = g->sz(2);
   const double h0 = h_nuclei(*g, si, sj, sk);
@@ -183,7 +188,7 @@ TEST(Chemistry, RecombinationFollowsAnalyticDecay) {
   // Re-pin the temperature as μ drifts from 0.5 (ionized) toward 1
   // (neutral), so k2 stays at its T=1000 K value.
   for (int it = 0; it < 20; ++it) {
-    set_temperature(*g, T, prm);
+    set_temperature(*g, T);
     chemistry::solve_chemistry_step(*g, t / 20, prm, u);
   }
   const int si = g->sx(1), sj = g->sy(1), sk = g->sz(1);
@@ -205,7 +210,7 @@ TEST(Chemistry, CollisionalIonizationEquilibrium) {
   // Re-pin the temperature every step (the network changes μ slightly).
   const auto r = chemistry::compute_rates(T);
   for (int it = 0; it < 30; ++it) {
-    set_temperature(*g, T, prm);
+    set_temperature(*g, T);
     chemistry::solve_chemistry_step(*g, 1e13, prm, u);
   }
   const int si = g->sx(1), sj = g->sy(1), sk = g->sz(1);
@@ -226,7 +231,7 @@ TEST(Chemistry, H2FormsViaHMinusChannel) {
   chemistry::ChemistryParams prm;
   prm.cooling = false;
   chemistry::initialize_primordial_composition(*g, prm, 1e-3, 1e-9);
-  set_temperature(*g, 1000.0, prm);
+  set_temperature(*g, 1000.0);
   auto u = make_units(10.0);
   const int si = g->sx(1), sj = g->sy(1), sk = g->sz(1);
   const double f0 = g->field(Field::kH2I)(si, sj, sk);
@@ -246,7 +251,7 @@ TEST(Chemistry, ThreeBodyConversionAtHighDensity) {
   chemistry::ChemistryParams prm;
   prm.cooling = false;
   chemistry::initialize_primordial_composition(*g, prm, 1e-8, 1e-3);
-  set_temperature(*g, 1500.0, prm);
+  set_temperature(*g, 1500.0);
   auto u = make_units(1e11);
   chemistry::solve_chemistry_step(*g, 3.15e9, prm, u);  // ~100 yr
   const int si = g->sx(1), sj = g->sy(1), sk = g->sz(1);
@@ -263,12 +268,12 @@ TEST(Chemistry, HotIonizedGasCools) {
   Grid* g = h.grids(0)[0];
   chemistry::ChemistryParams prm;
   chemistry::initialize_primordial_composition(*g, prm, 0.5, 0.0);
-  set_temperature(*g, 3e4, prm);
+  set_temperature(*g, 3e4);
   auto u = make_units(1.0);
   const int si = g->sx(1), sj = g->sy(1), sk = g->sz(1);
-  const double T0 = chemistry::cell_temperature(*g, si, sj, sk, prm, u);
+  const double T0 = chemistry::cell_temperature(*g, si, sj, sk, u);
   chemistry::solve_chemistry_step(*g, 3.15e14, prm, u);
-  const double T1 = chemistry::cell_temperature(*g, si, sj, sk, prm, u);
+  const double T1 = chemistry::cell_temperature(*g, si, sj, sk, u);
   EXPECT_LT(T1, 0.8 * T0);
   EXPECT_GT(T1, prm.temperature_floor);
 }
@@ -279,12 +284,12 @@ TEST(Chemistry, H2CooledGasApproachesFewHundredKelvin) {
   Grid* g = h.grids(0)[0];
   chemistry::ChemistryParams prm;
   chemistry::initialize_primordial_composition(*g, prm, 1e-4, 5e-4);
-  set_temperature(*g, 2000.0, prm);
+  set_temperature(*g, 2000.0);
   auto u = make_units(1e4);
   u.t_cmb = 2.725 * 20.0;  // z ≈ 19
   const int si = g->sx(1), sj = g->sy(1), sk = g->sz(1);
   chemistry::solve_chemistry_step(*g, 3.15e14, prm, u);  // 10 Myr
-  const double T = chemistry::cell_temperature(*g, si, sj, sk, prm, u);
+  const double T = chemistry::cell_temperature(*g, si, sj, sk, u);
   EXPECT_LT(T, 800.0);
   // The CMB at z≈19 (≈55 K) is the radiative floor for the H₂ lines.
   EXPECT_GT(T, 50.0);
@@ -296,13 +301,13 @@ TEST(Chemistry, ComptonCouplingWarmsGasTowardCmb) {
   chemistry::ChemistryParams prm;
   prm.temperature_floor = 0.1;
   chemistry::initialize_primordial_composition(*g, prm, 0.3, 0.0);
-  set_temperature(*g, 5.0, prm);
+  set_temperature(*g, 5.0);
   auto u = make_units(1.0);
   u.t_cmb = 2.725 * 100;  // z = 99: strong coupling
   const int si = g->sx(1), sj = g->sy(1), sk = g->sz(1);
-  const double T0 = chemistry::cell_temperature(*g, si, sj, sk, prm, u);
+  const double T0 = chemistry::cell_temperature(*g, si, sj, sk, u);
   chemistry::solve_chemistry_step(*g, 1e15, prm, u);
-  const double T1 = chemistry::cell_temperature(*g, si, sj, sk, prm, u);
+  const double T1 = chemistry::cell_temperature(*g, si, sj, sk, u);
   EXPECT_GT(T1, T0);  // heated toward the CMB temperature
 }
 
@@ -313,7 +318,7 @@ TEST(Chemistry, StiffConditionsStayFiniteAndPositive) {
   Grid* g = h.grids(0)[0];
   chemistry::ChemistryParams prm;
   chemistry::initialize_primordial_composition(*g, prm, 0.999, 1e-10);
-  set_temperature(*g, 1e6, prm);  // very hot and dense: violent cooling
+  set_temperature(*g, 1e6);  // very hot and dense: violent cooling
   auto u = make_units(1e6);
   chemistry::solve_chemistry_step(*g, 1e14, prm, u);  // huge step
   for (Field f : g->field_list()) {
@@ -337,7 +342,7 @@ TEST(Chemistry, StiffConditionsStayFiniteAndPositive) {
   chemistry::initialize_primordial_composition(*g2, prm2, 0.999, 1e-10);
   auto u2 = make_units(1e4);
   for (int it = 0; it < 10; ++it) {
-    set_temperature(*g2, 1e6, prm2);
+    set_temperature(*g2, 1e6);
     chemistry::solve_chemistry_step(*g2, 1e11, prm2, u2);
   }
   const int si = g2->sx(1), sj = g2->sy(1), sk = g2->sz(1);
@@ -350,11 +355,39 @@ TEST(Chemistry, MinCoolingTimePositiveAndFinite) {
   Grid* g = h.grids(0)[0];
   chemistry::ChemistryParams prm;
   chemistry::initialize_primordial_composition(*g, prm, 0.3, 1e-4);
-  set_temperature(*g, 1e4, prm);
+  set_temperature(*g, 1e4);
   auto u = make_units(1.0);
-  const double tc = chemistry::min_cooling_time(*g, prm, u);
+  const double tc = chemistry::min_cooling_time(*g, u);
   EXPECT_GT(tc, 0.0);
   EXPECT_TRUE(std::isfinite(tc));
+}
+
+TEST(Chemistry, TemperatureUsesTheRunsGamma) {
+  // One γ per run: a chemistry deck's Gamma is the γ the chemistry's e→T
+  // conversion uses, through Simulation::chem_units().
+  std::istringstream text(
+      "ProblemType = CollapseCloud\n"
+      "TopGridDimensions = 8 8 8\n"
+      "GravityEnabled = 1\n"
+      "ChemistryEnabled = 1\n"
+      "Gamma = 1.4\n"
+      "StopSteps = 1\n");
+  const core::ParameterDeck deck = core::parse_parameter_deck(text);
+  core::Simulation sim(deck.config);
+  core::setup_from_deck(sim, deck);
+  ASSERT_EQ(sim.config().hydro.gamma, 1.4);
+  const chemistry::ChemUnits u = sim.chem_units();
+  const Grid& g = *sim.hierarchy().grids(0)[0];
+  ASSERT_TRUE(g.has_field(Field::kH2I));
+  for (const int c : {0, 3, 7}) {
+    const int si = g.sx(c), sj = g.sy(c), sk = g.sz(c);
+    const double e = g.field(Field::kInternalEnergy)(si, sj, sk) * u.e_cgs;
+    const double want = (1.4 - 1.0) * e * chemistry::cell_mu(g, si, sj, sk) *
+                        cn::kHydrogenMass / cn::kBoltzmann;
+    EXPECT_NEAR(chemistry::cell_temperature(g, si, sj, sk, u), want,
+                1e-12 * want)
+        << "cell " << c;
+  }
 }
 
 // ---- batched rate/cooling lanes vs the scalar API ---------------------------

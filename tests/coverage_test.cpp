@@ -163,7 +163,7 @@ TEST_P(CieSweep, NetworkRelaxesToRateRatioEquilibrium) {
         for (int i = 0; i < g->nt(0); ++i) {
           const double mu = chemistry::cell_mu(*g, i, j, k);
           g->field(Field::kInternalEnergy)(i, j, k) =
-              T / ((prm.gamma - 1.0) * mu);
+              T / ((u.gamma - 1.0) * mu);
         }
   };
   for (int it = 0; it < 40; ++it) {

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "core/parameter_file.hpp"
 #include "util/constants.hpp"
@@ -174,12 +175,33 @@ StopSteps              = 5
   EXPECT_EQ(d2.stop_steps, d.stop_steps);
 }
 
+TEST(Deck, ThreadsSelectsTheBackend) {
+  // One lane runs serially; any other count, 0 (all cores) included, runs
+  // on the thread pool.  Each case renders back to the same settings.
+  struct Case {
+    int threads;
+    exec::Backend backend;
+  };
+  for (const Case c : {Case{1, exec::Backend::kSerial},
+                       Case{4, exec::Backend::kThreadPool},
+                       Case{0, exec::Backend::kThreadPool}}) {
+    const auto d = parse("Threads = " + std::to_string(c.threads) + "\n");
+    EXPECT_EQ(d.config.exec.threads, c.threads);
+    EXPECT_EQ(d.config.exec.backend, c.backend) << c.threads;
+    std::istringstream in(core::render_deck(d));
+    const auto d2 = core::parse_parameter_deck(in);
+    EXPECT_EQ(d2.config.exec.threads, c.threads);
+    EXPECT_EQ(d2.config.exec.backend, c.backend) << c.threads;
+  }
+}
+
 TEST(Deck, RetiredKeysAreUnknown) {
   // Switches for paths that no longer exist are unknown parameters: the
-  // overlap-topology cache is the only neighbour path, and grid storage has
-  // one policy (a pooled arena per hierarchy that keeps unchanged grids).
+  // overlap-topology cache is the only neighbour path, grid storage has one
+  // policy (a pooled arena per hierarchy that keeps unchanged grids), and
+  // the lane count alone picks the executor backend.
   for (const char* key :
-       {"UseOverlapTopology", "ArenaMode", "BlockGranularity"}) {
+       {"UseOverlapTopology", "ArenaMode", "BlockGranularity", "Executor"}) {
     EXPECT_THROW(parse(std::string(key) + " = 1\n"), enzo::Error) << key;
   }
 }

@@ -54,17 +54,17 @@ TEST(Derived, CoolingTimeScalesInverselyWithDensity) {
         for (int i = 0; i < g->nt(0); ++i) {
           const double mu = chemistry::cell_mu(*g, i, j, k);
           g->field(Field::kInternalEnergy)(i, j, k) =
-              T / ((cp.gamma - 1.0) * mu);
+              T / ((chemistry::ChemUnits{}.gamma - 1.0) * mu);
         }
   };
   mesh::Hierarchy h1 = chem_box(8);
   setup(h1, 2e4);
-  auto lo = analysis::cooling_time_in_sphere(h1, center3(), 0.4, cp,
-                                             units_n(1.0));
+  auto lo =
+      analysis::cooling_time_in_sphere(h1, center3(), 0.4, units_n(1.0));
   mesh::Hierarchy h2 = chem_box(8);
   setup(h2, 2e4);
-  auto hi = analysis::cooling_time_in_sphere(h2, center3(), 0.4, cp,
-                                             units_n(100.0));
+  auto hi =
+      analysis::cooling_time_in_sphere(h2, center3(), 0.4, units_n(100.0));
   ASSERT_GT(lo.cells, 0);
   // Λ ∝ n², e·ρ ∝ n ⇒ t_cool ∝ 1/n: a factor 100 in density → ~100 in time.
   EXPECT_NEAR(lo.min / hi.min, 100.0, 20.0);
@@ -118,10 +118,10 @@ TEST(Derived, XrayLuminosityTracksIonizedDenseGas) {
       for (int i = 0; i < g->nt(0); ++i)
         g->field(Field::kInternalEnergy)(i, j, k) = 1e6;  // hot
   const double l_cm = 3.0 * cn::kKpc;
-  const double lum1 = analysis::xray_luminosity(h, center3(), 0.45, cp,
-                                                units_n(0.01), l_cm);
-  const double lum2 = analysis::xray_luminosity(h, center3(), 0.45, cp,
-                                                units_n(0.1), l_cm);
+  const double lum1 =
+      analysis::xray_luminosity(h, center3(), 0.45, units_n(0.01), l_cm);
+  const double lum2 =
+      analysis::xray_luminosity(h, center3(), 0.45, units_n(0.1), l_cm);
   EXPECT_GT(lum1, 0.0);
   // Bremsstrahlung ∝ n²: 10× density → 100× luminosity.
   EXPECT_NEAR(lum2 / lum1, 100.0, 5.0);
@@ -133,8 +133,8 @@ TEST(Derived, XrayLuminosityTracksIonizedDenseGas) {
     for (int j = 0; j < gn->nt(1); ++j)
       for (int i = 0; i < gn->nt(0); ++i)
         gn->field(Field::kInternalEnergy)(i, j, k) = 1e6;
-  const double lum_n = analysis::xray_luminosity(hn, center3(), 0.45, cp,
-                                                 units_n(0.1), l_cm);
+  const double lum_n =
+      analysis::xray_luminosity(hn, center3(), 0.45, units_n(0.1), l_cm);
   EXPECT_LT(lum_n, 1e-10 * lum2);
 }
 

@@ -165,14 +165,6 @@ TEST(ExecutorTest, MakeExecutorRespectsBackend) {
   EXPECT_EQ(ex->threads(), 3);
 }
 
-TEST(ExecutorTest, BackendNamesRoundTrip) {
-  EXPECT_EQ(exec::backend_from_string("serial"), Backend::kSerial);
-  EXPECT_EQ(exec::backend_from_string("threadpool"), Backend::kThreadPool);
-  EXPECT_THROW(exec::backend_from_string("gpu"), enzo::Error);
-  EXPECT_STREQ(exec::backend_name(Backend::kSerial), "serial");
-  EXPECT_STREQ(exec::backend_name(Backend::kThreadPool), "threadpool");
-}
-
 TEST(ExecutorHierarchyContract, RebuildInsidePhaseThrows) {
   mesh::HierarchyParams p;
   p.root_dims = {8, 8, 8};

@@ -433,8 +433,7 @@ TEST(Multigrid, RowKernelsMatchScalarOracleBitwise) {
       oracle::Tally t;
       const double ref_rel = oracle::multigrid_solve(ref, rhs, dx, p, t);
 
-      const std::uint64_t flops0 =
-          util::FlopCounter::global().component("gravity");
+      const std::uint64_t flops0 = counter("flops.gravity");
       const std::uint64_t solves0 = counter("gravity.mg_solves");
       const std::uint64_t cycles0 = counter("gravity.mg_vcycles");
       const double rel = gravity::multigrid_solve(phi.view(), rhs.view(), dx, p);
@@ -446,8 +445,7 @@ TEST(Multigrid, RowKernelsMatchScalarOracleBitwise) {
                 std::bit_cast<std::uint64_t>(ref_rel))
           << tag << ": rel " << rel << " vs " << ref_rel;
       EXPECT_TRUE(same_bits(phi.view(), ref.view())) << tag;
-      EXPECT_EQ(util::FlopCounter::global().component("gravity") - flops0,
-                t.flops)
+      EXPECT_EQ(counter("flops.gravity") - flops0, t.flops)
           << tag;
       EXPECT_EQ(counter("gravity.mg_solves") - solves0, 1u) << tag;
       EXPECT_EQ(counter("gravity.mg_vcycles") - cycles0,

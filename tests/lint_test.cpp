@@ -206,6 +206,34 @@ TEST(LintRules, ColdLockNotFlagged) {
   EXPECT_EQ(count_rule(fs, "hotpath-lock"), 0);
 }
 
+TEST(LintRules, HotPathRegistryLookupFlagged) {
+  // A lookup by name takes the registry mutex on every call.
+  const auto fs = lint_src("src/x/a.cpp", R"cpp(
+    ENZO_HOT void kernel(std::uint64_t n) {
+      perf::Registry::global().counter("x.cells").add(n);
+      auto& g = enzo::perf::Registry::global().gauge("x.live");
+      g.set(1.0);
+    }
+  )cpp");
+  EXPECT_EQ(count_rule(fs, "hotpath-lock"), 2);
+}
+
+TEST(LintRules, HotPathStaticRegistryReferenceNotFlagged) {
+  // A static reference looks up once; a cold function may look up freely.
+  const auto fs = lint_src("src/x/a.cpp", R"cpp(
+    ENZO_HOT void kernel(std::uint64_t n) {
+      static perf::Counter& c = perf::Registry::global().counter("x.cells");
+      static Histogram& h = Registry::global().histogram("x.sizes");
+      c.add(n);
+      h.observe(n);
+    }
+    void report(std::uint64_t n) {
+      perf::Registry::global().counter("x.reports").add(n);
+    }
+  )cpp");
+  EXPECT_EQ(count_rule(fs, "hotpath-lock"), 0);
+}
+
 TEST(LintRules, HotPathTranscendentalInLoopFlagged) {
   const auto fs = lint_src("src/x/a.cpp", R"cpp(
     ENZO_HOT void kernel(int n, const double* t, double* k) {

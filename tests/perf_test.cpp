@@ -1,7 +1,7 @@
 // Telemetry subsystem tests: hierarchical trace accounting, metrics
 // registry instruments, JSONL diagnostics schema round-trip, Chrome trace
 // export validity, structured logging, and the thread-safety guarantees the
-// instrumentation layer makes (AllocStats peak, allocation balance).
+// instrumentation layer makes (allocation peak and balance, flop sums).
 
 #include <gtest/gtest.h>
 
@@ -10,18 +10,21 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/setup.hpp"
 #include "core/simulation.hpp"
+#include "exec/executor.hpp"
 #include "perf/diagnostics.hpp"
 #include "perf/json.hpp"
 #include "perf/log.hpp"
 #include "perf/metrics.hpp"
 #include "perf/trace.hpp"
-#include "util/alloc_stats.hpp"
+#include "util/arena.hpp"
 #include "util/flops.hpp"
 
 using namespace enzo;
@@ -233,25 +236,18 @@ TEST(Metrics, HistogramBucketEdges) {
   EXPECT_EQ(h.bucket(H::kBuckets - 1), 1u);
 }
 
-TEST(Metrics, SourcesAppearInSnapshotAndJson) {
+TEST(Metrics, CountersAppearInSnapshotAndJson) {
   perf::Registry reg;
   reg.counter("hits").add(7);
-  reg.register_source("ext", [] {
-    return std::vector<perf::Registry::Sample>{{"ext.value", "source", 42.0}};
-  });
-  bool saw_counter = false, saw_source = false;
+  bool saw_counter = false;
   for (const auto& s : reg.snapshot()) {
     if (s.name == "hits") {
       saw_counter = true;
+      EXPECT_EQ(s.kind, "counter");
       EXPECT_DOUBLE_EQ(s.value, 7.0);
-    }
-    if (s.name == "ext.value") {
-      saw_source = true;
-      EXPECT_DOUBLE_EQ(s.value, 42.0);
     }
   }
   EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_source);
 
   perf::JsonValue doc;
   ASSERT_TRUE(perf::json_parse(reg.json(), &doc));
@@ -260,17 +256,29 @@ TEST(Metrics, SourcesAppearInSnapshotAndJson) {
   EXPECT_DOUBLE_EQ(doc.find("hits")->number(), 7.0);
 }
 
-TEST(Metrics, LegacySingletonsRegisterAsSources) {
-  // Touch the singletons so their lazy source registration runs.
-  util::FlopCounter::global().add("test_component", 123);
-  util::AllocStats::global();
-  bool saw_flops = false, saw_alloc = false;
+TEST(Metrics, FlopAndAllocRowsAreInstruments) {
+  // One flop post and one heap block put the flops.* and alloc.* rows in
+  // the global snapshot, as counters and gauges.
+  util::ComponentFlops flops("test_component");
+  flops.add(123);
+  util::ArenaBlock b = util::Arena::heap_acquire(16);
+  util::Arena::heap_release(std::move(b));
+  const std::map<std::string, std::string> want = {
+      {"flops.test_component", "counter"}, {"flops.total", "counter"},
+      {"alloc.allocations", "counter"},    {"alloc.frees", "counter"},
+      {"alloc.total_bytes", "counter"},    {"alloc.live_bytes", "gauge"},
+      {"alloc.peak_bytes", "gauge"}};
+  std::map<std::string, std::string> got;
   for (const auto& s : perf::Registry::global().snapshot()) {
-    if (s.name == "flops.total") saw_flops = true;
-    if (s.name == "alloc.peak_bytes") saw_alloc = true;
+    if (!want.count(s.name)) continue;
+    got[s.name] = s.kind;
+    if (s.name == "flops.test_component") {
+      EXPECT_DOUBLE_EQ(s.value, 123.0);
+    } else if (s.name == "flops.total" || s.name == "alloc.total_bytes") {
+      EXPECT_GE(s.value, 123.0) << s.name;
+    }
   }
-  EXPECT_TRUE(saw_flops);
-  EXPECT_TRUE(saw_alloc);
+  EXPECT_EQ(got, want);
 }
 
 // ---- JSON parser/writer ----------------------------------------------------
@@ -450,25 +458,52 @@ TEST(Log, LevelNamesParse) {
 // ---- thread-safety ---------------------------------------------------------
 
 TEST(PerfThreading, AllocStatsPeakNeverBelowConcurrentLive) {
-  util::AllocStats stats;
+  // The alloc.* accounting util::Arena does per heap block, on a local
+  // registry: the peak is raised to the live value each add returns.
+  perf::Registry reg;
+  perf::Counter& allocations = reg.counter("alloc.allocations");
+  perf::Counter& frees = reg.counter("alloc.frees");
+  perf::Gauge& live = reg.gauge("alloc.live_bytes");
+  perf::Gauge& peak = reg.gauge("alloc.peak_bytes");
   constexpr int kThreads = 8, kIters = 2000;
-  constexpr std::size_t kBytes = 1024;
+  constexpr double kBytes = 1024;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&stats] {
+    threads.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
-        stats.on_alloc(kBytes);
-        stats.on_free(kBytes);
+        allocations.add(1);
+        peak.raise_to(live.add(kBytes));
+        frees.add(1);
+        live.add(-kBytes);
       }
     });
   for (auto& th : threads) th.join();
-  EXPECT_EQ(stats.allocations(), static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(stats.allocations(), stats.frees());
-  EXPECT_EQ(stats.live_bytes(), 0u);
+  EXPECT_EQ(allocations.value(), static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(allocations.value(), frees.value());
+  EXPECT_EQ(live.value(), 0.0);
   // The peak must cover at least one allocation and never exceed the
   // worst-case all-threads-live total.
-  EXPECT_GE(stats.peak_bytes(), kBytes);
-  EXPECT_LE(stats.peak_bytes(), static_cast<std::uint64_t>(kThreads) * kBytes);
+  EXPECT_GE(peak.value(), kBytes);
+  EXPECT_LE(peak.value(), kThreads * kBytes);
+}
+
+TEST(PerfThreading, FlopPostsFromPoolLanesSumExactly) {
+  perf::Registry reg;
+  util::ComponentFlops hydro("hydro", reg), fft("fft", reg);
+  exec::ThreadPoolExecutor ex(4);
+  constexpr std::size_t kTasks = 256;
+  ex.for_each({"flops", nullptr, 0}, kTasks, [&](std::size_t i) {
+    for (int rep = 0; rep < 100; ++rep) {
+      hydro.add(i + 1);
+      fft.add(2 * i + 1);
+    }
+  });
+  // Σ(i+1) = n(n+1)/2 and Σ(2i+1) = n², each posted 100 times.
+  const std::uint64_t want_hydro = 100 * kTasks * (kTasks + 1) / 2;
+  const std::uint64_t want_fft = 100 * kTasks * kTasks;
+  EXPECT_EQ(reg.counter("flops.hydro").value(), want_hydro);
+  EXPECT_EQ(reg.counter("flops.fft").value(), want_fft);
+  EXPECT_EQ(reg.counter("flops.total").value(), want_hydro + want_fft);
 }
 
 TEST(PerfThreading, RebuildCycleBalancesAllocations) {
@@ -500,10 +535,12 @@ TEST(PerfThreading, RebuildCycleBalancesAllocations) {
   // design outlive any one simulation.  The balanced invariant is the
   // steady state: from the second cycle on, teardown returns every byte.
   run_cycle();
-  util::AllocStats& stats = util::AllocStats::global();
-  const std::uint64_t live0 = stats.live_bytes();
-  const std::uint64_t alloc0 = stats.allocations();
+  perf::Registry& reg = perf::Registry::global();
+  const perf::Gauge& live = reg.gauge("alloc.live_bytes");
+  const perf::Counter& allocations = reg.counter("alloc.allocations");
+  const double live0 = live.value();
+  const std::uint64_t alloc0 = allocations.value();
   run_cycle();
-  EXPECT_GT(stats.allocations(), alloc0);  // the cycle did churn memory
-  EXPECT_EQ(stats.live_bytes(), live0);    // and every byte came back
+  EXPECT_GT(allocations.value(), alloc0);  // the cycle did churn memory
+  EXPECT_EQ(live.value(), live0);          // and every byte came back
 }

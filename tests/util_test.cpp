@@ -1,5 +1,5 @@
-// Unit tests for the util module: ArrayView3 and Buffer3, RNG, flop and
-// allocation accounting.
+// Unit tests for the util module: ArrayView3 and Buffer3, RNG, flop
+// accounting and the gauge arithmetic allocation accounting uses.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/alloc_stats.hpp"
+#include "perf/metrics.hpp"
 #include "util/array3.hpp"
 #include "util/error.hpp"
 #include "util/flops.hpp"
@@ -165,30 +165,45 @@ TEST(Rng, DifferentSeedsDiffer) {
   EXPECT_EQ(same, 0);
 }
 
-TEST(FlopCounter, AccumulatesPerComponent) {
-  eu::FlopCounter c;
-  c.add("hydro", 100);
-  c.add("hydro", 50);
-  c.add("fft", 10);
-  EXPECT_EQ(c.component("hydro"), 150u);
-  EXPECT_EQ(c.total(), 160u);
-  c.reset();
-  EXPECT_EQ(c.total(), 0u);
+TEST(ComponentFlops, AccumulatePerComponent) {
+  enzo::perf::Registry reg;
+  eu::ComponentFlops hydro("hydro", reg), fft("fft", reg);
+  hydro.add(100);
+  hydro.add(50);
+  fft.add(10);
+  EXPECT_EQ(reg.counter("flops.hydro").value(), 150u);
+  EXPECT_EQ(reg.counter("flops.fft").value(), 10u);
+  EXPECT_EQ(reg.counter("flops.total").value(), 160u);
+  reg.reset();
+  EXPECT_EQ(reg.counter("flops.total").value(), 0u);
 }
 
-TEST(AllocStats, TracksPeakAndLive) {
-  eu::AllocStats s;
-  s.on_alloc(100);
-  s.on_alloc(200);
-  EXPECT_EQ(s.live_bytes(), 300u);
-  EXPECT_EQ(s.peak_bytes(), 300u);
-  s.on_free(200);
-  EXPECT_EQ(s.live_bytes(), 100u);
-  EXPECT_EQ(s.peak_bytes(), 300u);
-  s.on_alloc(50);
-  EXPECT_EQ(s.allocations(), 3u);
-  EXPECT_EQ(s.frees(), 1u);
-  EXPECT_EQ(s.total_bytes(), 350u);
+TEST(AllocGauges, TrackPeakAndLive) {
+  // The alloc.* arithmetic of util::Arena: an allocation raises the peak to
+  // the live value its add returns; a free only lowers the live value.
+  enzo::perf::Registry reg;
+  enzo::perf::Counter& allocations = reg.counter("alloc.allocations");
+  enzo::perf::Counter& frees = reg.counter("alloc.frees");
+  enzo::perf::Counter& total = reg.counter("alloc.total_bytes");
+  enzo::perf::Gauge& live = reg.gauge("alloc.live_bytes");
+  enzo::perf::Gauge& peak = reg.gauge("alloc.peak_bytes");
+  const auto on_alloc = [&](double bytes) {
+    allocations.add(1);
+    peak.raise_to(live.add(bytes));
+    total.add(static_cast<std::uint64_t>(bytes));
+  };
+  on_alloc(100);
+  on_alloc(200);
+  EXPECT_EQ(live.value(), 300.0);
+  EXPECT_EQ(peak.value(), 300.0);
+  frees.add(1);
+  EXPECT_EQ(live.add(-200), 100.0);
+  EXPECT_EQ(peak.value(), 300.0);
+  on_alloc(50);
+  EXPECT_EQ(allocations.value(), 3u);
+  EXPECT_EQ(frees.value(), 1u);
+  EXPECT_EQ(total.value(), 350u);
+  EXPECT_EQ(peak.value(), 300.0);
 }
 
 TEST(Error, RequireMacroThrowsWithContext) {

@@ -342,10 +342,42 @@ void rule_nondeterministic_source(const SourceFile& f,
 // Inside ENZO_HOT bodies (per-cell / per-pencil kernel code) heap traffic
 // and lock acquisition are forbidden: scratch must be preallocated and
 // capacity-reusing (Pencil::reset, ppm scratch), and synchronization
-// belongs to the executor layer, not kernels.
+// belongs to the executor layer, not kernels.  A metrics-registry lookup
+// by name (`Registry::global().counter(...)`, `.gauge`, `.histogram`)
+// takes the registry mutex, so it counts as a lock unless it initializes a
+// function-local static reference, which looks up once.
 
 constexpr const char* kRuleHotAlloc = "hotpath-heap-alloc";
 constexpr const char* kRuleHotLock = "hotpath-lock";
+
+/// True when token i starts `Registry::global().counter(` (or `.gauge(` /
+/// `.histogram(`): a registry lookup by name.
+bool is_registry_lookup(const Toks& t, std::size_t i) {
+  return is_ident(t, i, "Registry") && is_punct(t, i + 1, "::") &&
+         is_ident(t, i + 2, "global") && is_punct(t, i + 3, "(") &&
+         is_punct(t, i + 4, ")") && is_punct(t, i + 5, ".") &&
+         (is_ident(t, i + 6, "counter") || is_ident(t, i + 6, "gauge") ||
+          is_ident(t, i + 6, "histogram")) &&
+         is_punct(t, i + 7, "(");
+}
+
+/// True when the registry lookup whose `Registry` token is at i initializes
+/// a static reference: `static T& name = [ns::]Registry::global()...`.
+bool initializes_static_ref(const Toks& t, std::size_t i) {
+  std::size_t j = i;
+  while (j >= 2 && is_punct(t, j - 1, "::") && t[j - 2].kind == TokKind::kIdent)
+    j -= 2;
+  if (j == 0 || !is_punct(t, j - 1, "=")) return false;
+  // Walk back from the '=' to the first token of the statement.
+  std::size_t k = j - 1;
+  bool ref = false;
+  while (k > 0 && !is_punct(t, k - 1, ";") && !is_punct(t, k - 1, "{") &&
+         !is_punct(t, k - 1, "}")) {
+    --k;
+    if (is_punct(t, k, "&")) ref = true;
+  }
+  return ref && is_ident(t, k, "static");
+}
 
 void rule_hotpath(const SourceFile& f, const std::vector<FuncDef>& funcs,
                   std::vector<Finding>* out) {
@@ -404,6 +436,13 @@ void rule_hotpath(const SourceFile& f, const std::vector<FuncDef>& funcs,
         emit(f, out, kRuleHotLock, t[i].line,
              "lock use '" + s + "' inside ENZO_HOT '" + fd.name +
                  "' — synchronization belongs to the executor layer");
+      }
+      if (is_registry_lookup(t, i) && !initializes_static_ref(t, i)) {
+        emit(f, out, kRuleHotLock, t[i].line,
+             "registry lookup '" + t[i + 6].text + "()' inside ENZO_HOT '" +
+                 fd.name +
+                 "' takes the registry mutex — cache it in a static "
+                 "reference");
       }
     }
   }
