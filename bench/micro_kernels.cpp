@@ -254,6 +254,34 @@ void BM_RateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RateBatch)->Arg(256);
 
+void BM_CoolingBatch(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::vector<double> T(n), nHI(n), nHII(n), nHeI(n), nHeII(n), nHeIII(n),
+      ne(n), nH2(n), nHD(n), lambda(n);
+  for (int i = 0; i < n; ++i) {
+    T[i] = std::pow(10.0, 1.0 + 5.0 * i / (n - 1.0));  // 10 K .. 1e6 K
+    const double nH = std::pow(10.0, -2.0 + 8.0 * i / (n - 1.0));
+    nHI[i] = 0.9 * nH;
+    nHII[i] = 0.1 * nH;
+    nHeI[i] = 0.08 * nH;
+    nHeII[i] = 0.01 * nH;
+    nHeIII[i] = 0.001 * nH;
+    ne[i] = nHII[i] + nHeII[i] + 2.0 * nHeIII[i];
+    nH2[i] = 1e-3 * nH;
+    nHD[i] = 1e-7 * nH;
+  }
+  const chemistry::CoolingRowInput in{
+      54.5,         T.data(),      nHI.data(), nHII.data(), nHeI.data(),
+      nHeII.data(), nHeIII.data(), ne.data(),  nH2.data(),  nHD.data()};
+  for (auto _ : state) {
+    chemistry::cooling_rate_batch(n, in, lambda.data());
+    benchmark::DoNotOptimize(lambda.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_CoolingBatch)->Arg(256);
+
 void BM_BoundaryFill(benchmark::State& state) {
   // Two levels with the chemistry field list: a 16³ root whose old state
   // lies at t = 0 and new state at t = 1, and a 2×2×2 block of 8³ children

@@ -25,6 +25,8 @@ class LevelExecutor;
 
 namespace enzo::chemistry {
 
+class RateBatch;
+
 struct ChemistryParams {
   bool cooling = true;
   /// Max fractional change of e⁻/H₂/energy per subcycle.
@@ -53,7 +55,9 @@ struct ChemUnits {
 /// units), sub-cycling internally.  Total energy is adjusted by the internal
 /// energy change.  Requires the chemistry fields to be allocated.  `ex`
 /// (optional) chunks the independent cell updates via the executor's nested
-/// parallel_for; nullptr runs them inline.
+/// parallel_for; nullptr runs them inline.  A non-finite density, internal
+/// energy or species density in an active cell throws enzo::Error naming
+/// the phase, level, grid box, cell and field.
 void solve_chemistry_step(mesh::Grid& g, double dt,
                           const ChemistryParams& params,
                           const ChemUnits& units,
@@ -74,8 +78,38 @@ void initialize_primordial_composition(mesh::Grid& g,
                                        const ChemistryParams& params,
                                        double x_e, double f_h2);
 
-/// Shortest cooling time over a grid's active cells (code units) —
-/// diagnostic used by the Fig. 4 discussion and by timestep reporting.
+/// Shortest cooling time over a grid's active cells (code units), from the
+/// exact cooling fits.  A diagnostic: no solver path calls it.
 double min_cooling_time(const mesh::Grid& g, const ChemUnits& units);
+
+// ---- the row solver's round, exposed for its scalar-oracle test -------------
+
+/// The network's species, in the order of the solver's per-cell workspace.
+enum Species : int {
+  sHI, sHII, sHeI, sHeII, sHeIII, sE, sHM, sH2, sH2p, sDI, sDII, sHD,
+  kNumSpecies
+};
+
+/// One lockstep round's SoA lanes: lane a is the a-th cell of a row that is
+/// still integrating.
+struct SubcycleLanes {
+  double* n[kNumSpecies];  ///< number densities (cm⁻³), advanced in place
+  double* e;               ///< specific internal energy (erg/g), advanced
+  double* t;               ///< seconds integrated so far, advanced by dt_sub
+  double* dt_sub;          ///< out: the subcycle each cell took (s)
+  const double* rho;       ///< density (g cm⁻³)
+  const double *nH, *nHe, *nD;  ///< conserved nuclei sums (cm⁻³)
+  const double* lambda;    ///< Λ at the round's temperatures (erg cm⁻³ s⁻¹)
+  double *exp_arg, *e_floor;  ///< scratch of the energy update
+};
+
+/// Take one subcycle for each of m cells of a dt_s-second step: the subcycle
+/// length from the e⁻, H₂ and energy rates of change, the sequential
+/// backward-Euler species update, the nuclei and charge repairs, and the
+/// semi-implicit energy update.  `rates` holds the cells' coefficients in
+/// lane order.  Every cell's arithmetic is that of a scalar per-cell update,
+/// in the same order, so the result does not depend on m or on a cell's lane.
+void subcycle_lanes(int m, const SubcycleLanes& lanes, const RateBatch& rates,
+                    double dt_s, const ChemistryParams& prm, double gamma);
 
 }  // namespace enzo::chemistry

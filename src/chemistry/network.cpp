@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "chemistry/chemistry.hpp"
@@ -20,10 +21,7 @@ using mesh::Grid;
 
 namespace {
 
-/// Indices into the per-cell species workspace (number densities, cm⁻³).
-enum Sp {
-  sHI, sHII, sHeI, sHeII, sHeIII, sE, sHM, sH2, sH2p, sDI, sDII, sHD, kNsp
-};
+constexpr int kNsp = kNumSpecies;
 
 constexpr Field kSpeciesField[kNsp] = {
     Field::kHI, Field::kHII, Field::kHeI,  Field::kHeII,
@@ -65,278 +63,140 @@ double bdf(double n, double c, double d, double dt) {
   return std::max(out, 0.0);
 }
 
-struct CellState {
-  double n[kNsp];
-  double e;  // specific internal energy, erg/g
+// Lanes of the row workspace: the 12 species lanes first (Species order),
+// then these.  The cell block holds each cell's state by row position (the
+// gather fills it, retired cells write back into it); the active block
+// holds the cells still integrating, compacted after every round.
+enum CellLane : int { cE = kNsp, cE0, cRho, kCellLanes };
+enum ActiveLane : int {
+  aE = kNsp, aTime, aRho, aNH, aNHe, aND,  // carried from round to round
+  aTemp, aLambda, aDtSub, aExpArg, aFloor,  // per-round scratch
+  kActiveLanes
 };
+constexpr int kCarried = aND + 1;
 
-/// One subcycle for one cell, given its pre-evaluated temperature, rate row,
-/// and cooling rate Λ (the lockstep driver batches those over a whole row of
-/// cells before stepping each one).  `dt_remaining` = dt_s − t for this cell.
-/// Returns the dt actually taken.
-ENZO_HOT double subcycle_cell(CellState& st, const Rates& r, double lambda,
-                              double dt_remaining, double dt_s, double nH_tot,
-                              double nHe_tot, double nD_tot, double rho_cgs,
-                              const ChemistryParams& prm, double gamma) {
-  double* n = st.n;
-  // ---- electron / H₂ / energy derivatives for subcycle control ------------
-  const double edot = -lambda / rho_cgs;  // erg/g/s
-  const double ne_dot =
-      r.k1 * n[sHI] * n[sE] - r.k2 * n[sHII] * n[sE] +
-      r.k3 * n[sHeI] * n[sE] - r.k4 * n[sHeII] * n[sE] +
-      r.k5 * n[sHeII] * n[sE] - r.k6 * n[sHeIII] * n[sE];
-  // A-priori H₂ rate: the sequential-implicit update can falsely
-  // equilibrate H₂ against destruction channels whose reactants would be
-  // exhausted within the step (e.g. the tiny D reservoir), so the H₂
-  // relative change per subcycle must be bounded too.
-  const double h2_dot =
-      r.k8 * n[sHM] * n[sHI] + r.k10 * n[sH2p] * n[sHI] +
-      r.k22 * n[sHI] * n[sHI] * n[sHI] -
-      (r.k11 * n[sHII] + r.k12 * n[sE] + r.k13 * n[sHI]) * n[sH2];
-  double dt_sub = dt_remaining;
-  if (std::abs(ne_dot) > 0)
-    dt_sub = std::min(dt_sub, prm.accuracy * (n[sE] + 1e-6 * nH_tot) /
-                                  std::abs(ne_dot));
-  if (std::abs(h2_dot) > 0)
-    dt_sub = std::min(dt_sub, prm.accuracy * (n[sH2] + 1e-3 * nH_tot) /
-                                  std::abs(h2_dot));
-  if (std::abs(edot) > 0)
-    dt_sub = std::min(dt_sub, prm.accuracy * st.e / std::abs(edot));
-  dt_sub = std::max(dt_sub, dt_s / prm.max_subcycles);
-  dt_sub = std::min(dt_sub, dt_remaining);
-  {
+constexpr int kLanePad = 8;  // doubles: each lane starts on a cache line
+int padded(int n) { return (n + (kLanePad - 1)) & ~(kLanePad - 1); }
 
-    // ---- sequential implicit updates (production C, destruction freq D) ---
-    // Helium first (decoupled from the H₂ network).
-    n[sHeI] = bdf(n[sHeI], r.k4 * n[sHeII] * n[sE], r.k3 * n[sE], dt_sub);
-    n[sHeII] = bdf(n[sHeII], r.k3 * n[sHeI] * n[sE] + r.k6 * n[sHeIII] * n[sE],
-                   (r.k4 + r.k5) * n[sE], dt_sub);
-    n[sHeIII] = bdf(n[sHeIII], r.k5 * n[sHeII] * n[sE], r.k6 * n[sE], dt_sub);
-
-    // Hydrogen ionization balance.
-    {
-      const double cHI = r.k2 * n[sHII] * n[sE] +
-                         2.0 * r.k12 * n[sH2] * n[sE] +
-                         3.0 * r.k13 * n[sH2] * n[sHI] +
-                         r.k14 * n[sHM] * n[sE] +
-                         2.0 * r.k15 * n[sHM] * n[sHI] +
-                         2.0 * r.k16 * n[sHM] * n[sHII] +
-                         2.0 * r.k18 * n[sH2p] * n[sE] +
-                         r.k19 * n[sH2p] * n[sHM] +
-                         r.k11 * n[sH2] * n[sHII] +
-                         r.k51 * n[sDI] * n[sHII] + r.k54 * n[sDI] * n[sH2];
-      const double dHI = r.k1 * n[sE] + r.k7 * n[sE] + r.k8 * n[sHM] +
-                         r.k9 * n[sHII] + r.k10 * n[sH2p] +
-                         r.k13 * n[sH2] + r.k15 * n[sHM] +
-                         2.0 * r.k22 * n[sHI] * n[sHI] +
-                         r.k50 * n[sDII] + r.k55 * n[sHD];
-      n[sHI] = bdf(n[sHI], cHI, dHI, dt_sub);
-    }
-    {
-      const double cHII = r.k1 * n[sHI] * n[sE] + r.k10 * n[sH2p] * n[sHI] +
-                          r.k50 * n[sDII] * n[sHI];
-      const double dHII = r.k2 * n[sE] + r.k9 * n[sHI] + r.k11 * n[sH2] +
-                          (r.k16 + r.k17) * n[sHM] + r.k51 * n[sDI] +
-                          r.k53 * n[sHD];
-      n[sHII] = bdf(n[sHII], cHII, dHII, dt_sub);
-    }
-
-    // Fast intermediaries: H⁻ and H₂⁺ (near equilibrium at low density —
-    // the implicit update handles both regimes).
-    n[sHM] = bdf(n[sHM], r.k7 * n[sHI] * n[sE],
-                 r.k8 * n[sHI] + r.k14 * n[sE] + r.k15 * n[sHI] +
-                     (r.k16 + r.k17) * n[sHII] + r.k19 * n[sH2p],
-                 dt_sub);
-    n[sH2p] = bdf(n[sH2p],
-                  r.k9 * n[sHI] * n[sHII] + r.k11 * n[sH2] * n[sHII] +
-                      r.k17 * n[sHM] * n[sHII],
-                  r.k10 * n[sHI] + r.k18 * n[sE] + r.k19 * n[sHM], dt_sub);
-
-    // Molecular hydrogen (incl. three-body formation, §4's 10⁹ cm⁻³ regime).
-    // The deuterium-exchange reactions (k52–k55) are deliberately excluded
-    // here: the D reservoir is ~4×10⁻⁵ of H by mass, so their *net* effect
-    // on H₂ is negligible, while including them lets the lagged HD/D ratio
-    // pin H₂ to a false equilibrium in the linearized update.  They do
-    // appear in the D/HD updates below, where H₂ acts as a reservoir.
-    n[sH2] = bdf(n[sH2],
-                 r.k8 * n[sHM] * n[sHI] + r.k10 * n[sH2p] * n[sHI] +
-                     r.k19 * n[sH2p] * n[sHM] +
-                     r.k22 * n[sHI] * n[sHI] * n[sHI],
-                 r.k11 * n[sHII] + r.k12 * n[sE] + r.k13 * n[sHI],
-                 dt_sub);
-
-    // Deuterium.
-    n[sDI] = bdf(n[sDI],
-                 r.k50 * n[sDII] * n[sHI] + r.k55 * n[sHD] * n[sHI] +
-                     r.k56 * n[sDII] * n[sE],
-                 r.k51 * n[sHII] + r.k54 * n[sH2] + r.k57 * n[sE], dt_sub);
-    n[sDII] = bdf(n[sDII],
-                  r.k51 * n[sDI] * n[sHII] + r.k53 * n[sHD] * n[sHII] +
-                      r.k57 * n[sDI] * n[sE],
-                  r.k50 * n[sHI] + r.k52 * n[sH2] + r.k56 * n[sE], dt_sub);
-    n[sHD] = bdf(n[sHD],
-                 r.k52 * n[sDII] * n[sH2] + r.k54 * n[sDI] * n[sH2],
-                 r.k53 * n[sHII] + r.k55 * n[sHI], dt_sub);
-
-    // ---- conservation repairs ----------------------------------------------
-    // Hydrogen nuclei.
-    {
-      const double sum =
-          n[sHI] + n[sHII] + n[sHM] + 2.0 * (n[sH2] + n[sH2p]) + n[sHD];
-      if (sum > 0) {
-        const double f = nH_tot / sum;
-        n[sHI] *= f;
-        n[sHII] *= f;
-        n[sHM] *= f;
-        n[sH2] *= f;
-        n[sH2p] *= f;
-      }
-    }
-    // Helium nuclei.
-    {
-      const double sum = n[sHeI] + n[sHeII] + n[sHeIII];
-      if (sum > 0) {
-        const double f = nHe_tot / sum;
-        n[sHeI] *= f;
-        n[sHeII] *= f;
-        n[sHeIII] *= f;
-      }
-    }
-    // Deuterium nuclei.
-    {
-      const double sum = n[sDI] + n[sDII] + n[sHD];
-      if (sum > 0) {
-        const double f = nD_tot / sum;
-        n[sDI] *= f;
-        n[sDII] *= f;
-        n[sHD] *= f;
-      }
-    }
-    // Electrons by charge conservation.
-    n[sE] = std::max(charge_sum(n), 1e-20 * nH_tot);
-
-    // ---- energy -----------------------------------------------------------
-    if (prm.cooling && st.e > 0.0) {
-      // Semi-implicit: exact exponential decay of the instantaneous rate.
-      const double k = lambda / (rho_cgs * st.e);  // 1/s (signed)
-      if (k * dt_sub > 1e-8)
-        st.e *= std::exp(-k * dt_sub);
-      else
-        st.e -= dt_sub * lambda / rho_cgs;
-      // Temperature floor.
-      const double mu = mu_of(n);
-      const double e_floor = prm.temperature_floor * constants::kBoltzmann /
-                             ((gamma - 1.0) * mu *
-                              constants::kHydrogenMass);
-      st.e = std::max(st.e, e_floor);
-    }
-  }
-  return dt_sub;
-}
-
-/// Per-thread workspace for the row-lockstep solver: the row's cell states
-/// plus the SoA lanes that feed RateBatch / cooling_rate_batch.  Lives in a
+/// Per-thread workspace for the row-lockstep solver.  Lives in a
 /// thread_local so capacity is reused across rows and steps.
 struct RowScratch {
-  std::vector<CellState> st;
-  std::vector<double> t, e0, rho_cgs;   // per-cell time, initial e, density
-  std::vector<double> nH_tot, nHe_tot, nD_tot;  // conserved nuclei sums
-  std::vector<int> cycles;
-  std::vector<int> active, next_active;  // cells still integrating
-  // Lockstep lanes, indexed by position in `active`.
-  std::vector<double> T, lambda;
-  std::vector<double> nHI, nHII, nHeI, nHeII, nHeIII, ne, nH2, nHD;
+  int stride = 0;
+  std::vector<double> cell, act;
+  std::vector<int> id, cycles;  // by active position: row position, rounds
   RateBatch rates;
 
   void reshape(int nx) {
-    const auto un = static_cast<std::size_t>(nx);
-    st.resize(un);
-    t.resize(un);
-    e0.resize(un);
-    rho_cgs.resize(un);
-    nH_tot.resize(un);
-    nHe_tot.resize(un);
-    nD_tot.resize(un);
+    stride = padded(nx);
+    const auto un = static_cast<std::size_t>(stride);
+    cell.resize(un * kCellLanes);
+    act.resize(un * kActiveLanes);
+    id.resize(un);
     cycles.resize(un);
-    active.reserve(un);
-    next_active.reserve(un);
-    T.resize(un);
-    lambda.resize(un);
-    nHI.resize(un);
-    nHII.resize(un);
-    nHeI.resize(un);
-    nHeII.resize(un);
-    nHeIII.resize(un);
-    ne.resize(un);
-    nH2.resize(un);
-    nHD.resize(un);
   }
+  double* c(int lane) { return cell.data() + lane * stride; }
+  double* a(int lane) { return act.data() + lane * stride; }
 };
 
-/// Advance every cell of one gathered row by dt_s seconds in lockstep rounds:
-/// gather the temperatures of the still-active cells, evaluate all reaction
-/// rates and cooling terms for the whole row at once (batched exp/pow lanes),
-/// then take one scalar subcycle per cell.  Per-cell numerics are identical
-/// to the historical cell-at-a-time loop — only the evaluation order across
-/// cells changes, and each cell's subcycle sequence is untouched.
+/// Temperature lanes of the round's m cells.
+ENZO_HOT void temperature_lanes(int m, RowScratch& ws, double gamma) {
+  const double* n_lane[kNsp] = {};
+  for (int s = 0; s < kNsp; ++s) n_lane[s] = ws.a(s);
+  const double* e = ws.a(aE);
+  double* T = ws.a(aTemp);
+#pragma GCC ivdep
+  for (int a = 0; a < m; ++a) {
+    double n[kNsp] = {};
+    for (int s = 0; s < kNsp; ++s) n[s] = n_lane[s][a];
+    T[a] = temperature_of(e[a], n, gamma);
+  }
+}
+
+/// Advance every cell of one gathered row by dt_s seconds in lockstep
+/// rounds over the cells still integrating: their temperatures, then one
+/// table lookup for the rates and one for Λ over the whole active set, then
+/// one subcycle for each (subcycle_lanes).  Cells that finish retire to the
+/// cell block and the rest are compacted.  Each cell has its own dt_sub and
+/// its own sequence of subcycles; only the order across cells is lockstep.
 int advance_row(RowScratch& ws, int nx, double dt_s,
                 const ChemistryParams& prm, const ChemUnits& units) {
-  ws.active.clear();
-  for (int i = 0; i < nx; ++i) {
-    ws.t[i] = 0.0;
-    ws.cycles[i] = 0;
-    const double* n = ws.st[i].n;
-    ws.nH_tot[i] =
-        n[sHI] + n[sHII] + n[sHM] + 2.0 * (n[sH2] + n[sH2p]) + n[sHD];
-    ws.nHe_tot[i] = n[sHeI] + n[sHeII] + n[sHeIII];
-    ws.nD_tot[i] = n[sDI] + n[sDII] + n[sHD];
-    if (ws.t[i] < dt_s && prm.max_subcycles > 0) ws.active.push_back(i);
+  int m = 0;
+  if (dt_s > 0.0 && prm.max_subcycles > 0) {
+    m = nx;
+    for (int s = 0; s < kNsp; ++s)
+      std::copy_n(ws.c(s), nx, ws.a(s));
+    std::copy_n(ws.c(cE), nx, ws.a(aE));
+    std::copy_n(ws.c(cRho), nx, ws.a(aRho));
+    std::fill_n(ws.a(aTime), nx, 0.0);
+    for (int i = 0; i < nx; ++i) {
+      ws.id[i] = i;
+      ws.cycles[i] = 0;
+      double n[kNsp] = {};
+      for (int s = 0; s < kNsp; ++s) n[s] = ws.a(s)[i];
+      ws.a(aNH)[i] =
+          n[sHI] + n[sHII] + n[sHM] + 2.0 * (n[sH2] + n[sH2p]) + n[sHD];
+      ws.a(aNHe)[i] = n[sHeI] + n[sHeII] + n[sHeIII];
+      ws.a(aND)[i] = n[sDI] + n[sDII] + n[sHD];
+    }
   }
+  SubcycleLanes lanes{};
+  for (int s = 0; s < kNsp; ++s) lanes.n[s] = ws.a(s);
+  lanes.e = ws.a(aE);
+  lanes.t = ws.a(aTime);
+  lanes.dt_sub = ws.a(aDtSub);
+  lanes.rho = ws.a(aRho);
+  lanes.nH = ws.a(aNH);
+  lanes.nHe = ws.a(aNHe);
+  lanes.nD = ws.a(aND);
+  lanes.lambda = ws.a(aLambda);
+  lanes.exp_arg = ws.a(aExpArg);
+  lanes.e_floor = ws.a(aFloor);
   int total = 0;
-  while (!ws.active.empty()) {
-    const int m = static_cast<int>(ws.active.size());
-    for (int a = 0; a < m; ++a) {
-      const CellState& st = ws.st[ws.active[a]];
-      ws.T[a] = temperature_of(st.e, st.n, units.gamma);
-    }
-    ws.rates.compute(m, ws.T.data());
+  while (m > 0) {
+    temperature_lanes(m, ws, units.gamma);
+    ws.rates.compute(m, ws.a(aTemp));
     if (prm.cooling) {
-      for (int a = 0; a < m; ++a) {
-        const double* n = ws.st[ws.active[a]].n;
-        ws.nHI[a] = n[sHI];
-        ws.nHII[a] = n[sHII];
-        ws.nHeI[a] = n[sHeI];
-        ws.nHeII[a] = n[sHeII];
-        ws.nHeIII[a] = n[sHeIII];
-        ws.ne[a] = n[sE];
-        ws.nH2[a] = n[sH2];
-        ws.nHD[a] = n[sHD];
-      }
-      const CoolingRowInput cri{units.t_cmb,    ws.T.data(),
-                                ws.nHI.data(),  ws.nHII.data(),
-                                ws.nHeI.data(), ws.nHeII.data(),
-                                ws.nHeIII.data(), ws.ne.data(),
-                                ws.nH2.data(),  ws.nHD.data()};
-      cooling_rate_batch(m, cri, ws.lambda.data());
+      const CoolingRowInput cri{units.t_cmb,  ws.a(aTemp), ws.a(sHI),
+                                ws.a(sHII),   ws.a(sHeI),  ws.a(sHeII),
+                                ws.a(sHeIII), ws.a(sE),    ws.a(sH2),
+                                ws.a(sHD)};
+      cooling_rate_batch(m, cri, ws.a(aLambda));
     } else {
-      std::fill(ws.lambda.begin(), ws.lambda.begin() + m, 0.0);
+      std::fill_n(ws.a(aLambda), m, 0.0);
     }
-    ws.next_active.clear();
+    subcycle_lanes(m, lanes, ws.rates, dt_s, prm, units.gamma);
+    total += m;
+    int w = 0;
     for (int a = 0; a < m; ++a) {
-      const int i = ws.active[a];
-      ++ws.cycles[i];
-      ++total;
-      const double dt_sub = subcycle_cell(
-          ws.st[i], ws.rates.row(a), ws.lambda[a], dt_s - ws.t[i], dt_s,
-          ws.nH_tot[i], ws.nHe_tot[i], ws.nD_tot[i], ws.rho_cgs[i], prm,
-          units.gamma);
-      ws.t[i] += dt_sub;
-      if (ws.t[i] < dt_s && ws.cycles[i] < prm.max_subcycles)
-        ws.next_active.push_back(i);
+      const int cyc = ++ws.cycles[a];
+      if (ws.a(aTime)[a] < dt_s && cyc < prm.max_subcycles) {
+        if (w != a) {
+          for (int lane = 0; lane < kCarried; ++lane)
+            ws.a(lane)[w] = ws.a(lane)[a];
+          ws.id[w] = ws.id[a];
+          ws.cycles[w] = cyc;
+        }
+        ++w;
+      } else {
+        const int i = ws.id[a];
+        for (int s = 0; s < kNsp; ++s) ws.c(s)[i] = ws.a(s)[a];
+        ws.c(cE)[i] = ws.a(aE)[a];
+      }
     }
-    std::swap(ws.active, ws.next_active);
+    m = w;
   }
   return total;
+}
+
+[[noreturn]] void throw_non_finite(const Grid& g, int i, int j, int k,
+                                   Field f, double v) {
+  const mesh::IndexBox& b = g.box();
+  throw Error("chemistry: non-finite " + std::string(mesh::field_name(f)) +
+              " (" + std::to_string(v) + ") on level " +
+              std::to_string(g.level()) + " in grid " + b.str() +
+              " at cell (" + std::to_string(b.lo[0] + i) + ", " +
+              std::to_string(b.lo[1] + j) + ", " +
+              std::to_string(b.lo[2] + k) + ")");
 }
 
 }  // namespace
@@ -353,6 +213,202 @@ ENZO_UNITS_BOUNDARY ChemUnits ChemUnits::from(
   return c;
 }
 
+ENZO_HOT void subcycle_lanes(int m, const SubcycleLanes& lanes,
+                             const RateBatch& rates, double dt_s,
+                             const ChemistryParams& prm, double gamma) {
+  const double* k_lane[kNumRateCoefs] = {};
+  for (int c = 0; c < kNumRateCoefs; ++c)
+    k_lane[c] = rates.lane(static_cast<Coef>(c));
+  double* n_lane[kNsp] = {};
+  for (int s = 0; s < kNsp; ++s) n_lane[s] = lanes.n[s];
+  double* const e_lane = lanes.e;
+  double* const t_lane = lanes.t;
+  double* const dt_lane = lanes.dt_sub;
+  double* const arg_lane = lanes.exp_arg;
+  double* const floor_lane = lanes.e_floor;
+  const double* const rho_lane = lanes.rho;
+  const double* const nH_lane = lanes.nH;
+  const double* const nHe_lane = lanes.nHe;
+  const double* const nD_lane = lanes.nD;
+  const double* const lambda_lane = lanes.lambda;
+  const double dt_min = dt_s / prm.max_subcycles;
+  const double accuracy = prm.accuracy;
+  const int cooling = prm.cooling ? 1 : 0;
+  const double floor_kB = prm.temperature_floor * constants::kBoltzmann;
+  const double gm1 = gamma - 1.0;
+  // Branch-free per cell: every `if` of the per-cell update is a select of
+  // two computed values, which leaves each value as the branch would.
+#pragma GCC ivdep
+  for (int a = 0; a < m; ++a) {
+    auto k = [&](Coef c) { return k_lane[static_cast<int>(c)][a]; };
+    const double k1 = k(Coef::k1), k2 = k(Coef::k2), k3 = k(Coef::k3),
+                 k4 = k(Coef::k4), k5 = k(Coef::k5), k6 = k(Coef::k6),
+                 k7 = k(Coef::k7), k9 = k(Coef::k9), k11 = k(Coef::k11),
+                 k12 = k(Coef::k12), k13 = k(Coef::k13), k14 = k(Coef::k14),
+                 k15 = k(Coef::k15), k16 = k(Coef::k16), k17 = k(Coef::k17),
+                 k18 = k(Coef::k18), k19 = k(Coef::k19), k22 = k(Coef::k22),
+                 k51 = k(Coef::k51), k53 = k(Coef::k53), k54 = k(Coef::k54),
+                 k55 = k(Coef::k55);
+    constexpr double k8 = kK8, k10 = kK10, k50 = kK50, k52 = kK52;
+    const double k56 = k2, k57 = k1;
+    double n[kNsp] = {};
+    for (int s = 0; s < kNsp; ++s) n[s] = n_lane[s][a];
+    const double e = e_lane[a], rho = rho_lane[a], lambda = lambda_lane[a];
+    const double nH_tot = nH_lane[a], nHe_tot = nHe_lane[a],
+                 nD_tot = nD_lane[a];
+    const double dt_remaining = dt_s - t_lane[a];
+
+    // ---- subcycle length from the e⁻ / H₂ / energy rates of change --------
+    const double edot = -lambda / rho;  // erg/g/s
+    const double ne_dot =
+        k1 * n[sHI] * n[sE] - k2 * n[sHII] * n[sE] + k3 * n[sHeI] * n[sE] -
+        k4 * n[sHeII] * n[sE] + k5 * n[sHeII] * n[sE] -
+        k6 * n[sHeIII] * n[sE];
+    // A-priori H₂ rate: the sequential-implicit update can falsely
+    // equilibrate H₂ against destruction channels whose reactants would be
+    // exhausted within the step (e.g. the tiny D reservoir), so the H₂
+    // relative change per subcycle must be bounded too.
+    const double h2_dot = k8 * n[sHM] * n[sHI] + k10 * n[sH2p] * n[sHI] +
+                          k22 * n[sHI] * n[sHI] * n[sHI] -
+                          (k11 * n[sHII] + k12 * n[sE] + k13 * n[sHI]) *
+                              n[sH2];
+    double dt_sub = dt_remaining;
+    const double ne_rate = std::abs(ne_dot);
+    const double by_ne =
+        std::min(dt_sub, accuracy * (n[sE] + 1e-6 * nH_tot) / ne_rate);
+    dt_sub = ne_rate > 0 ? by_ne : dt_sub;
+    const double h2_rate = std::abs(h2_dot);
+    const double by_h2 =
+        std::min(dt_sub, accuracy * (n[sH2] + 1e-3 * nH_tot) / h2_rate);
+    dt_sub = h2_rate > 0 ? by_h2 : dt_sub;
+    const double e_rate = std::abs(edot);
+    const double by_e = std::min(dt_sub, accuracy * e / e_rate);
+    dt_sub = e_rate > 0 ? by_e : dt_sub;
+    dt_sub = std::max(dt_sub, dt_min);
+    dt_sub = std::min(dt_sub, dt_remaining);
+
+    // ---- sequential implicit updates (production C, destruction freq D) ---
+    // Helium first (decoupled from the H₂ network).
+    n[sHeI] = bdf(n[sHeI], k4 * n[sHeII] * n[sE], k3 * n[sE], dt_sub);
+    n[sHeII] = bdf(n[sHeII], k3 * n[sHeI] * n[sE] + k6 * n[sHeIII] * n[sE],
+                   (k4 + k5) * n[sE], dt_sub);
+    n[sHeIII] = bdf(n[sHeIII], k5 * n[sHeII] * n[sE], k6 * n[sE], dt_sub);
+
+    // Hydrogen ionization balance.
+    {
+      const double cHI = k2 * n[sHII] * n[sE] + 2.0 * k12 * n[sH2] * n[sE] +
+                         3.0 * k13 * n[sH2] * n[sHI] + k14 * n[sHM] * n[sE] +
+                         2.0 * k15 * n[sHM] * n[sHI] +
+                         2.0 * k16 * n[sHM] * n[sHII] +
+                         2.0 * k18 * n[sH2p] * n[sE] +
+                         k19 * n[sH2p] * n[sHM] + k11 * n[sH2] * n[sHII] +
+                         k51 * n[sDI] * n[sHII] + k54 * n[sDI] * n[sH2];
+      const double dHI = k1 * n[sE] + k7 * n[sE] + k8 * n[sHM] +
+                         k9 * n[sHII] + k10 * n[sH2p] + k13 * n[sH2] +
+                         k15 * n[sHM] + 2.0 * k22 * n[sHI] * n[sHI] +
+                         k50 * n[sDII] + k55 * n[sHD];
+      n[sHI] = bdf(n[sHI], cHI, dHI, dt_sub);
+    }
+    {
+      const double cHII = k1 * n[sHI] * n[sE] + k10 * n[sH2p] * n[sHI] +
+                          k50 * n[sDII] * n[sHI];
+      const double dHII = k2 * n[sE] + k9 * n[sHI] + k11 * n[sH2] +
+                          (k16 + k17) * n[sHM] + k51 * n[sDI] +
+                          k53 * n[sHD];
+      n[sHII] = bdf(n[sHII], cHII, dHII, dt_sub);
+    }
+
+    // Fast intermediaries: H⁻ and H₂⁺ (near equilibrium at low density —
+    // the implicit update handles both regimes).
+    n[sHM] = bdf(n[sHM], k7 * n[sHI] * n[sE],
+                 k8 * n[sHI] + k14 * n[sE] + k15 * n[sHI] +
+                     (k16 + k17) * n[sHII] + k19 * n[sH2p],
+                 dt_sub);
+    n[sH2p] = bdf(n[sH2p],
+                  k9 * n[sHI] * n[sHII] + k11 * n[sH2] * n[sHII] +
+                      k17 * n[sHM] * n[sHII],
+                  k10 * n[sHI] + k18 * n[sE] + k19 * n[sHM], dt_sub);
+
+    // Molecular hydrogen (incl. three-body formation, §4's 10⁹ cm⁻³ regime).
+    // The deuterium-exchange reactions (k52–k55) are deliberately excluded
+    // here: the D reservoir is ~4×10⁻⁵ of H by mass, so their *net* effect
+    // on H₂ is negligible, while including them lets the lagged HD/D ratio
+    // pin H₂ to a false equilibrium in the linearized update.  They do
+    // appear in the D/HD updates below, where H₂ acts as a reservoir.
+    n[sH2] = bdf(n[sH2],
+                 k8 * n[sHM] * n[sHI] + k10 * n[sH2p] * n[sHI] +
+                     k19 * n[sH2p] * n[sHM] + k22 * n[sHI] * n[sHI] * n[sHI],
+                 k11 * n[sHII] + k12 * n[sE] + k13 * n[sHI], dt_sub);
+
+    // Deuterium.
+    n[sDI] = bdf(n[sDI],
+                 k50 * n[sDII] * n[sHI] + k55 * n[sHD] * n[sHI] +
+                     k56 * n[sDII] * n[sE],
+                 k51 * n[sHII] + k54 * n[sH2] + k57 * n[sE], dt_sub);
+    n[sDII] = bdf(n[sDII],
+                  k51 * n[sDI] * n[sHII] + k53 * n[sHD] * n[sHII] +
+                      k57 * n[sDI] * n[sE],
+                  k50 * n[sHI] + k52 * n[sH2] + k56 * n[sE], dt_sub);
+    n[sHD] = bdf(n[sHD], k52 * n[sDII] * n[sH2] + k54 * n[sDI] * n[sH2],
+                 k53 * n[sHII] + k55 * n[sHI], dt_sub);
+
+    // ---- conservation repairs (a zero sum leaves its species alone) -------
+    {
+      const double sum =
+          n[sHI] + n[sHII] + n[sHM] + 2.0 * (n[sH2] + n[sH2p]) + n[sHD];
+      const double f = nH_tot / sum;
+      const bool pos = sum > 0;
+      n[sHI] = pos ? n[sHI] * f : n[sHI];
+      n[sHII] = pos ? n[sHII] * f : n[sHII];
+      n[sHM] = pos ? n[sHM] * f : n[sHM];
+      n[sH2] = pos ? n[sH2] * f : n[sH2];
+      n[sH2p] = pos ? n[sH2p] * f : n[sH2p];
+    }
+    {
+      const double sum = n[sHeI] + n[sHeII] + n[sHeIII];
+      const double f = nHe_tot / sum;
+      const bool pos = sum > 0;
+      n[sHeI] = pos ? n[sHeI] * f : n[sHeI];
+      n[sHeII] = pos ? n[sHeII] * f : n[sHeII];
+      n[sHeIII] = pos ? n[sHeIII] * f : n[sHeIII];
+    }
+    {
+      const double sum = n[sDI] + n[sDII] + n[sHD];
+      const double f = nD_tot / sum;
+      const bool pos = sum > 0;
+      n[sDI] = pos ? n[sDI] * f : n[sDI];
+      n[sDII] = pos ? n[sDII] * f : n[sDII];
+      n[sHD] = pos ? n[sHD] * f : n[sHD];
+    }
+    // Electrons by charge conservation.
+    n[sE] = std::max(charge_sum(n), 1e-20 * nH_tot);
+
+    // ---- energy: semi-implicit, the exact exponential decay of the
+    // instantaneous rate when k·dt_sub > 1e-8, else its linearization.  The
+    // exponential branch finishes in the loop below; every other cell
+    // carries exp_arg = 0.
+    const double kr = lambda / (rho * e);  // 1/s (signed)
+    const double kdt = kr * dt_sub;
+    const bool cools = cooling && e > 0.0;
+    const bool exp_branch = cools && kdt > 1e-8;
+    const double mu = mu_of(n);
+    const double e_floor = floor_kB / (gm1 * mu * constants::kHydrogenMass);
+    const double e_lin = std::max(e - dt_sub * lambda / rho, e_floor);
+
+    for (int s = 0; s < kNsp; ++s) n_lane[s][a] = n[s];
+    e_lane[a] = cools && !exp_branch ? e_lin : e;
+    arg_lane[a] = exp_branch ? -kr * dt_sub : 0.0;
+    floor_lane[a] = e_floor;
+    dt_lane[a] = dt_sub;
+    t_lane[a] += dt_sub;
+  }
+  if (!cooling) return;
+  // enzo-lint: allow(hotpath-transcendental) the energy update's exponential, apart so the round above vectorizes
+  for (int a = 0; a < m; ++a)
+    if (arg_lane[a] < 0.0)
+      e_lane[a] = std::max(e_lane[a] * std::exp(arg_lane[a]), floor_lane[a]);
+}
+
 void solve_chemistry_step(Grid& g, double dt, const ChemistryParams& params,
                           const ChemUnits& units, exec::LevelExecutor* ex) {
   ENZO_REQUIRE(g.has_field(Field::kH2I), "chemistry fields not allocated");
@@ -361,15 +417,14 @@ void solve_chemistry_step(Grid& g, double dt, const ChemistryParams& params,
   const mesh::ConstFieldView rho = g.field(Field::kDensity);
   const mesh::FieldView eint = g.field(Field::kInternalEnergy);
   const mesh::FieldView etot = g.field(Field::kTotalEnergy);
-  // Species views hoisted out of the cell loops (the by-name lookup is a map
-  // probe; twelve of them per cell dominated the gather cost).
+  // Species views hoisted out of the cell loops: each Grid::field call is an
+  // array index (field_index) plus a view construction, twelve per cell.
   std::vector<mesh::FieldView> species;
   species.reserve(kNsp);
   for (const Field f : kSpeciesField) species.push_back(g.field(f));
-  // Cells are independent; rows of cells are chunked through the executor
-  // (replacing the old OpenMP pragma).  Each row is gathered into an SoA
-  // workspace and advanced in lockstep so the rate/cooling transcendentals
-  // run over whole-row lanes; per-cell subcycle numerics are unchanged, so
+  // Cells are independent; rows of cells are chunked through the executor.
+  // Each row is gathered into an SoA workspace and advanced in lockstep
+  // rounds; per-cell numerics do not depend on the row's other cells, so
   // results do not depend on which thread handles a row.  The subcycle tally
   // is an integer sum — commutative, so the atomic accumulation stays
   // deterministic at any thread count.
@@ -388,21 +443,28 @@ void solve_chemistry_step(Grid& g, double dt, const ChemistryParams& params,
       const int sj = g.sy(j), sk = g.sz(k);
       for (int i = 0; i < ni; ++i) {
         const int si = g.sx(i);
-        CellState& st = ws.st[i];
-        for (int s = 0; s < kNsp; ++s)
-          st.n[s] = std::max(species[s](si, sj, sk), 0.0) *
-                    units.n_factor / kA[s];
-        st.e = eint(si, sj, sk) * units.e_cgs;
-        ws.e0[i] = st.e;
-        ws.rho_cgs[i] = rho(si, sj, sk) * units.rho_cgs;
+        // Non-finite input would turn every rate into NaN silently: stop
+        // here with the cell and field named.
+        const double r = rho(si, sj, sk), e = eint(si, sj, sk);
+        if (!std::isfinite(r))
+          throw_non_finite(g, i, j, k, Field::kDensity, r);
+        if (!std::isfinite(e))
+          throw_non_finite(g, i, j, k, Field::kInternalEnergy, e);
+        for (int s = 0; s < kNsp; ++s) {
+          const double v = species[s](si, sj, sk);
+          if (!std::isfinite(v)) throw_non_finite(g, i, j, k, kSpeciesField[s], v);
+          ws.c(s)[i] = std::max(v, 0.0) * units.n_factor / kA[s];
+        }
+        ws.c(cE)[i] = e * units.e_cgs;
+        ws.c(cE0)[i] = ws.c(cE)[i];
+        ws.c(cRho)[i] = r * units.rho_cgs;
       }
       local_subcycles += advance_row(ws, ni, dt_s, params, units);
       for (int i = 0; i < ni; ++i) {
         const int si = g.sx(i);
-        const CellState& st = ws.st[i];
         for (int s = 0; s < kNsp; ++s)
-          species[s](si, sj, sk) = st.n[s] * kA[s] / units.n_factor;
-        const double de_code = (st.e - ws.e0[i]) / units.e_cgs;
+          species[s](si, sj, sk) = ws.c(s)[i] * kA[s] / units.n_factor;
+        const double de_code = (ws.c(cE)[i] - ws.c(cE0)[i]) / units.e_cgs;
         eint(si, sj, sk) += de_code;
         etot(si, sj, sk) += de_code;
       }

@@ -452,11 +452,12 @@ void rule_hotpath(const SourceFile& f, const std::vector<FuncDef>& funcs,
 // Rule: hotpath-transcendental
 // ---------------------------------------------------------------------------
 // A libm transcendental (`pow`, `exp`, `log`, …) inside a loop in an
-// ENZO_HOT body is the per-cell struct-fill pattern the batched kernel layer
-// replaced: it serializes the loop on a scalar libm call and blocks
-// autovectorization of everything around it.  Rate/cooling evaluations hoist
-// these into dense lane loops (chemistry::RateBatch); such deliberately
-// batched loops carry an allow-directive on the loop header, which exempts
+// ENZO_HOT body is the per-cell fit evaluation the kernel layer replaced: it
+// serializes the loop on a scalar libm call and blocks autovectorization of
+// everything around it.  Temperature-dependent coefficients come from a
+// table sampled from the fits once (chemistry's coefficient table, read by
+// RateBatch and cooling_rate_batch with one log per cell); a loop that must
+// keep a libm call carries an allow-directive on its header, which exempts
 // the whole loop body.
 
 constexpr const char* kRuleHotTrans = "hotpath-transcendental";
@@ -506,8 +507,8 @@ void rule_hotpath_transcendental(const SourceFile& f,
         emit(f, out, kRuleHotTrans, t[j].line,
              "per-cell '" + t[j].text + "' inside a loop in ENZO_HOT '" +
                  fd.name +
-                 "' — hoist into a batched lane evaluation (see "
-                 "chemistry::RateBatch) or annotate the batched loop header");
+                 "' — tabulate it once and interpolate (see chemistry's "
+                 "coefficient table) or annotate the loop header");
       }
       i = end;  // inner loops were just scanned; don't re-report them
     }
@@ -668,8 +669,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {kRuleHotAlloc, "no heap allocation inside ENZO_HOT kernel bodies"},
       {kRuleHotLock, "no locking inside ENZO_HOT kernel bodies"},
       {kRuleHotTrans,
-       "per-cell libm transcendentals in ENZO_HOT loops are hoisted into "
-       "batched lanes"},
+       "per-cell libm transcendentals in ENZO_HOT loops come from a table "
+       "or an annotated loop"},
       {kRuleAllPairs,
        "overlap queries use mesh::OverlapTopology, not nested grid scans"},
       {kRuleUnits,
