@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "mesh/hierarchy.hpp"
 #include "mesh/interpolate.hpp"
 #include "nbody/nbody.hpp"
+#include "perf/metrics.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 
@@ -167,8 +170,27 @@ void BM_ChemistryStep(benchmark::State& state) {
   u.rho_cgs = 1e4 * constants::kHydrogenMass;
   u.e_cgs = constants::kBoltzmann / constants::kHydrogenMass;
   for (auto& v : g->field(Field::kInternalEnergy)) v = 500.0;
-  for (auto _ : state) chemistry::solve_chemistry_step(*g, 3.15e10, prm, u);
+  // Every iteration steps the same initial state (restored untimed), so the
+  // subcycles per iteration do not depend on the iteration count.
+  const std::vector<Field>& fields = g->field_list();
+  std::vector<std::vector<double>> initial;
+  for (Field f : fields)
+    initial.emplace_back(g->field(f).begin(), g->field(f).end());
+  perf::Counter& subcycles =
+      perf::Registry::global().counter("chemistry.subcycles");
+  const std::uint64_t subcycles0 = subcycles.value();
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t q = 0; q < fields.size(); ++q)
+      std::copy(initial[q].begin(), initial[q].end(),
+                g->field(fields[q]).begin());
+    state.ResumeTiming();
+    chemistry::solve_chemistry_step(*g, 3.15e10, prm, u);
+  }
   state.SetItemsProcessed(state.iterations() * 8 * 8 * 8);
+  state.counters["cell_subcycles"] = benchmark::Counter(
+      static_cast<double>(subcycles.value() - subcycles0),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ChemistryStep);
 
@@ -271,10 +293,15 @@ void BM_CoolingBatch(benchmark::State& state) {
     nHD[i] = 1e-7 * nH;
   }
   const chemistry::CoolingRowInput in{
-      54.5,         T.data(),      nHI.data(), nHII.data(), nHeI.data(),
-      nHeII.data(), nHeIII.data(), ne.data(),  nH2.data(),  nHD.data()};
+      T.data(),      nHI.data(), nHII.data(), nHeI.data(), nHeII.data(),
+      nHeIII.data(), ne.data(),  nH2.data(),  nHD.data()};
+  // Λ from coefficient lanes the rate lookup already filled (BM_RateBatch
+  // times that lookup).
+  chemistry::RateBatch coefs;
+  coefs.compute(n, T.data());
+  const chemistry::CmbTerms cmb = chemistry::cmb_terms(54.5);
   for (auto _ : state) {
-    chemistry::cooling_rate_batch(n, in, lambda.data());
+    chemistry::cooling_rate_batch(coefs, cmb, in, lambda.data());
     benchmark::DoNotOptimize(lambda.data());
     benchmark::ClobberMemory();
   }

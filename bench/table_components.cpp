@@ -36,13 +36,11 @@ using namespace enzo;
 
 namespace {
 
-/// One scaled collapse run on `threads` executor lanes; returns wall seconds.
-double timed_collapse(int threads) {
+/// One scaled collapse run on the given executor; returns wall seconds.
+double timed_collapse(const exec::ExecConfig& lanes) {
   auto run = bench::collapse_run_config(16, 4, /*chemistry=*/true,
                                         /*with_dark_matter=*/true);
-  run.cfg.exec.threads = threads;
-  run.cfg.exec.backend =
-      threads == 1 ? exec::Backend::kSerial : exec::Backend::kThreadPool;
+  run.cfg.exec = lanes;
   core::Simulation sim(run.cfg);
   sim.initialize(bench::collapse_setup(run));
   bench::add_dark_matter(sim, 16, /*total_mass=*/0.1);
@@ -138,10 +136,12 @@ int main() {
   double serial_wall = 0.0;
   bool first_run = true;
   for (const int threads : {1, 2, 4, 8}) {
-    const double wall = timed_collapse(threads);
+    const exec::ExecConfig lanes = exec::ExecConfig::for_lanes(threads);
+    const double wall = timed_collapse(lanes);
     if (threads == 1) serial_wall = wall;
     const double speedup = wall > 0 ? serial_wall / wall : 0.0;
-    const char* backend = threads == 1 ? "serial" : "threadpool";
+    const char* backend =
+        lanes.backend == exec::Backend::kSerial ? "serial" : "threadpool";
     std::printf("%8d %12s %12.3f %8.2f\n", threads, backend, wall, speedup);
     if (!first_run) scaling += ",";
     first_run = false;

@@ -108,12 +108,8 @@ int main(int argc, char** argv) {
     std::printf("==== deck: %s ====\n", deck_path);
     core::ParameterDeck deck = core::parse_parameter_file(deck_path);
     if (audit) deck.config.audit_invariants = true;
-    if (threads_override >= 0) {
-      deck.config.exec.threads = threads_override;
-      deck.config.exec.backend = threads_override == 1
-                                     ? exec::Backend::kSerial
-                                     : exec::Backend::kThreadPool;
-    }
+    if (threads_override >= 0)
+      deck.config.exec = exec::ExecConfig::for_lanes(threads_override);
     std::printf("effective parameters:\n%s\n",
                 core::render_deck(deck).c_str());
     core::Simulation sim(deck.config);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <string_view>
 
 #include "mesh/topology.hpp"
 #include "perf/log.hpp"
@@ -66,58 +68,16 @@ void check_topology(const mesh::Hierarchy& h, AuditContext& ctx) {
                    std::to_string(h.generation()));
 }
 
-// ---- structure: nesting, alignment, containment, non-overlap ---------------
+// ---- structure and particle ownership: the hierarchy's own invariants -----
 
 void check_structure(const mesh::Hierarchy& h, AuditContext& ctx) {
-  for (int l = 0; l <= h.deepest_level(); ++l) {
-    const Index3 dims = h.level_dims(l);
-    const auto lv = h.grids(l);
-    const auto parents = l > 0 ? h.grids(l - 1) : std::vector<const Grid*>{};
-    if (l > 0 && !lv.empty() && parents.empty())
-      ctx.record("structure", l, 0, "level has grids but parent level is empty");
-    for (std::size_t a = 0; a < lv.size(); ++a) {
-      const Grid& g = *lv[a];
-      if (g.level() != l)
-        ctx.record("structure", l, g.id(),
-                   "grid level field says " + std::to_string(g.level()));
-      for (int d = 0; d < 3; ++d)
-        if (g.box().lo[d] < 0 || g.box().hi[d] > dims[d]) {
-          ctx.record("structure", l, g.id(),
-                     "grid outside domain: " + g.box().str());
-          break;
-        }
-      if (l > 0) {
-        const Grid* parent = g.parent();
-        if (parent == nullptr) {
-          ctx.record("structure", l, g.id(), "refined grid without parent");
-          continue;
-        }
-        std::int64_t rd[3];
-        axis_ratios(h, l, rd);
-        IndexBox in_parent;
-        bool aligned = true;
-        for (int d = 0; d < 3; ++d) {
-          if (g.box().lo[d] % rd[d] != 0 || g.box().hi[d] % rd[d] != 0)
-            aligned = false;
-          in_parent.lo[d] = g.box().lo[d] / rd[d];
-          in_parent.hi[d] = g.box().hi[d] / rd[d];
-        }
-        if (!aligned)
-          ctx.record("structure", l, g.id(),
-                     "grid not aligned to parent cells: " + g.box().str());
-        if (!parent->box().contains(in_parent))
-          ctx.record("structure", l, g.id(),
-                     "grid " + g.box().str() + " not contained in parent " +
-                         parent->box().str());
-        if (std::find(parents.begin(), parents.end(), parent) == parents.end())
-          ctx.record("structure", l, g.id(), "stale parent pointer");
-      }
-      for (std::size_t b = a + 1; b < lv.size(); ++b)
-        if (!g.box().intersect(lv[b]->box()).empty())
-          ctx.record("structure", l, g.id(),
-                     "overlaps sibling " + lv[b]->box().str());
-    }
-  }
+  h.for_each_invariant_violation([&](const char* rule, int level,
+                                     std::uint64_t grid_id,
+                                     std::string detail) {
+    const bool particles = std::string_view(rule) == "particles";
+    if (particles ? ctx.opts.check_particles : ctx.opts.check_structure)
+      ctx.record(rule, level, grid_id, std::move(detail));
+  });
 }
 
 // ---- projection: parent cells equal conservative child averages ------------
@@ -364,16 +324,12 @@ void check_flux_registers(const mesh::Hierarchy& h, AuditContext& ctx) {
   }
 }
 
-// ---- particles, finiteness, conservation -----------------------------------
+// ---- particle mass, finiteness, conservation ---------------------------------
 
-void check_particles(const mesh::Hierarchy& h, AuditContext& ctx) {
+void check_particle_mass(const mesh::Hierarchy& h, AuditContext& ctx) {
   for (int l = 0; l <= h.deepest_level(); ++l)
     for (const Grid* g : h.grids(l))
       for (const mesh::Particle& p : g->particles()) {
-        if (!g->contains_position(p.x))
-          ctx.record("particles", l, g->id(),
-                     "particle " + std::to_string(p.id) +
-                         " outside its owning grid " + g->box().str());
         if (!(p.mass > 0.0) || !std::isfinite(p.mass))
           ctx.record("particles", l, g->id(),
                      "particle " + std::to_string(p.id) +
@@ -413,28 +369,6 @@ void check_finite(const mesh::Hierarchy& h, AuditContext& ctx) {
       }
 }
 
-void root_totals(const mesh::Hierarchy& h, AuditReport& report) {
-  double mass = 0.0, energy = 0.0;
-  for (const Grid* g : h.grids(0)) {
-    if (!g->has_field(Field::kDensity)) continue;
-    double vol = 1.0;
-    for (int d = 0; d < 3; ++d) vol *= g->cell_width_d(d);
-    const auto& rho = g->field(Field::kDensity);
-    const bool has_e = g->has_field(Field::kTotalEnergy);
-    for (int k = 0; k < g->nx(2); ++k)
-      for (int j = 0; j < g->nx(1); ++j)
-        for (int i = 0; i < g->nx(0); ++i) {
-          const int si = g->sx(i), sj = g->sy(j), sk = g->sz(k);
-          const double m = rho(si, sj, sk) * vol;
-          // enzo-lint: allow(determinism-grid-fp-accumulation) serial audit pass
-          mass += m;
-          if (has_e) energy += m * g->field(Field::kTotalEnergy)(si, sj, sk);
-        }
-  }
-  report.mass_total = mass;
-  report.energy_total = energy;
-}
-
 void check_conservation(AuditContext& ctx) {
   const AuditOptions& o = ctx.opts;
   AuditReport& r = ctx.report;
@@ -452,6 +386,28 @@ void check_conservation(AuditContext& ctx) {
 }
 
 }  // namespace
+
+RootTotals root_totals(const mesh::Hierarchy& h) {
+  RootTotals t;
+  for (const Grid* g : h.grids(0)) {
+    if (!g->has_field(Field::kDensity)) continue;
+    double vol = 1.0;
+    for (int d = 0; d < 3; ++d) vol *= g->cell_width_d(d);
+    const auto& rho = g->field(Field::kDensity);
+    const bool has_e = g->has_field(Field::kTotalEnergy);
+    const auto& etot = g->field(has_e ? Field::kTotalEnergy : Field::kDensity);
+    for (int k = 0; k < g->nx(2); ++k)
+      for (int j = 0; j < g->nx(1); ++j)
+        for (int i = 0; i < g->nx(0); ++i) {
+          const int si = g->sx(i), sj = g->sy(j), sk = g->sz(k);
+          const double m = rho(si, sj, sk) * vol;
+          // enzo-lint: allow(determinism-grid-fp-accumulation) serial sum
+          t.mass += m;
+          if (has_e) t.energy += m * etot(si, sj, sk);
+        }
+  }
+  return t;
+}
 
 std::string AuditReport::summary() const {
   char buf[256];
@@ -474,13 +430,15 @@ AuditReport audit_hierarchy(const mesh::Hierarchy& h,
   report.grids = h.total_grids();
   AuditContext ctx{opts, report};
   if (opts.check_topology) check_topology(h, ctx);
-  if (opts.check_structure) check_structure(h, ctx);
+  if (opts.check_structure || opts.check_particles) check_structure(h, ctx);
   if (opts.check_projection) check_projection(h, ctx);
   if (opts.check_ghosts) check_ghosts(h, ctx);
   if (opts.check_flux_registers) check_flux_registers(h, ctx);
-  if (opts.check_particles) check_particles(h, ctx);
+  if (opts.check_particles) check_particle_mass(h, ctx);
   if (opts.check_finite) check_finite(h, ctx);
-  root_totals(h, report);
+  const RootTotals totals = root_totals(h);
+  report.mass_total = totals.mass;
+  report.energy_total = totals.energy;
   check_conservation(ctx);
   return report;
 }

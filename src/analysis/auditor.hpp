@@ -100,6 +100,16 @@ struct AuditReport {
   std::string summary() const;
 };
 
+/// Root-level mass Σ ρV and energy Σ ρVE over active cells, summed serially
+/// in grid order (children are projected into their parents after every
+/// W-cycle, so the root view is complete).  Diagnostics records and the
+/// conservation check both read it.
+struct RootTotals {
+  double mass = 0.0;
+  double energy = 0.0;
+};
+RootTotals root_totals(const mesh::Hierarchy& h);
+
 /// Run every enabled check; never throws on violations (only on malformed
 /// input such as a negative-extent hierarchy).
 AuditReport audit_hierarchy(const mesh::Hierarchy& h,

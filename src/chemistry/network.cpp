@@ -114,12 +114,14 @@ ENZO_HOT void temperature_lanes(int m, RowScratch& ws, double gamma) {
 
 /// Advance every cell of one gathered row by dt_s seconds in lockstep
 /// rounds over the cells still integrating: their temperatures, then one
-/// table lookup for the rates and one for Λ over the whole active set, then
-/// one subcycle for each (subcycle_lanes).  Cells that finish retire to the
-/// cell block and the rest are compacted.  Each cell has its own dt_sub and
-/// its own sequence of subcycles; only the order across cells is lockstep.
+/// table lookup for the rate and cooling coefficients over the whole active
+/// set, Λ from those, then one subcycle for each (subcycle_lanes).  Cells
+/// that finish retire to the cell block and the rest are compacted.  Each
+/// cell has its own dt_sub and its own sequence of subcycles; only the order
+/// across cells is lockstep.
 int advance_row(RowScratch& ws, int nx, double dt_s,
-                const ChemistryParams& prm, const ChemUnits& units) {
+                const ChemistryParams& prm, const ChemUnits& units,
+                const CmbTerms& cmb) {
   int m = 0;
   if (dt_s > 0.0 && prm.max_subcycles > 0) {
     m = nx;
@@ -156,11 +158,10 @@ int advance_row(RowScratch& ws, int nx, double dt_s,
     temperature_lanes(m, ws, units.gamma);
     ws.rates.compute(m, ws.a(aTemp));
     if (prm.cooling) {
-      const CoolingRowInput cri{units.t_cmb,  ws.a(aTemp), ws.a(sHI),
-                                ws.a(sHII),   ws.a(sHeI),  ws.a(sHeII),
-                                ws.a(sHeIII), ws.a(sE),    ws.a(sH2),
-                                ws.a(sHD)};
-      cooling_rate_batch(m, cri, ws.a(aLambda));
+      const CoolingRowInput cri{ws.a(aTemp),  ws.a(sHI), ws.a(sHII),
+                                ws.a(sHeI),   ws.a(sHeII), ws.a(sHeIII),
+                                ws.a(sE),     ws.a(sH2), ws.a(sHD)};
+      cooling_rate_batch(ws.rates, cmb, cri, ws.a(aLambda));
     } else {
       std::fill_n(ws.a(aLambda), m, 0.0);
     }
@@ -429,6 +430,7 @@ void solve_chemistry_step(Grid& g, double dt, const ChemistryParams& params,
   // is an integer sum — commutative, so the atomic accumulation stays
   // deterministic at any thread count.
   std::atomic<std::int64_t> subcycles{0};
+  const CmbTerms cmb = cmb_terms(units.t_cmb);
   const int ni = g.nx(0);
   const auto nj = static_cast<std::size_t>(g.nx(1));
   const auto nk = static_cast<std::size_t>(g.nx(2));
@@ -459,7 +461,7 @@ void solve_chemistry_step(Grid& g, double dt, const ChemistryParams& params,
         ws.c(cE0)[i] = ws.c(cE)[i];
         ws.c(cRho)[i] = r * units.rho_cgs;
       }
-      local_subcycles += advance_row(ws, ni, dt_s, params, units);
+      local_subcycles += advance_row(ws, ni, dt_s, params, units, cmb);
       for (int i = 0; i < ni; ++i) {
         const int si = g.sx(i);
         for (int s = 0; s < kNsp; ++s)

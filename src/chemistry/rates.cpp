@@ -219,109 +219,61 @@ ENZO_HOT void table_coordinates(int n, const double* T, double* x) {
   }
 }
 
-// The rate lanes out + c·stride from the coordinates x: one cell's
-// coefficients at a time, then stored across the lanes.
-ENZO_HOT void lookup_rates(int n, const double* x, const double* tab,
-                           double* out, int stride) {
+// The coefficient lanes out + c·stride from the coordinates x: one cell's
+// stencil for all its coefficients, then stored across the lanes.
+ENZO_HOT void lookup_coefficients(int n, const double* x, const double* tab,
+                                  double* out, int stride) {
   for (int i = 0; i < n; ++i) {
-    double k[kNumRateCoefs] = {};
-    interpolate(locate(tab, x[i]), 0, kNumRateCoefs, k);
-    for (int c = 0; c < kNumRateCoefs; ++c) out[c * stride + i] = k[c];
+    double k[kNumCoefs] = {};
+    interpolate(locate(tab, x[i]), 0, kNumCoefs, k);
+    for (int c = 0; c < kNumCoefs; ++c) out[c * stride + i] = k[c];
   }
 }
 
-// Lanes are padded to a multiple of 8 doubles (one cache line) so every lane
-// starts 64-byte aligned relative to the block and strided lane arithmetic
-// never splits a vector register across two lanes.
+// Lanes are padded to an odd multiple of 8 doubles (one cache line) so every
+// lane starts 64-byte aligned relative to the block, strided lane arithmetic
+// never splits a vector register across two lanes, and the 34 lanes of a long
+// batch do not all fall into the same two L1 sets (a power-of-two stride).
 constexpr int kLanePad = 8;
-int padded(int n) { return (n + (kLanePad - 1)) & ~(kLanePad - 1); }
+int padded(int n) {
+  return ((n + (kLanePad - 1)) & ~(kLanePad - 1)) | kLanePad;
+}
 
 // ---- cooling -------------------------------------------------------------------
 
-// The T-only cooling coefficients of one cell (Coef::line_HI … Coef::hd).
-struct CoolingCoefs {
-  double line_HI, line_HeII, ion_HI, ion_HeI, ion_HeII, rec_HII, rec_HeII,
-      rec_HeIII, brems, h2_low, h2_n_cr, hd;
-};
-constexpr int kFirstCooling = idx(Coef::line_HI);
-constexpr int kNumCooling = kNumCoefs - kFirstCooling;
-
-// One cell's cooling coefficients from v[c · stride], c = 0 … kNumCooling − 1.
-CoolingCoefs cooling_coefs(const double* v, int stride) {
-  return {v[0],          v[stride],     v[2 * stride], v[3 * stride],
-          v[4 * stride], v[5 * stride], v[6 * stride], v[7 * stride],
-          v[8 * stride], v[9 * stride], v[10 * stride], v[11 * stride]};
-}
-
-// The terms that depend on T_cmb alone: the Compton prefactor (T_cmb/2.725)⁴
-// and the H₂ and HD coefficients at the CMB temperature.
-struct CmbTerms {
-  double T_cmb, a4, h2_low, h2_n_cr, hd;
-};
-
-CmbTerms cmb_terms(double T_cmb) {
-  CmbTerms m{T_cmb, std::pow(T_cmb / 2.725, 4.0), 0.0, 0.0, hd_fit(T_cmb)};
-  h2_fit(T_cmb, m.h2_low, m.h2_n_cr);
-  return m;
-}
-
-// Λ of one cell from its coefficients at the (clamped) gas temperature T.
-inline double assemble_cooling(const CoolingCoefs& k, double T,
+// Λ of one cell from its coefficients k[c · stride] (Coef order) at the
+// (clamped) gas temperature T.
+inline double assemble_cooling(const double* k, int stride, double T,
                                const CmbTerms& m, double n_HI, double n_HII,
                                double n_HeI, double n_HeII, double n_HeIII,
                                double n_e, double n_H2, double n_HD) {
+  const auto at = [&](Coef c) { return k[idx(c) * stride]; };
   double cool = 0.0;
-  cool += k.line_HI * n_e * n_HI;
-  cool += k.line_HeII * n_e * n_HeII;
-  cool += k.ion_HI * n_e * n_HI;
-  cool += k.ion_HeI * n_e * n_HeI;
-  cool += k.ion_HeII * n_e * n_HeII;
-  cool += k.rec_HII * n_e * n_HII;
-  cool += k.rec_HeII * n_e * n_HeII;
-  cool += k.rec_HeIII * n_e * n_HeIII;
-  cool += k.brems * n_e * (n_HII + n_HeII + 4.0 * n_HeIII);
+  cool += at(Coef::line_HI) * n_e * n_HI;
+  cool += at(Coef::line_HeII) * n_e * n_HeII;
+  cool += at(Coef::ion_HI) * n_e * n_HI;
+  cool += at(Coef::ion_HeI) * n_e * n_HeI;
+  cool += at(Coef::ion_HeII) * n_e * n_HeII;
+  cool += at(Coef::rec_HII) * n_e * n_HII;
+  cool += at(Coef::rec_HeII) * n_e * n_HeII;
+  cool += at(Coef::rec_HeIII) * n_e * n_HeIII;
+  cool += at(Coef::brems) * n_e * (n_HII + n_HeII + 4.0 * n_HeIII);
   // H₂ ro-vibrational cooling, net of the CMB radiation bath (the lines
   // thermalize with the CMB, so the gas cannot radiatively cool below
   // T_cmb — at z≈19 that floor is ~55 K).
   const double n_H_tot = n_HI + n_HII;
-  cool += std::max(n_H2 * n_H_tot * k.h2_low / (1.0 + n_H_tot / k.h2_n_cr) -
-                       n_H2 * n_H_tot * m.h2_low / (1.0 + n_H_tot / m.h2_n_cr),
-                   0.0);
+  cool += std::max(
+      n_H2 * n_H_tot * at(Coef::h2_low) / (1.0 + n_H_tot / at(Coef::h2_n_cr)) -
+          n_H2 * n_H_tot * m.h2_low / (1.0 + n_H_tot / m.h2_n_cr),
+      0.0);
   // HD cooling, with the same CMB radiative floor.
   const double hd_dilution = 1.0 + n_H_tot / 1e6;
-  cool += std::max(k.hd * n_HD * n_H_tot / hd_dilution -
+  cool += std::max(at(Coef::hd) * n_HD * n_H_tot / hd_dilution -
                        m.hd * n_HD * n_H_tot / hd_dilution,
                    0.0);
   // Compton heating/cooling against the CMB (§2.2).
   cool += 5.65e-36 * m.a4 * (T - m.T_cmb) * n_e;
   return cool;
-}
-
-// Λ lanes: lambda holds each cell's table coordinate on entry.  Blocks of
-// cells: their coefficients are read one cell at a time into block lanes,
-// then Λ is assembled across the block's cells in one vector loop.
-ENZO_HOT void lookup_cooling(int n, const CoolingRowInput& in,
-                             const double* tab, const CmbTerms& m,
-                             double* lambda) {
-  constexpr int kBlock = 16;
-  for (int i0 = 0; i0 < n; i0 += kBlock) {
-    const int nb = std::min(kBlock, n - i0);
-    double k[kNumCooling][kBlock] = {};
-    for (int b = 0; b < nb; ++b) {
-      double v[kNumCooling] = {};
-      interpolate(locate(tab, lambda[i0 + b]), kFirstCooling, kNumCooling, v);
-      for (int c = 0; c < kNumCooling; ++c) k[c][b] = v[c];
-    }
-#pragma GCC ivdep
-    for (int b = 0; b < nb; ++b) {
-      const int i = i0 + b;
-      lambda[i] = assemble_cooling(cooling_coefs(&k[0][b], kBlock),
-                                   clamp_T(in.T[i]), m, in.n_HI[i],
-                                   in.n_HII[i], in.n_HeI[i], in.n_HeII[i],
-                                   in.n_HeIII[i], in.n_e[i], in.n_H2[i],
-                                   in.n_HD[i]);
-    }
-  }
 }
 
 // The rate set from tabulated coefficients k[c · stride] (Coef order) and
@@ -385,16 +337,16 @@ double coefficient_lookup(Coef c, double T) {
 ENZO_HOT void RateBatch::compute(int n, const double* T) {
   n_ = n;
   stride_ = padded(n);
-  // The rate lanes, then one lane for the table coordinates.
+  // The coefficient lanes, then one lane for the table coordinates.
   const std::size_t need = static_cast<std::size_t>(stride_) *
-                           static_cast<std::size_t>(kNumRateCoefs + 1);
+                           static_cast<std::size_t>(kNumCoefs + 1);
   if (store_.size() < need) {
     // enzo-lint: allow(hotpath-heap-alloc) amortized scratch growth
     store_.resize(need);
   }
-  double* x = lane(kNumRateCoefs);
+  double* x = lane(kNumCoefs);
   table_coordinates(n, T, x);
-  lookup_rates(n, x, table().data(), store_.data(), stride_);
+  lookup_coefficients(n, x, table().data(), store_.data(), stride_);
 }
 
 Rates RateBatch::row(int i) const {
@@ -402,6 +354,12 @@ Rates RateBatch::row(int i) const {
 }
 
 // ---- cooling -----------------------------------------------------------------------
+
+CmbTerms cmb_terms(double T_cmb) {
+  CmbTerms m{T_cmb, std::pow(T_cmb / 2.725, 4.0), 0.0, 0.0, hd_fit(T_cmb)};
+  h2_fit(T_cmb, m.h2_low, m.h2_n_cr);
+  return m;
+}
 
 double h2_cooling_rate(double T, double n_H2, double n_H) {
   double lambda_low = 0.0, n_cr = 0.0;
@@ -412,15 +370,20 @@ double h2_cooling_rate(double T, double n_H2, double n_H) {
 double cooling_rate(const CoolingInput& in) {
   double c[kNumCoefs] = {};
   fit_coefficients(in.T, c);
-  return assemble_cooling(cooling_coefs(c + kFirstCooling, 1), clamp_T(in.T),
-                          cmb_terms(in.T_cmb), in.n_HI, in.n_HII, in.n_HeI,
-                          in.n_HeII, in.n_HeIII, in.n_e, in.n_H2, in.n_HD);
+  return assemble_cooling(c, 1, clamp_T(in.T), cmb_terms(in.T_cmb), in.n_HI,
+                          in.n_HII, in.n_HeI, in.n_HeII, in.n_HeIII, in.n_e,
+                          in.n_H2, in.n_HD);
 }
 
-ENZO_HOT void cooling_rate_batch(int n, const CoolingRowInput& in,
-                                 double* lambda) {
-  table_coordinates(n, in.T, lambda);
-  lookup_cooling(n, in, table().data(), cmb_terms(in.T_cmb), lambda);
+ENZO_HOT void cooling_rate_batch(const RateBatch& coefs, const CmbTerms& cmb,
+                                 const CoolingRowInput& in, double* lambda) {
+  const double* k = coefs.lane(0);
+#pragma GCC ivdep
+  for (int i = 0; i < coefs.size(); ++i)
+    lambda[i] = assemble_cooling(k + i, coefs.stride_, clamp_T(in.T[i]), cmb,
+                                 in.n_HI[i], in.n_HII[i], in.n_HeI[i],
+                                 in.n_HeII[i], in.n_HeIII[i], in.n_e[i],
+                                 in.n_H2[i], in.n_HD[i]);
 }
 
 }  // namespace enzo::chemistry

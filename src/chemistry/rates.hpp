@@ -18,9 +18,11 @@
 // runs on (RateBatch, cooling_rate_batch) reads one process-wide table
 // instead, as Enzo does (Bryan et al. 2014): every temperature-dependent
 // coefficient sampled from the fits at kTableNodesPerDecade nodes per decade
-// of T over 1–1e9 K, read by 4-point Lagrange interpolation in log T.  The
-// two paths agree to ~1e-5 relative away from the fits' own breaks
-// (chemistry_test's tolerance test), not bit for bit.
+// of T over 1–1e9 K, read by 4-point Lagrange interpolation in log T.
+// RateBatch makes the one lookup per cell, rate and cooling coefficients
+// together; cooling_rate_batch assembles Λ from its lanes.  The two paths
+// agree to ~1e-5 relative away from the fits' own breaks (chemistry_test's
+// tolerance test), not bit for bit.
 
 #include <vector>
 
@@ -97,23 +99,26 @@ Rates compute_rates(double T);
 /// The fit of one coefficient at T (clamped to 1–1e9 K).
 double coefficient_fit(Coef c, double T);
 
-/// The table's value of one coefficient at T: the same lookup RateBatch and
-/// cooling_rate_batch make, with T clamped to the table's 1–1e9 K.
+/// The table's value of one coefficient at T: the same lookup RateBatch
+/// makes, with T clamped to the table's 1–1e9 K.
 double coefficient_lookup(Coef c, double T);
 
-/// Row-at-a-time rate lookup: one SoA lane per temperature-dependent
-/// coefficient, read from the coefficient table for a batch of temperatures
-/// (one log per cell locates it).  Lane values do not depend on the batch
-/// length or a cell's position in it.
+struct CmbTerms;
+struct CoolingRowInput;
+
+/// Row-at-a-time coefficient lookup: one SoA lane per temperature-dependent
+/// coefficient (all kNumCoefs, rates and cooling), read from the coefficient
+/// table for a batch of temperatures (one log and one stencil per cell).
+/// Lane values do not depend on the batch length or a cell's position in it.
 class RateBatch {
  public:
   /// Fill every lane for temperatures T[0..n).  Reuses capacity.
   void compute(int n, const double* T);
 
-  /// Gather cell i's coefficients back into the scalar struct.
+  /// Gather cell i's rate coefficients back into the scalar struct.
   [[nodiscard]] Rates row(int i) const;
 
-  /// Coefficient c's lane (c < kNumRateCoefs), size() values.
+  /// Coefficient c's lane, size() values.
   [[nodiscard]] const double* lane(Coef c) const {
     return lane(static_cast<int>(c));
   }
@@ -121,6 +126,8 @@ class RateBatch {
   [[nodiscard]] int size() const { return n_; }
 
  private:
+  friend void cooling_rate_batch(const RateBatch& coefs, const CmbTerms& cmb,
+                                 const CoolingRowInput& in, double* lambda);
   [[nodiscard]] double* lane(int idx) { return store_.data() + idx * stride_; }
   [[nodiscard]] const double* lane(int idx) const {
     return store_.data() + idx * stride_;
@@ -145,17 +152,25 @@ struct CoolingInput {
 /// (which heats when T < T_cmb).
 double cooling_rate(const CoolingInput& in);
 
+/// The terms of Λ that depend on T_cmb alone, from the fits: the Compton
+/// prefactor (T_cmb/2.725)⁴ and the H₂ and HD coefficients at the CMB
+/// temperature.  T_cmb is fixed for a step, so a solver evaluates them once.
+struct CmbTerms {
+  double T_cmb, a4, h2_low, h2_n_cr, hd;
+};
+CmbTerms cmb_terms(double T_cmb);
+
 /// SoA lanes for a row of cooling evaluations.
 struct CoolingRowInput {
-  double T_cmb;
   const double* T;
   const double *n_HI, *n_HII, *n_HeI, *n_HeII, *n_HeIII, *n_e, *n_H2, *n_HD;
 };
 
-/// lambda[0..n) ← Λ per cell: the terms of cooling_rate, with the gas-
-/// temperature coefficients read from the table.  The T_cmb terms (the H₂
-/// and HD CMB floors, Compton) are evaluated from the fits once per call.
-void cooling_rate_batch(int n, const CoolingRowInput& in, double* lambda);
+/// lambda[0..n) ← Λ per cell, n = coefs.size(): the terms of cooling_rate,
+/// with the gas-temperature coefficients read from the cooling lanes of
+/// `coefs` (computed for in.T) and the T_cmb terms from `cmb`.
+void cooling_rate_batch(const RateBatch& coefs, const CmbTerms& cmb,
+                        const CoolingRowInput& in, double* lambda);
 
 /// The H₂ contribution alone from the fits (diagnostics / Fig. 4 reasoning).
 double h2_cooling_rate(double T, double n_H2, double n_H);

@@ -56,8 +56,8 @@ struct SimulationConfig {
   bool trace_wcycle = false;
   /// Safety valve on subcycles per level step.
   int max_substeps_per_level = 64;
-  /// Execution backend for the per-level grid sweeps (deck keys: Threads,
-  /// Executor; run_deck flag: --threads N).
+  /// Execution backend for the per-level grid sweeps (deck key Threads;
+  /// run_deck flag --threads N).
   exec::ExecConfig exec;
 };
 

@@ -1,9 +1,14 @@
 #include "core/parameter_file.hpp"
 
 #include <charconv>
+#include <concepts>
+#include <cstdint>
 #include <fstream>
-#include <functional>
+#include <iterator>
 #include <sstream>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
 #include "exec/exec_config.hpp"
 #include "problems/registry.hpp"
@@ -30,160 +35,218 @@ struct Parser {
                       msg);
   }
 
-  double num(const std::string& v) const {
+  // One value of each kind a key can hold.
+  void read(const std::string& v, std::string& out) const { out = v; }
+  void read(const std::string& v, double& out) const {
     try {
       std::size_t pos = 0;
-      const double x = std::stod(v, &pos);
-      if (trim(v.substr(pos)).empty()) return x;
+      out = std::stod(v, &pos);
+      if (trim(v.substr(pos)).empty()) return;
     } catch (...) {
     }
     fail("expected a number, got '" + v + "'");
   }
-  int integer(const std::string& v) const {
-    const double x = num(v);
-    const int i = static_cast<int>(x);
-    if (static_cast<double>(i) != x) fail("expected an integer, got '" + v + "'");
-    return i;
+  void read(const std::string& v, int& out) const {
+    double x = 0.0;
+    read(v, x);
+    out = static_cast<int>(x);
+    if (static_cast<double>(out) != x)
+      fail("expected an integer, got '" + v + "'");
   }
-  bool boolean(const std::string& v) const {
-    if (v == "1" || v == "true" || v == "yes") return true;
-    if (v == "0" || v == "false" || v == "no") return false;
-    fail("expected a boolean (0/1/true/false), got '" + v + "'");
+  void read(const std::string& v, std::uint64_t& out) const {
+    double x = 0.0;
+    read(v, x);
+    out = static_cast<std::uint64_t>(x);
   }
-  mesh::Index3 dims(const std::string& v) const {
+  void read(const std::string& v, bool& out) const {
+    if (v == "1" || v == "true" || v == "yes") out = true;
+    else if (v == "0" || v == "false" || v == "no") out = false;
+    else fail("expected a boolean (0/1/true/false), got '" + v + "'");
+  }
+  void read(const std::string& v, mesh::Index3& out) const {
     std::istringstream ss(v);
-    mesh::Index3 d{1, 1, 1};
-    if (!(ss >> d[0])) fail("expected up to three integers, got '" + v + "'");
-    ss >> d[1] >> d[2];
+    out = {1, 1, 1};
+    if (!(ss >> out[0])) fail("expected up to three integers, got '" + v + "'");
+    ss >> out[1] >> out[2];
     std::string rest;
     if (ss.clear(), std::getline(ss, rest); !trim(rest).empty())
       fail("trailing text after dimensions: '" + rest + "'");
-    return d;
   }
-
-  void apply(const std::string& key, const std::string& value) {
-    auto& cfg = deck.config;
-    // --- problem selection -----------------------------------------------
-    if (key == "ProblemType") {
-      // Validated against the problem registry, so the accepted names and
-      // this error's listing can never drift from the actual generators.
-      const auto& reg = problems::Registry::global();
-      if (reg.find(value) == nullptr)
-        fail("unknown ProblemType '" + value +
-             "' (registered: " + reg.names_joined() + ")");
-      deck.problem = value;
-      return;
-    }
-    // --- hierarchy ----------------------------------------------------------
-    if (key == "TopGridDimensions") { cfg.hierarchy.root_dims = dims(value); return; }
-    if (key == "RefineBy") { cfg.hierarchy.refine_factor = integer(value); return; }
-    if (key == "MaximumRefinementLevel") { cfg.hierarchy.max_level = integer(value); return; }
-    if (key == "PeriodicBoundary") { cfg.hierarchy.periodic = boolean(value); return; }
-    if (key == "GhostZones") { cfg.hierarchy.nghost = integer(value); return; }
-    if (key == "FlagBufferCells") { cfg.hierarchy.flag_buffer = integer(value); return; }
-    if (key == "ClusterEfficiency") { cfg.hierarchy.cluster.min_efficiency = num(value); return; }
-    // --- refinement criteria -----------------------------------------------
-    if (key == "RefineByBaryonMass") { cfg.refinement.baryon_mass_threshold = num(value); return; }
-    if (key == "RefineByDarkMatterMass") { cfg.refinement.dm_mass_threshold = num(value); return; }
-    if (key == "RefineByJeansLength") { cfg.refinement.jeans_number = num(value); return; }
-    if (key == "RefineByOverdensity") { cfg.refinement.overdensity_threshold = num(value); return; }
-    // --- physics toggles -----------------------------------------------------
-    if (key == "HydroEnabled") { cfg.enable_hydro = boolean(value); return; }
-    if (key == "GravityEnabled") { cfg.enable_gravity = boolean(value); return; }
-    if (key == "ChemistryEnabled") {
-      cfg.enable_chemistry = boolean(value);
-      if (cfg.enable_chemistry) cfg.hierarchy.fields = mesh::chemistry_field_list();
-      return;
-    }
-    if (key == "ParticlesEnabled") { cfg.enable_particles = boolean(value); return; }
-    // --- hydro ---------------------------------------------------------------
-    if (key == "Gamma") { cfg.hydro.gamma = num(value); return; }
-    if (key == "CourantSafetyNumber") { cfg.hydro.cfl = num(value); return; }
-    if (key == "HydroMethod") {
-      if (value == "PPM") cfg.hydro.solver = hydro::Solver::kPpm;
-      else if (value == "Zeus") cfg.hydro.solver = hydro::Solver::kZeus;
-      else fail("unknown HydroMethod '" + value + "' (PPM or Zeus)");
-      return;
-    }
-    if (key == "PPMFlattening") { cfg.hydro.flattening = boolean(value); return; }
-    if (key == "DualEnergyEta") { cfg.hydro.dual_energy_eta1 = num(value); return; }
-    // --- cosmology -------------------------------------------------------------
-    if (key == "ComovingCoordinates") { cfg.comoving = boolean(value); return; }
-    if (key == "HubbleConstantNow") { cfg.frw.hubble = num(value); return; }
-    if (key == "OmegaMatterNow") { cfg.frw.omega_matter = num(value); return; }
-    if (key == "OmegaBaryonNow") { cfg.frw.omega_baryon = num(value); return; }
-    if (key == "OmegaLambdaNow") { cfg.frw.omega_lambda = num(value); return; }
-    if (key == "Sigma8") { cfg.frw.sigma8 = num(value); return; }
-    if (key == "InitialRedshift") { cfg.initial_redshift = num(value); return; }
-    if (key == "ComovingBoxSizeMpc") {
-      // Shared by the two comoving problems (cosmology box and pancake).
-      deck.cosmology.box_comoving_cm = num(value) * constants::kMpc;
-      deck.pancake.box_comoving_cm = deck.cosmology.box_comoving_cm;
-      return;
-    }
-    if (key == "RandomSeed") { deck.cosmology.seed = static_cast<std::uint64_t>(num(value)); return; }
-    if (key == "NestedStaticLevels") { deck.cosmology.nested_static_levels = integer(value); return; }
-    if (key == "ParticlesPerAxis") { deck.cosmology.particles_per_axis = integer(value); return; }
-    // --- collapse problem --------------------------------------------------------
-    if (key == "BoxSizeParsec") {
-      deck.collapse.box_proper_cm = num(value) * constants::kParsec;
-      return;
-    }
-    if (key == "CloudRadius") { deck.collapse.cloud_radius = num(value); return; }
-    if (key == "CloudOverdensity") { deck.collapse.overdensity = num(value); return; }
-    if (key == "BackgroundDensityCGS") { deck.collapse.mean_density_cgs = num(value); return; }
-    if (key == "InitialTemperature") {
-      deck.collapse.temperature = num(value);
-      deck.pancake.initial_temperature = num(value);
-      return;
-    }
-    if (key == "InitialIonizationFraction") {
-      deck.collapse.ionization = num(value);
-      deck.cosmology.initial_ionization = num(value);
-      return;
-    }
-    if (key == "InitialH2Fraction") {
-      deck.collapse.h2_fraction = num(value);
-      deck.cosmology.initial_h2_fraction = num(value);
-      return;
-    }
-    // --- pancake -------------------------------------------------------------------
-    if (key == "PancakeCausticRedshift") { deck.pancake.a_caustic_redshift = num(value); return; }
-    // --- uniform -------------------------------------------------------------------
-    if (key == "UniformDensity") { deck.uniform_density = num(value); return; }
-    if (key == "UniformInternalEnergy") { deck.uniform_eint = num(value); return; }
-    // --- sedov blast ---------------------------------------------------------------
-    if (key == "SedovEnergy") { deck.sedov.energy = num(value); return; }
-    if (key == "SedovDepositRadius") { deck.sedov.radius = num(value); return; }
-    // --- execution ------------------------------------------------------------------
-    if (key == "Threads") {
-      cfg.exec.threads = integer(value);
-      if (cfg.exec.threads < 0) fail("Threads must be >= 0 (0 = all cores)");
-      // One lane runs serially; any other count runs on the pool.
-      cfg.exec.backend = cfg.exec.threads == 1 ? exec::Backend::kSerial
-                                               : exec::Backend::kThreadPool;
-      return;
-    }
-    // --- run control ----------------------------------------------------------------
-    if (key == "StopTime") { deck.stop_time = num(value); return; }
-    if (key == "StopSteps") { deck.stop_steps = integer(value); return; }
-    if (key == "RebuildInterval") { cfg.rebuild_interval = integer(value); return; }
-    if (key == "AuditInvariants") { cfg.audit_invariants = boolean(value); return; }
-    if (key == "AuditInterval") { cfg.audit_interval = integer(value); return; }
-    if (key == "CheckpointPath") { deck.checkpoint_path = value; return; }
-    if (key == "CheckpointInterval") {
-      deck.checkpoint_interval = integer(value);
-      return;
-    }
-    if (key == "CheckpointKeep") { deck.checkpoint_keep = integer(value); return; }
-    fail("unknown parameter '" + key + "'");
+  void read(const std::string& v, hydro::Solver& out) const {
+    if (v == "PPM") out = hydro::Solver::kPpm;
+    else if (v == "Zeus") out = hydro::Solver::kZeus;
+    else fail("unknown HydroMethod '" + v + "' (PPM or Zeus)");
   }
 };
 
+/// Shortest round-trip rendering of a double (std::to_chars): re-parsing
+/// the text recovers the bit-identical value, so render/parse cycles are
+/// lossless — the old 6-significant-digit rendering turned 5/3 into
+/// "1.66667" and silently perturbed every re-parsed config.
+std::string text(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+std::string text(const std::string& v) { return v; }
+std::string text(const mesh::Index3& v) {
+  return std::to_string(v[0]) + " " + std::to_string(v[1]) + " " +
+         std::to_string(v[2]);
+}
+std::string text(std::integral auto v) { return std::to_string(v); }
+std::string text(hydro::Solver v) {
+  return v == hydro::Solver::kPpm ? "PPM" : "Zeus";
+}
+
+// ---- the key table ---------------------------------------------------------
+
+/// Where a key's value lives in a deck.
+template <class T>
+using Field = T& (*)(ParameterDeck&);
+
+/// The field a key sets and, for a key two problems read, a second field
+/// that gets the same value.  Implicit, so a table row names one field bare.
+template <class T>
+struct Fields {
+  constexpr Fields(Field<T> first, Field<T> second = nullptr)
+      : first(first), second(second) {}
+  Field<T> first;
+  Field<T> second;
+};
+
+#define FIELD(path) +[](ParameterDeck& d) -> auto& { return d.path; }
+
+enum class Show { kIfChanged, kAlways };
+
+/// One deck key: its name, the field(s) it sets, whether render_deck shows
+/// it at its default value, the stored value of one deck unit (lengths),
+/// and what else setting it does.
+struct Key {
+  const char* name;
+  std::variant<Fields<std::string>, Fields<mesh::Index3>, Fields<int>,
+               Fields<bool>, Fields<double>, Fields<std::uint64_t>,
+               Fields<hydro::Solver>>
+      target;
+  Show show = Show::kIfChanged;
+  double unit = 1.0;
+  void (*then)(Parser&) = nullptr;
+};
+
+// ProblemType is checked against the problem registry, so the accepted names
+// and this error's listing can never drift from the actual generators.
+void check_problem(Parser& p) {
+  const auto& reg = problems::Registry::global();
+  if (reg.find(p.deck.problem) == nullptr)
+    p.fail("unknown ProblemType '" + p.deck.problem +
+           "' (registered: " + reg.names_joined() + ")");
+}
+
+void chemistry_fields(Parser& p) {
+  auto& cfg = p.deck.config;
+  if (cfg.enable_chemistry) cfg.hierarchy.fields = mesh::chemistry_field_list();
+}
+
+void lanes(Parser& p) {
+  const int threads = p.deck.config.exec.threads;
+  if (threads < 0) p.fail("Threads must be >= 0 (0 = all cores)");
+  p.deck.config.exec = exec::ExecConfig::for_lanes(threads);
+}
+
+constexpr auto kAlways = Show::kAlways;
+constexpr auto kIfChanged = Show::kIfChanged;
+
+/// Every deck key, in the order render_deck writes them.
+constexpr Key kKeys[] = {
+    {"ProblemType", FIELD(problem), kAlways, 1.0, check_problem},
+    // --- hierarchy ---
+    {"TopGridDimensions", FIELD(config.hierarchy.root_dims), kAlways},
+    {"RefineBy", FIELD(config.hierarchy.refine_factor), kAlways},
+    {"MaximumRefinementLevel", FIELD(config.hierarchy.max_level), kAlways},
+    {"PeriodicBoundary", FIELD(config.hierarchy.periodic), kAlways},
+    {"GhostZones", FIELD(config.hierarchy.nghost)},
+    {"FlagBufferCells", FIELD(config.hierarchy.flag_buffer)},
+    {"ClusterEfficiency", FIELD(config.hierarchy.cluster.min_efficiency)},
+    // --- physics toggles ---
+    {"HydroEnabled", FIELD(config.enable_hydro), kAlways},
+    {"GravityEnabled", FIELD(config.enable_gravity), kAlways},
+    {"ChemistryEnabled", FIELD(config.enable_chemistry), kAlways, 1.0,
+     chemistry_fields},
+    {"ParticlesEnabled", FIELD(config.enable_particles), kAlways},
+    // --- hydro ---
+    {"Gamma", FIELD(config.hydro.gamma), kAlways},
+    {"CourantSafetyNumber", FIELD(config.hydro.cfl), kAlways},
+    {"HydroMethod", FIELD(config.hydro.solver), kAlways},
+    {"PPMFlattening", FIELD(config.hydro.flattening)},
+    {"DualEnergyEta", FIELD(config.hydro.dual_energy_eta1)},
+    // --- refinement criteria ---
+    {"RefineByBaryonMass", FIELD(config.refinement.baryon_mass_threshold)},
+    {"RefineByDarkMatterMass", FIELD(config.refinement.dm_mass_threshold)},
+    {"RefineByJeansLength", FIELD(config.refinement.jeans_number)},
+    {"RefineByOverdensity", FIELD(config.refinement.overdensity_threshold)},
+    // --- cosmology ---
+    {"ComovingCoordinates", FIELD(config.comoving)},
+    {"HubbleConstantNow", FIELD(config.frw.hubble)},
+    {"OmegaMatterNow", FIELD(config.frw.omega_matter)},
+    {"OmegaBaryonNow", FIELD(config.frw.omega_baryon)},
+    {"OmegaLambdaNow", FIELD(config.frw.omega_lambda)},
+    {"Sigma8", FIELD(config.frw.sigma8)},
+    {"InitialRedshift", FIELD(config.initial_redshift)},
+    {"ComovingBoxSizeMpc",
+     Fields(FIELD(cosmology.box_comoving_cm), FIELD(pancake.box_comoving_cm)),
+     kIfChanged, constants::kMpc},
+    {"RandomSeed", FIELD(cosmology.seed)},
+    {"NestedStaticLevels", FIELD(cosmology.nested_static_levels)},
+    {"ParticlesPerAxis", FIELD(cosmology.particles_per_axis)},
+    // --- collapse problem ---
+    {"BoxSizeParsec", FIELD(collapse.box_proper_cm), kIfChanged,
+     constants::kParsec},
+    {"CloudRadius", FIELD(collapse.cloud_radius)},
+    {"CloudOverdensity", FIELD(collapse.overdensity)},
+    {"BackgroundDensityCGS", FIELD(collapse.mean_density_cgs)},
+    {"InitialTemperature",
+     Fields(FIELD(collapse.temperature), FIELD(pancake.initial_temperature))},
+    {"InitialIonizationFraction",
+     Fields(FIELD(collapse.ionization), FIELD(cosmology.initial_ionization))},
+    {"InitialH2Fraction",
+     Fields(FIELD(collapse.h2_fraction), FIELD(cosmology.initial_h2_fraction))},
+    // --- pancake / uniform / sedov ---
+    {"PancakeCausticRedshift", FIELD(pancake.a_caustic_redshift)},
+    {"UniformDensity", FIELD(uniform_density)},
+    {"UniformInternalEnergy", FIELD(uniform_eint)},
+    {"SedovEnergy", FIELD(sedov.energy)},
+    {"SedovDepositRadius", FIELD(sedov.radius)},
+    // --- execution and run control ---
+    {"AuditInvariants", FIELD(config.audit_invariants)},
+    {"AuditInterval", FIELD(config.audit_interval)},
+    {"Threads", FIELD(config.exec.threads), kIfChanged, 1.0, lanes},
+    {"RebuildInterval", FIELD(config.rebuild_interval)},
+    {"StopSteps", FIELD(stop_steps), kAlways},
+    {"StopTime", FIELD(stop_time)},
+    {"CheckpointPath", FIELD(checkpoint_path)},
+    {"CheckpointInterval", FIELD(checkpoint_interval)},
+    {"CheckpointKeep", FIELD(checkpoint_keep)},
+};
+
+#undef FIELD
+
+/// A value in deck units: a length key's unit scales a stored double.
+template <class T>
+T in_deck_units(T v, double unit) {
+  if constexpr (std::is_same_v<T, double>) return v / unit;
+  else return v;
+}
+
 }  // namespace
+
+std::vector<std::string> deck_keys() {
+  std::vector<std::string> names;
+  for (const Key& k : kKeys) names.emplace_back(k.name);
+  return names;
+}
 
 ParameterDeck parse_parameter_deck(std::istream& in) {
   Parser p;
+  int set_on[std::size(kKeys)] = {};  // the line that set each key
   std::string line;
   while (std::getline(in, line)) {
     ++p.line_no;
@@ -197,7 +260,24 @@ ParameterDeck parse_parameter_deck(std::istream& in) {
     const std::string value = trim(line.substr(eq + 1));
     if (key.empty()) p.fail("empty key");
     if (value.empty()) p.fail("empty value for '" + key + "'");
-    p.apply(key, value);
+    std::size_t row = 0;
+    while (row < std::size(kKeys) && key != kKeys[row].name) ++row;
+    if (row == std::size(kKeys)) p.fail("unknown parameter '" + key + "'");
+    if (set_on[row] != 0)
+      p.fail("'" + key + "' is already set on line " +
+             std::to_string(set_on[row]));
+    set_on[row] = p.line_no;
+    const Key& k = kKeys[row];
+    std::visit(
+        [&](const auto& f) {
+          std::remove_reference_t<decltype(f.first(p.deck))> v{};
+          p.read(value, v);
+          if constexpr (std::is_same_v<decltype(v), double>) v *= k.unit;
+          f.first(p.deck) = v;
+          if (f.second != nullptr) f.second(p.deck) = v;
+        },
+        k.target);
+    if (k.then != nullptr) k.then(p);
   }
   return std::move(p.deck);
 }
@@ -222,156 +302,29 @@ void configure_from_deck(Simulation& sim, const ParameterDeck& deck) {
   sim.configure_for_restart(deck_problem_setup(deck));
 }
 
-namespace {
-
-/// Shortest round-trip rendering of a double (std::to_chars): re-parsing
-/// the text recovers the bit-identical value, so render/parse cycles are
-/// lossless — the old 6-significant-digit rendering turned 5/3 into
-/// "1.66667" and silently perturbed every re-parsed config.
-std::string fmt(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-}  // namespace
-
 std::string render_deck(const ParameterDeck& deck) {
-  std::ostringstream os;
-  const auto& cfg = deck.config;
-  // Compare against the parser's starting state, so render emits exactly
-  // the keys a deck would need to reproduce this configuration.
-  const ParameterDeck d0;
-  const auto& c0 = d0.config;
-
-  os << "ProblemType = " << deck.problem << "\n";
-  os << "TopGridDimensions = " << cfg.hierarchy.root_dims[0] << " "
-     << cfg.hierarchy.root_dims[1] << " " << cfg.hierarchy.root_dims[2]
-     << "\n";
-  os << "RefineBy = " << cfg.hierarchy.refine_factor << "\n";
-  os << "MaximumRefinementLevel = " << cfg.hierarchy.max_level << "\n";
-  os << "PeriodicBoundary = " << (cfg.hierarchy.periodic ? 1 : 0) << "\n";
-  if (cfg.hierarchy.nghost != c0.hierarchy.nghost)
-    os << "GhostZones = " << cfg.hierarchy.nghost << "\n";
-  if (cfg.hierarchy.flag_buffer != c0.hierarchy.flag_buffer)
-    os << "FlagBufferCells = " << cfg.hierarchy.flag_buffer << "\n";
-  if (cfg.hierarchy.cluster.min_efficiency !=
-      c0.hierarchy.cluster.min_efficiency)
-    os << "ClusterEfficiency = " << fmt(cfg.hierarchy.cluster.min_efficiency)
-       << "\n";
-  os << "HydroEnabled = " << (cfg.enable_hydro ? 1 : 0) << "\n";
-  os << "GravityEnabled = " << (cfg.enable_gravity ? 1 : 0) << "\n";
-  os << "ChemistryEnabled = " << (cfg.enable_chemistry ? 1 : 0) << "\n";
-  os << "ParticlesEnabled = " << (cfg.enable_particles ? 1 : 0) << "\n";
-  os << "Gamma = " << fmt(cfg.hydro.gamma) << "\n";
-  os << "CourantSafetyNumber = " << fmt(cfg.hydro.cfl) << "\n";
-  os << "HydroMethod = "
-     << (cfg.hydro.solver == hydro::Solver::kPpm ? "PPM" : "Zeus") << "\n";
-  if (cfg.hydro.flattening != c0.hydro.flattening)
-    os << "PPMFlattening = " << (cfg.hydro.flattening ? 1 : 0) << "\n";
-  if (cfg.hydro.dual_energy_eta1 != c0.hydro.dual_energy_eta1)
-    os << "DualEnergyEta = " << fmt(cfg.hydro.dual_energy_eta1) << "\n";
-  if (cfg.refinement.baryon_mass_threshold > 0)
-    os << "RefineByBaryonMass = " << fmt(cfg.refinement.baryon_mass_threshold)
-       << "\n";
-  if (cfg.refinement.dm_mass_threshold > 0)
-    os << "RefineByDarkMatterMass = " << fmt(cfg.refinement.dm_mass_threshold)
-       << "\n";
-  if (cfg.refinement.jeans_number > 0)
-    os << "RefineByJeansLength = " << fmt(cfg.refinement.jeans_number) << "\n";
-  if (cfg.refinement.overdensity_threshold > 0)
-    os << "RefineByOverdensity = " << fmt(cfg.refinement.overdensity_threshold)
-       << "\n";
-  if (cfg.comoving) os << "ComovingCoordinates = 1\n";
-  if (cfg.frw.hubble != c0.frw.hubble)
-    os << "HubbleConstantNow = " << fmt(cfg.frw.hubble) << "\n";
-  if (cfg.frw.omega_matter != c0.frw.omega_matter)
-    os << "OmegaMatterNow = " << fmt(cfg.frw.omega_matter) << "\n";
-  if (cfg.frw.omega_baryon != c0.frw.omega_baryon)
-    os << "OmegaBaryonNow = " << fmt(cfg.frw.omega_baryon) << "\n";
-  if (cfg.frw.omega_lambda != c0.frw.omega_lambda)
-    os << "OmegaLambdaNow = " << fmt(cfg.frw.omega_lambda) << "\n";
-  if (cfg.frw.sigma8 != c0.frw.sigma8)
-    os << "Sigma8 = " << fmt(cfg.frw.sigma8) << "\n";
-  if (cfg.initial_redshift != c0.initial_redshift)
-    os << "InitialRedshift = " << fmt(cfg.initial_redshift) << "\n";
-  // ComovingBoxSizeMpc feeds both comoving problems; emit whichever differs
-  // from its default (a deck key always sets the two together).
-  if (deck.cosmology.box_comoving_cm != d0.cosmology.box_comoving_cm)
-    os << "ComovingBoxSizeMpc = "
-       << fmt(deck.cosmology.box_comoving_cm / constants::kMpc) << "\n";
-  else if (deck.pancake.box_comoving_cm != d0.pancake.box_comoving_cm)
-    os << "ComovingBoxSizeMpc = "
-       << fmt(deck.pancake.box_comoving_cm / constants::kMpc) << "\n";
-  if (deck.cosmology.seed != d0.cosmology.seed)
-    os << "RandomSeed = " << deck.cosmology.seed << "\n";
-  if (deck.cosmology.nested_static_levels != d0.cosmology.nested_static_levels)
-    os << "NestedStaticLevels = " << deck.cosmology.nested_static_levels
-       << "\n";
-  if (deck.cosmology.particles_per_axis != d0.cosmology.particles_per_axis)
-    os << "ParticlesPerAxis = " << deck.cosmology.particles_per_axis << "\n";
-  // --- collapse problem ---
-  if (deck.collapse.box_proper_cm != d0.collapse.box_proper_cm)
-    os << "BoxSizeParsec = "
-       << fmt(deck.collapse.box_proper_cm / constants::kParsec) << "\n";
-  if (deck.collapse.cloud_radius != d0.collapse.cloud_radius)
-    os << "CloudRadius = " << fmt(deck.collapse.cloud_radius) << "\n";
-  if (deck.collapse.overdensity != d0.collapse.overdensity)
-    os << "CloudOverdensity = " << fmt(deck.collapse.overdensity) << "\n";
-  if (deck.collapse.mean_density_cgs != d0.collapse.mean_density_cgs)
-    os << "BackgroundDensityCGS = " << fmt(deck.collapse.mean_density_cgs)
-       << "\n";
-  // The Initial* keys each feed two problems' options; emit whichever copy
-  // differs from its own default (a deck key always sets both together).
-  if (deck.collapse.temperature != d0.collapse.temperature)
-    os << "InitialTemperature = " << fmt(deck.collapse.temperature) << "\n";
-  else if (deck.pancake.initial_temperature != d0.pancake.initial_temperature)
-    os << "InitialTemperature = " << fmt(deck.pancake.initial_temperature)
-       << "\n";
-  if (deck.collapse.ionization != d0.collapse.ionization)
-    os << "InitialIonizationFraction = " << fmt(deck.collapse.ionization)
-       << "\n";
-  else if (deck.cosmology.initial_ionization !=
-           d0.cosmology.initial_ionization)
-    os << "InitialIonizationFraction = "
-       << fmt(deck.cosmology.initial_ionization) << "\n";
-  if (deck.collapse.h2_fraction != d0.collapse.h2_fraction)
-    os << "InitialH2Fraction = " << fmt(deck.collapse.h2_fraction) << "\n";
-  else if (deck.cosmology.initial_h2_fraction !=
-           d0.cosmology.initial_h2_fraction)
-    os << "InitialH2Fraction = " << fmt(deck.cosmology.initial_h2_fraction)
-       << "\n";
-  // --- pancake / uniform / sedov ---
-  if (deck.pancake.a_caustic_redshift != d0.pancake.a_caustic_redshift)
-    os << "PancakeCausticRedshift = " << fmt(deck.pancake.a_caustic_redshift)
-       << "\n";
-  if (deck.uniform_density != d0.uniform_density)
-    os << "UniformDensity = " << fmt(deck.uniform_density) << "\n";
-  if (deck.uniform_eint != d0.uniform_eint)
-    os << "UniformInternalEnergy = " << fmt(deck.uniform_eint) << "\n";
-  if (deck.sedov.energy != d0.sedov.energy)
-    os << "SedovEnergy = " << fmt(deck.sedov.energy) << "\n";
-  if (deck.sedov.radius != d0.sedov.radius)
-    os << "SedovDepositRadius = " << fmt(deck.sedov.radius) << "\n";
-  if (cfg.audit_invariants) {
-    os << "AuditInvariants = 1\n";
-    if (cfg.audit_interval != 1)
-      os << "AuditInterval = " << cfg.audit_interval << "\n";
-  }
-  if (cfg.exec.backend != exec::Backend::kSerial || cfg.exec.threads != 0)
-    os << "Threads = " << cfg.exec.threads << "\n";
-  if (cfg.rebuild_interval != c0.rebuild_interval)
-    os << "RebuildInterval = " << cfg.rebuild_interval << "\n";
-  os << "StopSteps = " << deck.stop_steps << "\n";
-  if (deck.stop_time != d0.stop_time)
-    os << "StopTime = " << fmt(deck.stop_time) << "\n";
-  if (!deck.checkpoint_path.empty())
-    os << "CheckpointPath = " << deck.checkpoint_path << "\n";
-  if (deck.checkpoint_interval != d0.checkpoint_interval)
-    os << "CheckpointInterval = " << deck.checkpoint_interval << "\n";
-  if (deck.checkpoint_keep != d0.checkpoint_keep)
-    os << "CheckpointKeep = " << deck.checkpoint_keep << "\n";
-  return os.str();
+  // The field accessors take a mutable deck, so render reads a copy.  Each
+  // key is compared against the parser's starting state, so render emits
+  // exactly the keys a deck needs to reproduce this configuration.
+  ParameterDeck d = deck, d0;
+  std::string out;
+  for (const Key& k : kKeys)
+    std::visit(
+        [&](const auto& f) {
+          // A key two problems read shows the first of its fields that
+          // differs from its default (the parser sets the two together).
+          for (const auto field : {f.first, f.second}) {
+            if (field == nullptr) return;
+            const std::string v = text(in_deck_units(field(d), k.unit));
+            if (k.show == kAlways ||
+                v != text(in_deck_units(field(d0), k.unit))) {
+              out += std::string(k.name) + " = " + v + "\n";
+              return;
+            }
+          }
+        },
+        k.target);
+  return out;
 }
 
 }  // namespace enzo::core

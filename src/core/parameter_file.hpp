@@ -8,7 +8,7 @@
 //
 // Format: one `Key = value` per line; `#` starts a comment; keys are
 // case-sensitive; unknown keys are an error (catching typos is the whole
-// point of a deck parser).  Example:
+// point of a deck parser), and so is a key set twice.  Example:
 //
 //     # first-star collapse at laptop scale
 //     ProblemType            = CollapseCloud
@@ -24,13 +24,17 @@
 // ProblemType" error lists exactly the registered names, so the accepted
 // set can never drift from the actual generators.
 //
-// See `parse_parameter_file` for the full key list; render_deck() is the
+// The key list is one table, `kKeys` in parameter_file.cpp (deck_keys()
+// returns its names): each row names a key once, with the deck field(s) it
+// sets, its unit, any side effect, and whether render_deck() always shows
+// it.  The parser and render_deck() both read the table, so render is the
 // exact inverse of the parser (every non-default value is emitted with
 // round-trip float precision), pinned by the deck round-trip suite in
 // tests/deck_test.cpp.
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "core/setup.hpp"
 #include "core/simulation.hpp"
@@ -68,8 +72,12 @@ struct ParameterDeck {
   int checkpoint_keep = 3;
 };
 
+/// Every deck key, in the order render_deck writes them.
+std::vector<std::string> deck_keys();
+
 /// Parse a deck from a stream; throws enzo::Error with line numbers on
-/// malformed input, unknown keys, or a ProblemType that is not registered.
+/// malformed input, unknown or repeated keys, or a ProblemType that is not
+/// registered.
 ParameterDeck parse_parameter_deck(std::istream& in);
 
 /// Convenience: parse from a file path.

@@ -603,26 +603,8 @@ perf::StepRecord Simulation::make_step_record(double dt,
     }
     rec.levels.push_back(ls);
   }
-  // Conservation diagnostics from the root level (children are projected
-  // into their parents after every W-cycle, so the root view is complete).
-  double mass = 0.0, energy = 0.0;
-  for (const Grid* g : hierarchy_.grids(0)) {
-    if (!g->has_field(Field::kDensity)) continue;
-    double vol = 1.0;
-    for (int d = 0; d < 3; ++d) vol *= g->cell_width_d(d);
-    const auto& rho = g->field(Field::kDensity);
-    const bool has_e = g->has_field(Field::kTotalEnergy);
-    const auto& etot = g->field(has_e ? Field::kTotalEnergy : Field::kDensity);
-    for (int k = 0; k < g->nx(2); ++k)
-      for (int j = 0; j < g->nx(1); ++j)
-        for (int i = 0; i < g->nx(0); ++i) {
-          const int si = g->sx(i), sj = g->sy(j), sk = g->sz(k);
-          const double m = rho(si, sj, sk) * vol;
-          // enzo-lint: allow(determinism-grid-fp-accumulation) serial diagnostic
-          mass += m;
-          if (has_e) energy += m * etot(si, sj, sk);
-        }
-  }
+  // Conservation diagnostics from the root level.
+  const auto [mass, energy] = analysis::root_totals(hierarchy_);
   if (!diag_baseline_set_) {
     diag_mass0_ = mass;
     diag_energy0_ = energy;

@@ -459,54 +459,66 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
                                             : grids_before - grids_after);
 }
 
-void Hierarchy::check_invariants() const {
+void Hierarchy::for_each_invariant_violation(const InvariantFn& report) const {
   for (int l = 0; l < static_cast<int>(levels_.size()); ++l) {
     const Index3 dims = level_dims(l);
     const auto& lv = levels_[l];
-    ENZO_REQUIRE(l == 0 || !levels_[l - 1].empty(),
-                 "level " + std::to_string(l) + " has grids but parent level is empty");
+    if (l > 0 && !lv.empty() && levels_[l - 1].empty())
+      report("structure", l, 0, "level has grids but parent level is empty");
     for (std::size_t a = 0; a < lv.size(); ++a) {
       const Grid& g = *lv[a];
-      ENZO_REQUIRE(g.level() == l, "grid level mismatch");
-      for (int d = 0; d < 3; ++d) {
-        ENZO_REQUIRE(g.box().lo[d] >= 0 && g.box().hi[d] <= dims[d],
-                     "grid outside domain: " + g.box().str());
-      }
-      if (l > 0) {
-        const Grid* parent = g.parent();
-        ENZO_REQUIRE(parent != nullptr, "refined grid without parent");
-        // Alignment and containment within the single parent.
+      const auto fail = [&](std::string detail) {
+        report("structure", l, g.id(), std::move(detail));
+      };
+      if (g.level() != l)
+        fail("grid level field says " + std::to_string(g.level()));
+      for (int d = 0; d < 3; ++d)
+        if (g.box().lo[d] < 0 || g.box().hi[d] > dims[d]) {
+          fail("grid outside domain: " + g.box().str());
+          break;
+        }
+      const Grid* parent = g.parent();
+      if (l > 0 && parent == nullptr) fail("refined grid without parent");
+      if (l > 0 && parent != nullptr) {
+        // Aligned to, and contained in, a parent on the level above.
         const Index3 pdims = level_dims(l - 1);
         IndexBox in_parent;
+        bool aligned = true;
         for (int d = 0; d < 3; ++d) {
           const std::int64_t rd = dims[d] / pdims[d];
-          ENZO_REQUIRE(g.box().lo[d] % rd == 0 && g.box().hi[d] % rd == 0,
-                       "grid not aligned to parent cells: " + g.box().str());
+          if (g.box().lo[d] % rd != 0 || g.box().hi[d] % rd != 0)
+            aligned = false;
           in_parent.lo[d] = g.box().lo[d] / rd;
           in_parent.hi[d] = g.box().hi[d] / rd;
         }
-        ENZO_REQUIRE(parent->box().contains(in_parent),
-                     "grid " + g.box().str() + " not contained in parent " +
-                         parent->box().str());
-        // Parent must actually live on the previous level.
-        bool found = false;
-        for (const auto& p : levels_[l - 1])
-          if (p.get() == parent) found = true;
-        ENZO_REQUIRE(found, "stale parent pointer");
+        if (!aligned)
+          fail("grid not aligned to parent cells: " + g.box().str());
+        if (!parent->box().contains(in_parent))
+          fail("grid " + g.box().str() + " not contained in parent " +
+               parent->box().str());
+        const auto& above = levels_[l - 1];
+        if (std::none_of(above.begin(), above.end(),
+                         [&](const auto& p) { return p.get() == parent; }))
+          fail("stale parent pointer");
       }
-      // Non-overlap with same-level grids.
-      for (std::size_t b = a + 1; b < lv.size(); ++b) {
-        ENZO_REQUIRE(g.box().intersect(lv[b]->box()).empty(),
-                     "overlapping grids at level " + std::to_string(l) + ": " +
-                         g.box().str() + " and " + lv[b]->box().str());
-      }
-      // Particle ownership.
-      for (const Particle& p : g.particles()) {
-        ENZO_REQUIRE(g.contains_position(p.x),
-                     "particle outside its owning grid");
-      }
+      for (std::size_t b = a + 1; b < lv.size(); ++b)
+        if (!g.box().intersect(lv[b]->box()).empty())
+          fail("overlaps sibling " + lv[b]->box().str());
+      for (const Particle& p : g.particles())
+        if (!g.contains_position(p.x))
+          report("particles", l, g.id(),
+                 "particle " + std::to_string(p.id) +
+                     " outside its owning grid " + g.box().str());
     }
   }
+}
+
+void Hierarchy::check_invariants() const {
+  for_each_invariant_violation(
+      [](const char*, int level, std::uint64_t, std::string detail) {
+        throw Error("hierarchy invariant broken on level " +
+                    std::to_string(level) + ": " + detail);
+      });
 }
 
 std::vector<std::size_t> Hierarchy::grids_per_level() const {

@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "mesh/berger_rigoutsos.hpp"
@@ -107,8 +108,17 @@ class Hierarchy {
   /// grids.
   void rebuild(int level, const FlagFn& flag);
 
-  /// Verify structural invariants (containment, alignment, non-overlap,
-  /// particle ownership); throws enzo::Error with a description on failure.
+  /// The structural invariants: every grid lies inside the domain, on its
+  /// own level, aligned to and contained in a live parent on the level
+  /// above, disjoint from its siblings, and holds only particles inside it.
+  /// Calls report(rule, level, grid id, detail) per violation: rule is
+  /// "structure" or "particles", the id 0 for a level-wide violation.  The
+  /// detail is built only on failure, so a clean hierarchy allocates nothing.
+  using InvariantFn =
+      std::function<void(const char*, int, std::uint64_t, std::string)>;
+  void for_each_invariant_violation(const InvariantFn& report) const;
+
+  /// Throws enzo::Error on the first invariant violation.
   void check_invariants() const;
 
   /// Count of grids per level (Fig. 5 bottom-left panel).

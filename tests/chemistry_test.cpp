@@ -476,12 +476,14 @@ TEST(Rates, TableMatchesFitsWithinTolerance) {
                                0.1 * nH + 0.01 * nH + 0.002 * nH,
                                1e-3 * nH,
                                1e-7 * nH};
-    const chemistry::CoolingRowInput cri{ci.T_cmb,   &ci.T,     &ci.n_HI,
-                                         &ci.n_HII,  &ci.n_HeI, &ci.n_HeII,
-                                         &ci.n_HeIII, &ci.n_e,  &ci.n_H2,
-                                         &ci.n_HD};
+    const chemistry::CoolingRowInput cri{&ci.T,      &ci.n_HI,    &ci.n_HII,
+                                         &ci.n_HeI,  &ci.n_HeII,  &ci.n_HeIII,
+                                         &ci.n_e,    &ci.n_H2,    &ci.n_HD};
+    chemistry::RateBatch coefs;
+    coefs.compute(1, &ci.T);
     double table_lambda = 0.0;
-    chemistry::cooling_rate_batch(1, cri, &table_lambda);
+    chemistry::cooling_rate_batch(coefs, chemistry::cmb_terms(ci.T_cmb), cri,
+                                  &table_lambda);
     const double exact = chemistry::cooling_rate(ci);
     EXPECT_NEAR(table_lambda, exact, 1e-5 * std::abs(exact)) << "i=" << i;
   }
@@ -546,7 +548,7 @@ TEST(Rates, BatchLanesMatchScalarBitwise) {
                          b.k51, b.k52, b.k53, b.k54, b.k55, b.k56, b.k57};
     for (std::size_t r = 0; r < std::size(av); ++r)
       EXPECT_TRUE(same_bits(av[r], bv[r])) << "T=" << T[i] << " rate " << r;
-    for (int c = 0; c < chemistry::kNumRateCoefs; ++c) {
+    for (int c = 0; c < chemistry::kNumCoefs; ++c) {
       const auto coef = static_cast<chemistry::Coef>(c);
       EXPECT_TRUE(same_bits(batch.lane(coef)[i],
                             chemistry::coefficient_lookup(coef, T[i])))
@@ -585,16 +587,21 @@ TEST(Chemistry, CoolingBatchMatchesScalarBitwise) {
     nH2[i] = 1e-3 * nH;
     nHD[i] = 1e-7 * nH;
   }
+  const chemistry::CmbTerms cmb = chemistry::cmb_terms(t_cmb);
   const chemistry::CoolingRowInput cri{
-      t_cmb,        T.data(),     nHI.data(), nHII.data(),  nHeI.data(),
-      nHeII.data(), nHeIII.data(), ne.data(), nH2.data(),   nHD.data()};
-  chemistry::cooling_rate_batch(n, cri, lambda.data());
+      T.data(),     nHI.data(),    nHII.data(), nHeI.data(), nHeII.data(),
+      nHeIII.data(), ne.data(),    nH2.data(),  nHD.data()};
+  chemistry::RateBatch coefs;
+  coefs.compute(n, T.data());
+  chemistry::cooling_rate_batch(coefs, cmb, cri, lambda.data());
+  chemistry::RateBatch one_coefs;
   for (int i = 0; i < n; ++i) {
     const chemistry::CoolingRowInput one{
-        t_cmb,     &T[i],      &nHI[i], &nHII[i], &nHeI[i],
-        &nHeII[i], &nHeIII[i], &ne[i],  &nH2[i],  &nHD[i]};
+        &T[i],      &nHI[i], &nHII[i], &nHeI[i], &nHeII[i],
+        &nHeIII[i], &ne[i],  &nH2[i],  &nHD[i]};
+    one_coefs.compute(1, &T[i]);
     double single = 0.0;
-    chemistry::cooling_rate_batch(1, one, &single);
+    chemistry::cooling_rate_batch(one_coefs, cmb, one, &single);
     EXPECT_TRUE(same_bits(lambda[i], single)) << "i=" << i;
     EXPECT_TRUE(std::isfinite(lambda[i]));
   }
@@ -787,6 +794,7 @@ int advance_row(std::vector<CellState>& st, const std::vector<double>& rho,
   }
   int total = 0;
   chemistry::RateBatch rates;
+  const chemistry::CmbTerms cmb = chemistry::cmb_terms(units.t_cmb);
   while (!active.empty()) {
     const int m = static_cast<int>(active.size());
     rounds.push_back(m);
@@ -801,10 +809,10 @@ int advance_row(std::vector<CellState>& st, const std::vector<double>& rho,
     rates.compute(m, T.data());
     if (prm.cooling) {
       const chemistry::CoolingRowInput cri{
-          units.t_cmb,    T.data(),       lane[0].data(), lane[1].data(),
-          lane[2].data(), lane[3].data(), lane[4].data(), lane[5].data(),
-          lane[6].data(), lane[7].data()};
-      chemistry::cooling_rate_batch(m, cri, lambda.data());
+          T.data(),       lane[0].data(), lane[1].data(), lane[2].data(),
+          lane[3].data(), lane[4].data(), lane[5].data(), lane[6].data(),
+          lane[7].data()};
+      chemistry::cooling_rate_batch(rates, cmb, cri, lambda.data());
     }
     std::vector<int> next;
     for (int a = 0; a < m; ++a) {

@@ -287,3 +287,93 @@ TEST(Deck, EveryShippedKeyIsLive) {
     }
   }
 }
+
+TEST(Deck, EveryTableKeyRoundTrips) {
+  // One non-default value per deck key.  Each key must show up in the
+  // render, and parse → render → parse → render must be a fixed point.  The
+  // key set must equal the table's, so a key added without a value here
+  // fails.
+  const std::map<std::string, std::string> values = {
+      {"ProblemType", "SodTube"},
+      {"TopGridDimensions", "16 8 4"},
+      {"RefineBy", "4"},
+      {"MaximumRefinementLevel", "3"},
+      {"PeriodicBoundary", "0"},
+      {"GhostZones", "3"},
+      {"FlagBufferCells", "2"},
+      {"ClusterEfficiency", "0.8"},
+      {"HydroEnabled", "0"},
+      {"GravityEnabled", "1"},
+      {"ChemistryEnabled", "1"},
+      {"ParticlesEnabled", "1"},
+      {"Gamma", "1.4"},
+      {"CourantSafetyNumber", "0.3"},
+      {"HydroMethod", "Zeus"},
+      {"PPMFlattening", "0"},
+      {"DualEnergyEta", "0.002"},
+      {"RefineByBaryonMass", "0.5"},
+      {"RefineByDarkMatterMass", "0.25"},
+      {"RefineByJeansLength", "8"},
+      {"RefineByOverdensity", "3"},
+      {"ComovingCoordinates", "1"},
+      {"HubbleConstantNow", "0.7"},
+      {"OmegaMatterNow", "0.3"},
+      {"OmegaBaryonNow", "0.05"},
+      {"OmegaLambdaNow", "0.7"},
+      {"Sigma8", "0.9"},
+      {"InitialRedshift", "30"},
+      {"ComovingBoxSizeMpc", "2.5"},
+      {"RandomSeed", "99"},
+      {"NestedStaticLevels", "2"},
+      {"ParticlesPerAxis", "16"},
+      {"BoxSizeParsec", "3"},
+      {"CloudRadius", "0.3"},
+      {"CloudOverdensity", "12"},
+      {"BackgroundDensityCGS", "2e-20"},
+      {"InitialTemperature", "250"},
+      {"InitialIonizationFraction", "0.0003"},
+      {"InitialH2Fraction", "1e-05"},
+      {"PancakeCausticRedshift", "2"},
+      {"UniformDensity", "2.5"},
+      {"UniformInternalEnergy", "0.7"},
+      {"SedovEnergy", "2"},
+      {"SedovDepositRadius", "0.1"},
+      {"AuditInvariants", "1"},
+      {"AuditInterval", "3"},
+      {"Threads", "4"},
+      {"RebuildInterval", "2"},
+      {"StopSteps", "7"},
+      {"StopTime", "0.5"},
+      {"CheckpointPath", "ckpt/"},
+      {"CheckpointInterval", "5"},
+      {"CheckpointKeep", "2"},
+  };
+  const std::vector<std::string> keys = core::deck_keys();
+  EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+            keys.size())
+      << "a key is listed twice";
+  std::set<std::string> with_value;
+  for (const auto& [key, value] : values) with_value.insert(key);
+  EXPECT_EQ(with_value, std::set<std::string>(keys.begin(), keys.end()));
+
+  std::string text;
+  for (const auto& [key, value] : values) text += key + " = " + value + "\n";
+  const std::string r1 = core::render_deck(parse(text));
+  for (const auto& [key, value] : values)
+    EXPECT_NE(r1.find(key + " = "), std::string::npos)
+        << key << " = " << value << " did not render: is it the default?";
+  EXPECT_EQ(core::render_deck(parse(r1)), r1);
+}
+
+TEST(Deck, RepeatedKeyNamesBothLines) {
+  // A key set twice is an error, not "the later line wins".
+  try {
+    parse("Gamma = 1.4\nStopSteps = 3\n\nGamma = 1.3\n");
+    FAIL() << "should have thrown";
+  } catch (const enzo::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("Gamma"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+  }
+}
