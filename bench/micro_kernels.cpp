@@ -80,15 +80,19 @@ void BM_ZeusStep(benchmark::State& state) {
 BENCHMARK(BM_ZeusStep)->Arg(16)->Arg(32);
 
 void BM_PpmSubgrid(benchmark::State& state) {
-  // An 8³ child of a 16³ root with the chemistry field list and ghosts from
-  // the boundary fill: the small-subgrid regime of the sedov and first_star
-  // decks, where a pencil is twice as long as the active cells it updates
-  // and the ghost rows outnumber the active ones.
+  // An n³ child of a 16³ root with the chemistry field list and ghosts from
+  // the boundary fill.  n = 8 is the small-subgrid regime of the sedov and
+  // first_star decks, where a pencil is twice as long as the active cells it
+  // updates and the ghost rows outnumber the active ones; n = 4 is the deep
+  // run's shape (ROADMAP item 2: level-10 grids of at most 64 cells), whose
+  // pencils are 12 cells long.
+  const int n = static_cast<int>(state.range(0));
   mesh::Hierarchy h = hydro_box(16, true);
   mesh::Grid* root = h.grids(0)[0];
   root->store_old_fields();
+  const int lo = 16 - n / 2, hi = lo + n;
   auto child = std::make_unique<mesh::Grid>(
-      h.make_spec(1, {{12, 12, 12}, {20, 20, 20}}), root->field_list());
+      h.make_spec(1, {{lo, lo, lo}, {hi, hi, hi}}), root->field_list());
   child->set_parent(root);
   mesh::Grid* g = h.insert_grid(std::move(child));
   mesh::fill_active_from_parent(*g, *root);
@@ -97,9 +101,9 @@ void BM_PpmSubgrid(benchmark::State& state) {
   hydro::HydroParams hp;
   auto exp = cosmology::Expansion::statics();
   for (auto _ : state) hydro::solve_hydro_step(*g, 1e-4, hp, exp);
-  state.SetItemsProcessed(state.iterations() * 8 * 8 * 8);
+  state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_PpmSubgrid);
+BENCHMARK(BM_PpmSubgrid)->Arg(8)->Arg(4);
 
 void BM_Fft3(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -254,8 +258,9 @@ void BM_RiemannBatch(benchmark::State& state) {
                               rho.data(),   u.data(),     p.data(),
                               pstar.data(), ustar.data(), cl.data(),
                               cr.data(),    wl.data(),    wr.data()};
+  // n faces in rows of kBatch.
   for (auto _ : state) {
-    hydro::riemann_two_shock_batch(0, n - 1, b, 5.0 / 3.0);
+    hydro::riemann_two_shock_batch(0, n / hydro::kBatch - 1, b, 5.0 / 3.0);
     benchmark::DoNotOptimize(rho.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -53,6 +53,8 @@ void Simulation::initialize(const ProblemSetup& setup) {
   // Configure hooks may adjust hierarchy parameters (boundary type, field
   // list): re-derive the still-empty hierarchy before building the root.
   for (const auto& fn : setup.configure_) fn(cfg_);
+  if (cfg_.enable_hydro)
+    hydro::require_ghost_zones(cfg_.hierarchy.nghost, cfg_.hydro.solver);
   sync_hierarchy_params();
   hierarchy_.build_root(setup.tiles_);
   for (const auto& [lvl, box] : setup.static_regions_)

@@ -45,6 +45,15 @@ struct HydroParams {
   double max_expansion = 0.02;
 };
 
+/// Ghost cells per side a solver's sweep stencil reads: PPM 3 (its
+/// parabolas on the two cells of an active face read two cells further
+/// out), ZEUS 2.
+int min_ghost_zones(Solver s);
+
+/// Throws enzo::Error naming GhostZones, the solver and its minimum when
+/// nghost is below min_ghost_zones(s).
+void require_ghost_zones(int nghost, Solver s);
+
 /// Which constraint set a timestep — recorded in the per-step diagnostics
 /// (the driver adds the non-hydro limiters: particles, stop time, and the
 /// catch-up clamp onto the parent's window).
@@ -85,8 +94,9 @@ inline double compute_timestep(const mesh::Grid& g, const HydroParams& params,
 /// boundary fill.  The flux registers cover active faces only.  Gravity
 /// sources are applied separately by apply_gravity_sources after the
 /// gravity solve.
-/// `ex` (optional) chunks the independent pencil sweeps via the executor's
-/// nested parallel_for; nullptr runs them inline.
+/// `ex` (optional) chunks the independent pencil batches via the executor's
+/// nested parallel_for; nullptr runs them inline.  Throws if the grid has
+/// fewer ghost cells than the solver's stencil reads (min_ghost_zones).
 void solve_hydro_step(mesh::Grid& g, double dt, const HydroParams& params,
                       const cosmology::Expansion& exp,
                       exec::LevelExecutor* ex = nullptr);

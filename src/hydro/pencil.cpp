@@ -1,8 +1,10 @@
-// SoA pencil workspace: arena-backed lane storage, bulk strided
-// gather/scatter between grid fields and the dense lanes, and the
-// conservative update over the lanes.  Kernel-facing loops here are written
-// branch-free over contiguous arrays so the compiler can autovectorize them
-// (tools/check_vec pins that this stays true).
+// Pencil batch workspace: arena-backed cell-major lanes, the grid↔lane
+// transfers (gather, scatter, register adds) and the conservative update
+// over the lanes.  Each cell row of a batch is addressed through
+// ArrayView3::row/line, so the bounds-check build checks both ends of it.
+// Lane loops run over whole 8-pencil rows and are written branch-free so
+// the compiler autovectorizes them (tools/check_vec pins that this stays
+// true).
 
 #include "hydro/pencil.hpp"
 
@@ -17,52 +19,79 @@ namespace enzo::hydro {
 
 namespace {
 
-// Lane lengths are padded to 8 doubles (one cache line) so every lane of the
-// 64-byte-aligned arena block starts on its own aligned boundary.
-constexpr int kLanePad = 8;
+constexpr int kB = kBatch;
+using View = util::ArrayView3<double>;
 
-int padded(int len) { return (len + kLanePad - 1) / kLanePad * kLanePad; }
-
-/// Copy n elements from a strided grid line into a dense lane.  The unit
-/// stride case (x sweeps) degenerates to memcpy.
-ENZO_HOT inline void gather_lane(double* dst, const double* src, int n,
-                                 std::ptrdiff_t stride) {
-  if (stride == 1) {
-    std::copy_n(src, static_cast<std::size_t>(n), dst);
+/// Fill lane rows [0, n) with the batch's pencils from v.
+ENZO_HOT void gather_lane(double* __restrict lane, const View& v,
+                          const BatchPlace& at, int n) {
+  int pos[3] = {0, 0, 0};
+  pos[at.o] = at.o0;
+  const int live = at.live;
+  if (at.a == 0) {
+    // Each cell row of the batch is one contiguous x-row of the field.
+    for (int i = 0; i < n; ++i) {
+      pos[at.d] = i;
+      const double* __restrict src = v.row(at.a0, live, pos[1], pos[2]);
+      double* __restrict dst = lane + static_cast<std::ptrdiff_t>(i) * kB;
+      if (live == kB) {
+        for (int b = 0; b < kB; ++b) dst[b] = src[b];
+      } else {
+        for (int b = 0; b < live; ++b) dst[b] = src[b];
+        for (int b = live; b < kB; ++b) dst[b] = src[live - 1];
+      }
+    }
     return;
   }
-  for (std::ptrdiff_t i = 0; i < n; ++i) dst[i] = src[i * stride];
+  // Each pencil is one line of the field along d: transpose it into its lane.
+  pos[at.d] = 0;
+  const std::ptrdiff_t st = v.stride(at.d);
+  for (int b = 0; b < live; ++b) {
+    pos[at.a] = at.a0 + b;
+    const double* __restrict src = v.line(at.d, n, pos[0], pos[1], pos[2]);
+    for (int i = 0; i < n; ++i)
+      lane[static_cast<std::ptrdiff_t>(i) * kB + b] = src[i * st];
+  }
+  for (int i = 0; i < n; ++i) {
+    double* __restrict row = lane + static_cast<std::ptrdiff_t>(i) * kB;
+    for (int b = live; b < kB; ++b) row[b] = row[live - 1];
+  }
 }
 
-/// Copy lane elements [lo, hi) back onto the strided grid line.
-ENZO_HOT inline void scatter_lane(double* dst, const double* src, int lo,
-                                  int hi, std::ptrdiff_t stride) {
-  if (stride == 1) {
-    std::copy(src + lo, src + hi, dst + lo);
+/// Write lane rows [lo, hi) of the real pencils back to v.
+ENZO_HOT void scatter_lane(const View& v, const double* __restrict lane,
+                           const BatchPlace& at, int lo, int hi) {
+  int pos[3] = {0, 0, 0};
+  pos[at.o] = at.o0;
+  const int live = at.live;
+  if (at.a == 0) {
+    for (int i = lo; i < hi; ++i) {
+      pos[at.d] = i;
+      double* __restrict dst = v.row(at.a0, live, pos[1], pos[2]);
+      const double* __restrict src = lane + static_cast<std::ptrdiff_t>(i) * kB;
+      for (int b = 0; b < live; ++b) dst[b] = src[b];
+    }
     return;
   }
-  for (std::ptrdiff_t i = lo; i < hi; ++i) dst[i * stride] = src[i];
+  pos[at.d] = lo;
+  const std::ptrdiff_t st = v.stride(at.d);
+  for (int b = 0; b < live; ++b) {
+    pos[at.a] = at.a0 + b;
+    double* __restrict dst = v.line(at.d, hi - lo, pos[0], pos[1], pos[2]);
+    for (int i = lo; i < hi; ++i)
+      dst[(i - lo) * st] = lane[static_cast<std::ptrdiff_t>(i) * kB + b];
+  }
+}
+
+int extent(const View& v, int axis) {
+  return axis == 0 ? v.nx() : (axis == 1 ? v.ny() : v.nz());
 }
 
 }  // namespace
 
-Pencil::Pencil() { buf_.set_arena(&util::Arena::scratch()); }
+PencilBatch::PencilBatch() { buf_.set_arena(&util::Arena::scratch()); }
 
-PencilMap pencil_map(int axis, int nx, int ny, int nz, int j1, int j2) {
-  (void)nz;
-  const int t1 = (axis + 1) % 3, t2 = (axis + 2) % 3;
-  int s[3] = {0, 0, 0};
-  s[t1] = j1;
-  s[t2] = j2;
-  const std::ptrdiff_t strides[3] = {1, nx,
-                                     static_cast<std::ptrdiff_t>(nx) * ny};
-  PencilMap m;
-  m.base = s[0] * strides[0] + s[1] * strides[1] + s[2] * strides[2];
-  m.stride = strides[axis];
-  return m;
-}
-
-void Pencil::reset(int n_cells, int nghost, int ns) {
+void PencilBatch::reset(int n_cells, int nghost, int ns) {
   ENZO_REQUIRE(nghost >= 0 && ns >= 0, "negative pencil shape");
   ENZO_REQUIRE(n_cells - 2 * nghost >= 1,
                "pencil active extent < 1 cell — the sweep stencil does not "
@@ -70,8 +99,8 @@ void Pencil::reset(int n_cells, int nghost, int ns) {
   n = n_cells;
   ng = nghost;
   nscal = ns;
-  cs_ = padded(n);
-  fs_ = padded(n + 1);
+  cs_ = static_cast<std::ptrdiff_t>(n) * kB;
+  fs_ = static_cast<std::ptrdiff_t>(n + 1) * kB;
   const std::size_t need =
       static_cast<std::size_t>(7 + 2 * nscal) * static_cast<std::size_t>(cs_) +
       static_cast<std::size_t>(7 + nscal) * static_cast<std::size_t>(fs_);
@@ -81,125 +110,176 @@ void Pencil::reset(int n_cells, int nghost, int ns) {
   // 12-scalar chemistry deck followed by a pure-hydro one in one process).
   if (buf_.capacity() > util::Arena::capacity_for(need)) buf_.release();
   // Same-shape fast path: skip the whole-workspace zero fill.  Every lane
-  // slot the sweep reads is written earlier in the same pencil iteration
-  // (gather fills all cell lanes over [0,n); the sweeps write fluxes/ustar
-  // over the full [ng, n-ng] face range the update and accumulation read;
-  // padding is never read), so reuse is value-identical to a fresh fill —
-  // including across executor chunkings, which keeps the determinism
-  // contract.  Profiling showed the per-pencil fill at ~19% of a PPM step.
+  // slot a sweep reads is written earlier in the same batch (gather fills
+  // all cell lanes over [0,n) and every lane; the sweeps write fluxes and
+  // ustar over the full [ng, n-ng] face range the update and the register
+  // adds read), so reuse is value-identical to a fresh fill — including
+  // across executor chunkings, which keeps the determinism contract.
   if (buf_.size() != need) buf_.resize(static_cast<int>(need), 1, 1, 0.0);
 
   double* b = buf_.data();
-  const auto cs = static_cast<std::ptrdiff_t>(cs_);
-  const auto fs = static_cast<std::ptrdiff_t>(fs_);
-  rho = b + 0 * cs;
-  u = b + 1 * cs;
-  vt1 = b + 2 * cs;
-  vt2 = b + 3 * cs;
-  etot = b + 4 * cs;
-  eint = b + 5 * cs;
-  p = b + 6 * cs;
-  scal0_ = b + 7 * cs;
-  smass0_ = scal0_ + nscal * cs;
-  double* fb = smass0_ + nscal * cs;
-  f_rho = fb + 0 * fs;
-  f_mu = fb + 1 * fs;
-  f_mvt1 = fb + 2 * fs;
-  f_mvt2 = fb + 3 * fs;
-  f_etot = fb + 4 * fs;
-  f_eint = fb + 5 * fs;
-  ustar = fb + 6 * fs;
-  fscal0_ = fb + 7 * fs;
+  rho = b + 0 * cs_;
+  u = b + 1 * cs_;
+  vt1 = b + 2 * cs_;
+  vt2 = b + 3 * cs_;
+  etot = b + 4 * cs_;
+  eint = b + 5 * cs_;
+  p = b + 6 * cs_;
+  scal0_ = b + 7 * cs_;
+  smass0_ = scal0_ + nscal * cs_;
+  double* fb = smass0_ + nscal * cs_;
+  ustar = fb;
+  f_rho = fb + 1 * fs_;
+  f_mu = fb + 2 * fs_;
+  f_mvt1 = fb + 3 * fs_;
+  f_mvt2 = fb + 4 * fs_;
+  f_etot = fb + 5 * fs_;
+  f_eint = fb + 6 * fs_;
 }
 
-ENZO_HOT void gather_pencil(Pencil& pc, const PencilFields& f,
-                            const PencilMap& m, double gamma,
-                            double pressure_floor) {
-  const int n = pc.n;
-  const std::ptrdiff_t st = m.stride;
-  gather_lane(pc.rho, f.rho + m.base, n, st);
-  gather_lane(pc.u, f.vu + m.base, n, st);
-  gather_lane(pc.vt1, f.v1 + m.base, n, st);
-  gather_lane(pc.vt2, f.v2 + m.base, n, st);
-  gather_lane(pc.etot, f.etot + m.base, n, st);
-  gather_lane(pc.eint, f.eint + m.base, n, st);
+ENZO_HOT void gather_batch(PencilBatch& pb, const BatchFields& f,
+                           const BatchPlace& at, double gamma,
+                           double pressure_floor) {
+  const int n = pb.n;
+  gather_lane(pb.rho, f.rho, at, n);
+  gather_lane(pb.u, f.vu, at, n);
+  gather_lane(pb.vt1, f.v1, at, n);
+  gather_lane(pb.vt2, f.v2, at, n);
+  gather_lane(pb.etot, f.etot, at, n);
+  gather_lane(pb.eint, f.eint, at, n);
   // Derived lanes over dense data: floor eint, equation-of-state pressure.
-  double* __restrict ei = pc.eint;
-  double* __restrict p = pc.p;
-  const double* __restrict rho = pc.rho;
+  const std::ptrdiff_t m = static_cast<std::ptrdiff_t>(n) * kB;
+  double* __restrict ei = pb.eint;
+  double* __restrict p = pb.p;
+  const double* __restrict rho = pb.rho;
   const double gm1 = gamma - 1.0;
-  for (int i = 0; i < n; ++i) {
-    const double e = std::max(ei[i], 0.0);
-    ei[i] = e;
-    p[i] = std::max(gm1 * rho[i] * e, pressure_floor);
+  for (std::ptrdiff_t e = 0; e < m; ++e) {
+    const double v = std::max(ei[e], 0.0);
+    ei[e] = v;
+    p[e] = std::max(gm1 * rho[e] * v, pressure_floor);
   }
-  for (int s = 0; s < pc.nscal; ++s) {
-    double* __restrict sm = pc.scal_mass(s);
-    double* __restrict fr = pc.scal(s);
-    gather_lane(sm, f.species[s] + m.base, n, st);
-    for (int i = 0; i < n; ++i) fr[i] = sm[i] / rho[i];
+  for (int s = 0; s < pb.nscal; ++s) {
+    double* __restrict sm = pb.scal_mass(s);
+    double* __restrict fr = pb.scal(s);
+    gather_lane(sm, f.species[s], at, n);
+    for (std::ptrdiff_t e = 0; e < m; ++e) fr[e] = sm[e] / rho[e];
   }
 }
 
-ENZO_HOT void scatter_pencil(const Pencil& pc, const PencilFields& f,
-                             const PencilMap& m) {
-  const int lo = pc.ng, hi = pc.n - pc.ng;
-  const std::ptrdiff_t st = m.stride;
-  scatter_lane(f.rho + m.base, pc.rho, lo, hi, st);
-  scatter_lane(f.vu + m.base, pc.u, lo, hi, st);
-  scatter_lane(f.v1 + m.base, pc.vt1, lo, hi, st);
-  scatter_lane(f.v2 + m.base, pc.vt2, lo, hi, st);
-  scatter_lane(f.etot + m.base, pc.etot, lo, hi, st);
-  scatter_lane(f.eint + m.base, pc.eint, lo, hi, st);
-  for (int s = 0; s < pc.nscal; ++s)
-    scatter_lane(f.species[s] + m.base, pc.scal_mass(s), lo, hi, st);
+ENZO_HOT void scatter_batch(const PencilBatch& pb, const BatchFields& f,
+                            const BatchPlace& at) {
+  const int lo = pb.ng, hi = pb.n - pb.ng;
+  scatter_lane(f.rho, pb.rho, at, lo, hi);
+  scatter_lane(f.vu, pb.u, at, lo, hi);
+  scatter_lane(f.v1, pb.vt1, at, lo, hi);
+  scatter_lane(f.v2, pb.vt2, at, lo, hi);
+  scatter_lane(f.etot, pb.etot, at, lo, hi);
+  scatter_lane(f.eint, pb.eint, at, lo, hi);
+  for (int s = 0; s < pb.nscal; ++s)
+    scatter_lane(f.species[s], pb.scal_mass(s), at, lo, hi);
 }
 
-ENZO_HOT void apply_conservative_update(Pencil& pc, double dt, double dx,
-                                        double density_floor) {
+ENZO_HOT void update_batch(PencilBatch& pb, double dt, double dx,
+                           double density_floor) {
   const double dtdx = dt / dx;
-  const int lo = pc.ng, hi = pc.n - pc.ng;
-  double* __restrict rho = pc.rho;
-  double* __restrict u = pc.u;
-  double* __restrict vt1 = pc.vt1;
-  double* __restrict vt2 = pc.vt2;
-  double* __restrict etot = pc.etot;
-  double* __restrict eint = pc.eint;
-  const double* __restrict p = pc.p;
-  const double* __restrict f_rho = pc.f_rho;
-  const double* __restrict f_mu = pc.f_mu;
-  const double* __restrict f_mvt1 = pc.f_mvt1;
-  const double* __restrict f_mvt2 = pc.f_mvt2;
-  const double* __restrict f_etot = pc.f_etot;
-  const double* __restrict f_eint = pc.f_eint;
-  const double* __restrict ustar = pc.ustar;
-  for (int i = lo; i < hi; ++i) {
-    const double m0 = rho[i];
-    double m = m0 + dtdx * (f_rho[i] - f_rho[i + 1]);
+  const std::ptrdiff_t lo = static_cast<std::ptrdiff_t>(pb.ng) * kB;
+  const std::ptrdiff_t hi = static_cast<std::ptrdiff_t>(pb.n - pb.ng) * kB;
+  double* __restrict rho = pb.rho;
+  double* __restrict u = pb.u;
+  double* __restrict vt1 = pb.vt1;
+  double* __restrict vt2 = pb.vt2;
+  double* __restrict etot = pb.etot;
+  double* __restrict eint = pb.eint;
+  const double* __restrict p = pb.p;
+  const double* __restrict f_rho = pb.f_rho;
+  const double* __restrict f_mu = pb.f_mu;
+  const double* __restrict f_mvt1 = pb.f_mvt1;
+  const double* __restrict f_mvt2 = pb.f_mvt2;
+  const double* __restrict f_etot = pb.f_etot;
+  const double* __restrict f_eint = pb.f_eint;
+  const double* __restrict ustar = pb.ustar;
+  // Cell e's lower face is face lane element e, its upper face e + kB.
+  for (std::ptrdiff_t e = lo; e < hi; ++e) {
+    const std::ptrdiff_t up = e + kB;
+    const double m0 = rho[e];
+    double m = m0 + dtdx * (f_rho[e] - f_rho[up]);
     // Vacuum guard: a cell emptied below a tiny fraction of its prior
     // density would turn the specific-variable divisions into velocity
     // blow-ups; clamp relative to the pre-step value.
     m = std::max(m, std::max(density_floor, 1e-8 * m0));
-    const double mu = m0 * u[i] + dtdx * (f_mu[i] - f_mu[i + 1]);
-    const double m1 = m0 * vt1[i] + dtdx * (f_mvt1[i] - f_mvt1[i + 1]);
-    const double m2 = m0 * vt2[i] + dtdx * (f_mvt2[i] - f_mvt2[i + 1]);
-    const double me = m0 * etot[i] + dtdx * (f_etot[i] - f_etot[i + 1]);
-    double mei = m0 * eint[i] + dtdx * (f_eint[i] - f_eint[i + 1]);
+    const double mu = m0 * u[e] + dtdx * (f_mu[e] - f_mu[up]);
+    const double m1 = m0 * vt1[e] + dtdx * (f_mvt1[e] - f_mvt1[up]);
+    const double m2 = m0 * vt2[e] + dtdx * (f_mvt2[e] - f_mvt2[up]);
+    const double me = m0 * etot[e] + dtdx * (f_etot[e] - f_etot[up]);
+    double mei = m0 * eint[e] + dtdx * (f_eint[e] - f_eint[up]);
     // Internal-energy pdV work with the Riemann face velocities.
-    mei -= dt * p[i] * (ustar[i + 1] - ustar[i]) / dx;
+    mei -= dt * p[e] * (ustar[up] - ustar[e]) / dx;
     mei = std::max(mei, 0.0);
-    rho[i] = m;
-    u[i] = mu / m;
-    vt1[i] = m1 / m;
-    vt2[i] = m2 / m;
-    etot[i] = me / m;
-    eint[i] = mei / m;
+    rho[e] = m;
+    u[e] = mu / m;
+    vt1[e] = m1 / m;
+    vt2[e] = m2 / m;
+    etot[e] = me / m;
+    eint[e] = mei / m;
   }
-  for (int s = 0; s < pc.nscal; ++s) {
-    double* __restrict sm = pc.scal_mass(s);
-    const double* __restrict fs = pc.f_scal(s);
-    for (int i = lo; i < hi; ++i)
-      sm[i] = std::max(sm[i] + dtdx * (fs[i] - fs[i + 1]), 0.0);
+  for (int s = 0; s < pb.nscal; ++s) {
+    double* __restrict sm = pb.scal_mass(s);
+    const double* __restrict fs = pb.f_scal(s);
+    for (std::ptrdiff_t e = lo; e < hi; ++e)
+      sm[e] = std::max(sm[e] + dtdx * (fs[e] - fs[e + kB]), 0.0);
+  }
+}
+
+ENZO_HOT void add_batch_fluxes(const PencilBatch& pb,
+                               const FluxTarget* targets, const BatchPlace& at,
+                               const int ghost[3], double dt_w) {
+  const int nq = 6 + pb.nscal;
+  const View& shape = targets[0].face;
+  int pos[3] = {0, 0, 0};
+  pos[at.o] = at.o0 - ghost[at.o];
+  if (pos[at.o] < 0 || pos[at.o] >= extent(shape, at.o)) return;
+  // The real pencils whose batch-axis coordinate is active: [b0, b1).
+  const int c0 = at.a0 - ghost[at.a];
+  const int b0 = std::max(0, -c0);
+  const int b1 = std::min(at.live, extent(shape, at.a) - c0);
+  if (b0 >= b1) return;
+  const int nb = b1 - b0;
+  const int lo = pb.ng, hi = pb.n - pb.ng;
+  for (int q = 0; q < nq; ++q) {
+    const FluxTarget& t = targets[q];
+    const double* __restrict fl = pb.flux(q);
+    if (at.a == 0) {
+      // Register rows along x hold the batch's pencils side by side.
+      for (int f = lo; f <= hi; ++f) {
+        pos[at.d] = f - lo;
+        double* __restrict r = t.face.row(c0 + b0, nb, pos[1], pos[2]);
+        const double* __restrict src =
+            fl + static_cast<std::ptrdiff_t>(f) * kB + b0;
+        for (int k = 0; k < nb; ++k) r[k] += dt_w * src[k];
+      }
+    } else {
+      const std::ptrdiff_t rs = t.face.stride(at.d);
+      pos[at.d] = 0;
+      for (int k = 0; k < nb; ++k) {
+        pos[at.a] = c0 + b0 + k;
+        double* __restrict r =
+            t.face.line(at.d, hi - lo + 1, pos[0], pos[1], pos[2]);
+        for (int f = lo; f <= hi; ++f)
+          r[(f - lo) * rs] +=
+              dt_w * fl[static_cast<std::ptrdiff_t>(f) * kB + b0 + k];
+      }
+    }
+    // Window-accumulated boundary registers (for the parent's flux
+    // correction); plane arrays have extent 1 along d.
+    pos[at.d] = 0;
+    for (int k = 0; k < nb; ++k) {
+      pos[at.a] = c0 + b0 + k;
+      const std::ptrdiff_t e = b0 + k;
+      t.low(pos[0], pos[1], pos[2]) +=
+          dt_w * fl[static_cast<std::ptrdiff_t>(lo) * kB + e];
+      t.high(pos[0], pos[1], pos[2]) +=
+          dt_w * fl[static_cast<std::ptrdiff_t>(hi) * kB + e];
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // synchronization, and the CFL timestep (§3.2.1).
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <string>
 
 #include "exec/executor.hpp"
 #include "hydro/hydro.hpp"
@@ -32,6 +34,14 @@ std::vector<Field> species_fields(const Grid& g) {
   for (Field f : g.field_list())
     if (mesh::is_species(f)) out.push_back(f);
   return out;
+}
+
+/// Per-thread batch workspace: the sweep driver runs one batch at a time per
+/// thread, so a single thread-local workspace keeps the sweeps
+/// allocation-free while keeping batches private to their executor thread.
+PencilBatch& batch_scratch() {
+  thread_local PencilBatch pb;
+  return pb;
 }
 
 /// Thread-local, arena-backed scratch for the ZEUS source step: the viscous
@@ -131,14 +141,15 @@ ENZO_HOT void zeus_source_step(Grid& g, double dt, const HydroParams& hp,
 
 }  // namespace
 
-ENZO_HOT std::uint64_t sweep_all_axes(Grid& g, double dt,
-                                      const HydroParams& hp,
-                                      const cosmology::Expansion& exp,
-                                      exec::LevelExecutor* ex) {
-  // enzo-lint: allow(hotpath-heap-alloc) once per grid call, not per pencil
+ENZO_HOT SweepCounts sweep_all_axes(Grid& g, double dt,
+                                    const HydroParams& hp,
+                                    const cosmology::Expansion& exp,
+                                    exec::LevelExecutor* ex) {
+  // enzo-lint: allow(hotpath-heap-alloc) once per grid call, not per batch
   const std::vector<Field> species = species_fields(g);
   const int nscal = static_cast<int>(species.size());
   const SweepParams sp{hp.gamma, hp.flattening, hp.zeus_viscosity};
+  const bool ppm = hp.solver == Solver::kPpm;
   static util::ComponentFlops flops("hydro");
 
   const char* sweep_names[2][3] = {{"ppm_sweep_x", "ppm_sweep_y",
@@ -159,17 +170,24 @@ ENZO_HOT std::uint64_t sweep_all_axes(Grid& g, double dt,
   bool rewrap_reaches_all = rewraps;
   for (int d = 0; d < 3; ++d)
     rewrap_reaches_all = rewrap_reaches_all && g.nx(d) >= g.ng(d);
-  std::uint64_t pencil_cells = 0;
+  const int ghost[3] = {g.ng(0), g.ng(1), g.ng(2)};
+  // enzo-lint: allow(hotpath-heap-alloc) once per grid call, not per batch
+  std::vector<util::ArrayView3<double>> species_views(
+      static_cast<std::size_t>(nscal));
+  // enzo-lint: allow(hotpath-heap-alloc) once per grid call, not per batch
+  std::vector<FluxTarget> targets(static_cast<std::size_t>(6 + nscal));
+  SweepCounts counts;
   for (int s = 0; s < nsweeps; ++s) {
     const int d = order[s];
-    perf::TraceScope sweep_scope(
-        sweep_names[hp.solver == Solver::kPpm ? 0 : 1][d],
-        perf::component::kHydro, g.level());
+    ENZO_REQUIRE(g.ng(d) >= min_ghost_zones(hp.solver),
+                 "hydro sweep: fewer ghost cells than the solver's stencil "
+                 "reads (GhostZones)");
+    perf::TraceScope sweep_scope(sweep_names[ppm ? 0 : 1][d],
+                                 perf::component::kHydro, g.level());
     if (s > 0 && rewraps) g.wrap_own_ghosts();
     const int t1 = (d + 1) % 3, t2 = (d + 2) % 3;
     const double dx_eff = exp.a * g.cell_width_d(d);
     const int np = g.nt(d);
-    const int lo = g.ng(d), hi = g.ng(d) + g.nx(d);
 
     // Live pencils.  A pencil updates only the active cells of its line, so
     // a pencil in a ghost row of transverse axis t writes nothing but ghost
@@ -178,111 +196,101 @@ ENZO_HOT std::uint64_t sweep_all_axes(Grid& g, double dt,
     // boundary fill overwrites them unread.  So t contributes its ghost rows
     // only when it is swept later and the rewrap does not reach every ghost
     // cell; every active cell, and every register entry, stays the same.
-    const int ts[2] = {t1, t2};
-    int first[2], count[2];
-    for (int e = 0; e < 2; ++e) {
+    int first[3] = {0, 0, 0}, count[3] = {1, 1, 1};
+    for (const int t : {t1, t2}) {
       const bool later =
-          std::find(order + s + 1, order + nsweeps, ts[e]) != order + nsweeps;
+          std::find(order + s + 1, order + nsweeps, t) != order + nsweeps;
       const bool ghost_rows = later && !rewrap_reaches_all;
-      first[e] = ghost_rows ? 0 : g.ng(ts[e]);
-      count[e] = ghost_rows ? g.nt(ts[e]) : g.nx(ts[e]);
+      first[t] = ghost_rows ? 0 : g.ng(t);
+      count[t] = ghost_rows ? g.nt(t) : g.nx(t);
     }
+    // Batch axis: the fastest transverse axis the level does not collapse
+    // (the fastest one when it collapses both).
+    const int lower = std::min(t1, t2), upper = std::max(t1, t2);
+    const bool lower_live =
+        g.spec().level_dims[lower] > 1 || g.spec().level_dims[upper] == 1;
+    const int a = lower_live ? lower : upper;
+    const int o = lower_live ? upper : lower;
 
-    const FieldView rho = g.field(Field::kDensity);
-    const FieldView vu = g.field(kVel[d]);
-    const FieldView v1 = g.field(kVel[t1]);
-    const FieldView v2 = g.field(kVel[t2]);
-    const FieldView etot = g.field(Field::kTotalEnergy);
-    const FieldView eint = g.field(Field::kInternalEnergy);
-
-    // Raw base pointers for the bulk gather/scatter (hoisted once per axis,
-    // like the views above).
-    // enzo-lint: allow(hotpath-heap-alloc) once per axis, not per pencil
-    std::vector<double*> species_base(static_cast<std::size_t>(nscal));
     for (int sc = 0; sc < nscal; ++sc)
-      species_base[static_cast<std::size_t>(sc)] =
-          g.field(species[static_cast<std::size_t>(sc)]).data();
-    const PencilFields pf{rho.data(),  vu.data(),   v1.data(),
-                          v2.data(),   etot.data(), eint.data(),
-                          species_base.data()};
+      species_views[static_cast<std::size_t>(sc)] =
+          g.field(species[static_cast<std::size_t>(sc)]);
+    const BatchFields bf{g.field(Field::kDensity),
+                         g.field(kVel[d]),
+                         g.field(kVel[t1]),
+                         g.field(kVel[t2]),
+                         g.field(Field::kTotalEnergy),
+                         g.field(Field::kInternalEnergy),
+                         species_views.data()};
+    // Flux lane q adds into targets[q] (register order, pencil.hpp).
+    const Field flux_fields[6] = {Field::kDensity,     kVel[d],
+                                  kVel[t1],            kVel[t2],
+                                  Field::kTotalEnergy, Field::kInternalEnergy};
+    for (int q = 0; q < 6 + nscal; ++q) {
+      const Field fld = q < 6 ? flux_fields[q]
+                              : species[static_cast<std::size_t>(q - 6)];
+      targets[static_cast<std::size_t>(q)] = {g.flux(fld, d),
+                                              g.boundary_flux(fld, d, 0),
+                                              g.boundary_flux(fld, d, 1)};
+    }
+    // Registers store ∫ F dt/a, with a at each subcycle's half-time: the
+    // cell update divides by the *proper* width a·Δx, so the correction
+    // (which divides by the comoving parent width only) closes exactly even
+    // when a changes between a child's subcycles.  a = 1 in non-comoving
+    // runs.
+    const double dt_w = dt / exp.a;
 
-    // Pencils are independent — each (j1, j2) pair reads its own pre-sweep
-    // line and writes its own cells, flux-register line, and boundary-flux
-    // entries — so the executor may chunk them freely.  (This replaces the
-    // old OpenMP pragma: loop parallelism now lives only in the
-    // LevelExecutor layer, so grid tasks and pencil chunks cannot
-    // oversubscribe each other.)
-    const int n1 = count[0], n2 = count[1];
+    // Batches are independent — each reads its own pre-sweep lines and
+    // writes its own cells, register lines and boundary-flux entries — so
+    // the executor may chunk them freely.  They follow the grid's geometry,
+    // not the chunks, so every result and count is the same at any lane
+    // count.
+    const std::size_t per_row =
+        (static_cast<std::size_t>(count[a]) + kBatch - 1) / kBatch;
+    const std::size_t nbatches = per_row * static_cast<std::size_t>(count[o]);
+    std::atomic<std::uint64_t> riemann_sweeps{0};
     exec::maybe_parallel_for(
-        ex, static_cast<std::size_t>(n1) * static_cast<std::size_t>(n2), 1,
-        [&](std::size_t pencil_begin, std::size_t pencil_end) {
-      for (std::size_t pidx = pencil_begin; pidx < pencil_end; ++pidx) {
-        const int j2 =
-            first[1] + static_cast<int>(pidx / static_cast<std::size_t>(n1));
-        const int j1 =
-            first[0] + static_cast<int>(pidx % static_cast<std::size_t>(n1));
-        Pencil& pc = pencil_scratch();
-        pc.reset(np, g.ng(d), nscal);
-        const PencilMap pm = pencil_map(d, g.nt(0), g.nt(1), g.nt(2), j1, j2);
-        gather_pencil(pc, pf, pm, hp.gamma, hp.pressure_floor);
-        if (hp.solver == Solver::kPpm)
-          ppm_sweep(pc, dt, dx_eff, sp);
+        ex, nbatches, 1, [&](std::size_t begin, std::size_t end) {
+      PencilBatch& pb = batch_scratch();
+      pb.reset(np, g.ng(d), nscal);
+      std::uint64_t sweeps = 0;
+      for (std::size_t idx = begin; idx < end; ++idx) {
+        const int q = static_cast<int>(idx % per_row);
+        BatchPlace at;
+        at.d = d;
+        at.a = a;
+        at.o = o;
+        at.a0 = first[a] + q * kBatch;
+        at.o0 = first[o] + static_cast<int>(idx / per_row);
+        at.live = std::min(kBatch, count[a] - q * kBatch);
+        gather_batch(pb, bf, at, hp.gamma, hp.pressure_floor);
+        if (ppm)
+          sweeps += ppm_sweep_batch(pb, dt, dx_eff, sp) *
+                    static_cast<std::uint64_t>(at.live);
         else
-          zeus_sweep(pc, dt, dx_eff, sp);
-        // Conservative update over the SoA lanes, then bulk scatter of the
-        // active cells back to the grid.
-        apply_conservative_update(pc, dt, dx_eff, hp.density_floor);
-        scatter_pencil(pc, pf, pm);
-
-        // Accumulate time-integrated fluxes for the flux correction step.
-        // The registers hold active faces only, so only active pencils own
-        // a register line: face lo + f of the pencil is entry f, at the
-        // pencil's active transverse coordinates.  Registers store ∫ F dt/a,
-        // with a at each subcycle's half-time: the cell update divides by
-        // the *proper* width a·Δx, so the correction (which divides by the
-        // comoving parent width only) closes exactly even when a changes
-        // between a child's subcycles.  a = 1 in non-comoving runs.
-        int c[3];
-        c[d] = 0;
-        c[t1] = j1 - g.ng(t1);
-        c[t2] = j2 - g.ng(t2);
-        if (c[t1] < 0 || c[t1] >= g.nx(t1) || c[t2] < 0 || c[t2] >= g.nx(t2))
-          continue;
-        const double dt_w = dt / exp.a;
-        auto accumulate = [&](Field fld, const double* ff) {
-          const FieldView reg = g.flux(fld, d);
-          double* r = reg.line(d, hi - lo + 1, c[0], c[1], c[2]);
-          const std::ptrdiff_t rs = reg.stride(d);
-          for (int f = lo; f <= hi; ++f)
-            r[static_cast<std::ptrdiff_t>(f - lo) * rs] += dt_w * ff[f];
-          // Window-accumulated boundary registers (for the parent's flux
-          // correction); plane arrays have extent 1 along d.
-          g.boundary_flux(fld, d, 0)(c[0], c[1], c[2]) += dt_w * ff[lo];
-          g.boundary_flux(fld, d, 1)(c[0], c[1], c[2]) += dt_w * ff[hi];
-        };
-        accumulate(Field::kDensity, pc.f_rho);
-        accumulate(kVel[d], pc.f_mu);
-        accumulate(kVel[t1], pc.f_mvt1);
-        accumulate(kVel[t2], pc.f_mvt2);
-        accumulate(Field::kTotalEnergy, pc.f_etot);
-        accumulate(Field::kInternalEnergy, pc.f_eint);
-        for (int sc = 0; sc < nscal; ++sc)
-          accumulate(species[static_cast<std::size_t>(sc)], pc.f_scal(sc));
+          zeus_sweep_batch(pb, sp);
+        update_batch(pb, dt, dx_eff, hp.density_floor);
+        scatter_batch(pb, bf, at);
+        // Only pencils whose transverse coordinates are active own register
+        // lines (the registers hold active faces only).
+        add_batch_fluxes(pb, targets.data(), at, ghost, dt_w);
       }
+      riemann_sweeps.fetch_add(sweeps, std::memory_order_relaxed);
     });
-    const std::uint64_t swept =
-        static_cast<std::uint64_t>(n1) * static_cast<std::uint64_t>(n2) *
-        static_cast<std::uint64_t>(np);
-    pencil_cells += swept;
+    const std::uint64_t swept = static_cast<std::uint64_t>(count[a]) *
+                                static_cast<std::uint64_t>(count[o]) *
+                                static_cast<std::uint64_t>(np);
+    counts.pencil_cells += swept;
+    counts.riemann_sweeps += riemann_sweeps.load(std::memory_order_relaxed);
     // kPpmPerCellPerSweep already covers the full variable set; passive
     // scalars add roughly reconstruction + upwinding each.
     const std::uint64_t cost =
-        (hp.solver == Solver::kPpm ? util::flop_cost::kPpmPerCellPerSweep
-                                   : util::flop_cost::kZeusPerCellPerSweep) +
+        (ppm ? util::flop_cost::kPpmPerCellPerSweep
+             : util::flop_cost::kZeusPerCellPerSweep) +
         12 * static_cast<std::uint64_t>(nscal);
     flops.add(cost * swept);
   }
-  return pencil_cells;
+  return counts;
 }
 
 namespace {
@@ -349,6 +357,18 @@ ENZO_HOT void dual_energy_sync(Grid& g, const HydroParams& hp) {
 }
 
 }  // namespace
+
+int min_ghost_zones(Solver s) { return s == Solver::kPpm ? 3 : 2; }
+
+void require_ghost_zones(int nghost, Solver s) {
+  const int need = min_ghost_zones(s);
+  ENZO_REQUIRE(nghost >= need,
+               "GhostZones = " + std::to_string(nghost) + " is below " +
+                   std::to_string(need) + ", the ghost depth the " +
+                   (s == Solver::kPpm ? "PPM" : "Zeus") +
+                   " solver's stencil reads (HydroMethod = " +
+                   (s == Solver::kPpm ? "PPM" : "Zeus") + ")");
+}
 
 const char* dt_limiter_name(DtLimiter lim) {
   switch (lim) {
@@ -427,15 +447,18 @@ void solve_hydro_step(Grid& g, double dt, const HydroParams& params,
   g.reset_fluxes();
   if (!g.has_boundary_fluxes()) g.reset_boundary_fluxes();
   if (params.solver == Solver::kZeus) zeus_source_step(g, dt, params, exp);
-  const std::uint64_t gathered = sweep_all_axes(g, dt, params, exp, ex);
+  const SweepCounts swept = sweep_all_axes(g, dt, params, exp, ex);
   apply_expansion_sources(g, dt, params, exp);
   dual_energy_sync(g, params);
   static perf::Counter& cells_updated =
       perf::Registry::global().counter("hydro.cells_updated");
   static perf::Counter& pencil_cells =
       perf::Registry::global().counter("hydro.pencil_cells");
+  static perf::Counter& riemann_sweeps =
+      perf::Registry::global().counter("hydro.riemann_sweeps");
   cells_updated.add(static_cast<std::uint64_t>(g.nx(0)) * g.nx(1) * g.nx(2));
-  pencil_cells.add(gathered);
+  pencil_cells.add(swept.pencil_cells);
+  riemann_sweeps.add(swept.riemann_sweeps);
 }
 
 ENZO_HOT void apply_gravity_sources(Grid& g, double dt,

@@ -9,7 +9,9 @@
 // extremely robust — exactly its role in the paper.
 //
 // The donor-cell choice is expressed as ternary selects over the dense SoA
-// lanes (no data-dependent branches), so the whole sweep autovectorizes.
+// lanes (no data-dependent branches), so the whole sweep autovectorizes.  It
+// runs on a batch of 8 pencils stored cell-major (pencil.hpp): a face's two
+// cells are lane elements e - 8 and e.
 
 #include <algorithm>
 #include <cmath>
@@ -19,31 +21,26 @@
 
 namespace enzo::hydro {
 
-ENZO_HOT void zeus_sweep(Pencil& pc, double /*dt*/, double /*dx*/,
-                         const SweepParams& sp) {
-  const int n = pc.n;
-  const int nscal = pc.nscal;
-  const double gamma = sp.gamma;
-  const int f_lo = pc.ng, f_hi = n - pc.ng;
+namespace {
 
-  const double* __restrict rho = pc.rho;
-  const double* __restrict u = pc.u;
-  const double* __restrict vt1 = pc.vt1;
-  const double* __restrict vt2 = pc.vt2;
-  const double* __restrict eint = pc.eint;
-  double* __restrict f_rho = pc.f_rho;
-  double* __restrict f_mu = pc.f_mu;
-  double* __restrict f_mvt1 = pc.f_mvt1;
-  double* __restrict f_mvt2 = pc.f_mvt2;
-  double* __restrict f_etot = pc.f_etot;
-  double* __restrict f_eint = pc.f_eint;
-  double* __restrict ustar = pc.ustar;
+constexpr std::ptrdiff_t kB = kBatch;
 
+// The lanes arrive as __restrict *parameters*: GCC tracks restrict reliably
+// on parameters but not on locals initialized from struct members, and
+// without it this loop stays scalar.
+ENZO_HOT void donor_cell_fluxes(
+    std::ptrdiff_t lo, std::ptrdiff_t hi, double gamma,
+    const double* __restrict rho, const double* __restrict u,
+    const double* __restrict vt1, const double* __restrict vt2,
+    const double* __restrict eint, double* __restrict f_rho,
+    double* __restrict f_mu, double* __restrict f_mvt1,
+    double* __restrict f_mvt2, double* __restrict f_etot,
+    double* __restrict f_eint, double* __restrict ustar) {
   // Both candidate loads happen unconditionally and the select runs over the
   // loaded *values*: a ternary over array elements directly selects between
   // addresses, which GCC refuses to if-convert ("control flow in loop").
-  for (int f = f_lo; f <= f_hi; ++f) {
-    const int il = f - 1, ir = f;
+  for (std::ptrdiff_t e = lo; e < hi; ++e) {
+    const std::ptrdiff_t il = e - kB, ir = e;
     const double ul = u[il], ur = u[ir];
     const double rho_l = rho[il], rho_r = rho[ir];
     const double vt1_l = vt1[il], vt1_r = vt1[ir];
@@ -57,32 +54,44 @@ ENZO_HOT void zeus_sweep(Pencil& pc, double /*dt*/, double /*dx*/,
     const double vt2_up = upl ? vt2_l : vt2_r;
     const double ei_up = upl ? ei_l : ei_r;
     const double fm = ubar * rho_up;
-    f_rho[f] = fm;
+    f_rho[e] = fm;
     // Momentum transport only: the pressure force lives in the source step
     // (ZEUS is non-conservative by construction; the flux registers receive
     // the transport fluxes, which is what its coarse-fine correction can
     // meaningfully exchange).
-    f_mu[f] = fm * u_up;
-    f_mvt1[f] = fm * vt1_up;
-    f_mvt2[f] = fm * vt2_up;
-    f_eint[f] = fm * ei_up;
+    f_mu[e] = fm * u_up;
+    f_mvt1[e] = fm * vt1_up;
+    f_mvt2[e] = fm * vt2_up;
+    f_eint[e] = fm * ei_up;
     const double v2 = u_up * u_up + vt1_up * vt1_up + vt2_up * vt2_up;
     // Advected total energy plus the pressure-work flux so coarse cells see
     // an energetically sensible boundary exchange.
-    f_etot[f] = fm * (ei_up + 0.5 * v2) + ubar * (gamma - 1.0) * rho_up * ei_up;
-    ustar[f] = ubar;
+    f_etot[e] = fm * (ei_up + 0.5 * v2) + ubar * (gamma - 1.0) * rho_up * ei_up;
+    ustar[e] = ubar;
   }
-  for (int s = 0; s < nscal; ++s) {
-    const double* __restrict sc = pc.scal(s);
-    double* __restrict fsc = pc.f_scal(s);
-    for (int f = f_lo; f <= f_hi; ++f) {
-      const double sc_l = sc[f - 1], sc_r = sc[f];
-      const double rho_l = rho[f - 1], rho_r = rho[f];
-      const double ubar = 0.5 * (u[f - 1] + u[f]);
+}
+
+}  // namespace
+
+ENZO_HOT void zeus_sweep_batch(PencilBatch& pb, const SweepParams& sp) {
+  // Faces of active cells, [ng, n-ng].
+  const std::ptrdiff_t e_lo = pb.ng * kB, e_hi = (pb.n - pb.ng + 1) * kB;
+  donor_cell_fluxes(e_lo, e_hi, sp.gamma, pb.rho, pb.u, pb.vt1, pb.vt2,
+                    pb.eint, pb.f_rho, pb.f_mu, pb.f_mvt1, pb.f_mvt2,
+                    pb.f_etot, pb.f_eint, pb.ustar);
+  const double* __restrict rho = pb.rho;
+  const double* __restrict u = pb.u;
+  for (int s = 0; s < pb.nscal; ++s) {
+    const double* __restrict sc = pb.scal(s);
+    double* __restrict fsc = pb.f_scal(s);
+    for (std::ptrdiff_t e = e_lo; e < e_hi; ++e) {
+      const double sc_l = sc[e - kB], sc_r = sc[e];
+      const double rho_l = rho[e - kB], rho_r = rho[e];
+      const double ubar = 0.5 * (u[e - kB] + u[e]);
       const bool upl = ubar > 0.0;
       const double sc_up = upl ? sc_l : sc_r;
       const double sc_cl = std::min(std::max(sc_up, 0.0), 1.0);
-      fsc[f] = ubar * (upl ? rho_l : rho_r) * sc_cl;
+      fsc[e] = ubar * (upl ? rho_l : rho_r) * sc_cl;
     }
   }
 }

@@ -10,7 +10,7 @@
 //     inner loops, executor phase bodies).  Inside an ENZO_HOT function
 //     body enzo-lint flags heap allocation (`new`, allocating locals,
 //     container growth) and locking — per-cell work must run on
-//     preallocated, capacity-reusing scratch (see hydro::pencil_scratch).
+//     preallocated, capacity-reusing scratch (see hydro::PencilBatch::reset).
 //     Expands to the GCC/Clang `hot` attribute so the annotation also
 //     steers block placement.
 //

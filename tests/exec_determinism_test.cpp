@@ -1,8 +1,11 @@
-// End-to-end determinism of the parallel level-execution engine: the
-// cosmology_box deck run on the serial backend and on an 8-lane thread pool
-// must produce byte-identical per-step diagnostics and identical audit
-// conservation sums.  This is the contract the executor's ordered phases
-// and reduce_ordered combining exist to keep.
+// End-to-end determinism of the parallel level-execution engine: a deck run
+// on the serial backend and on an 8-lane thread pool must produce
+// byte-identical per-step diagnostics and identical audit conservation
+// sums.  This is the contract the executor's ordered phases and
+// reduce_ordered combining exist to keep.  cosmology_box covers particles,
+// the root FFT and comoving expansion; sedov covers many small grids,
+// regridded every step, whose ragged hydro batches the pool splits across
+// lanes.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +24,6 @@
 using namespace enzo;
 
 namespace {
-
-constexpr int kSteps = 2;
 
 struct RunResult {
   std::vector<std::string> records;  // normalized JSONL lines
@@ -52,10 +53,10 @@ std::vector<std::string> normalized_records(const std::string& path) {
   return out;
 }
 
-RunResult run_cosmology_box(exec::Backend backend, int threads,
-                            const std::string& diag_path) {
+RunResult run_deck(const char* deck_name, int steps, exec::Backend backend,
+                   int threads, const std::string& diag_path) {
   const std::string deck_path =
-      std::string(ENZO_SOURCE_DIR) + "/decks/cosmology_box.enzo";
+      std::string(ENZO_SOURCE_DIR) + "/decks/" + deck_name;
   core::ParameterDeck deck = core::parse_parameter_file(deck_path);
   deck.config.exec.backend = backend;
   deck.config.exec.threads = threads;
@@ -65,7 +66,7 @@ RunResult run_cosmology_box(exec::Backend backend, int threads,
     perf::DiagnosticsSink sink(diag_path);
     EXPECT_TRUE(sink.ok()) << "cannot open " << diag_path;
     sim.set_diagnostics_sink(&sink);
-    for (int s = 0; s < kSteps; ++s) sim.advance_root_step();
+    for (int s = 0; s < steps; ++s) sim.advance_root_step();
     sim.set_diagnostics_sink(nullptr);
   }
   const analysis::AuditReport& rep = sim.run_audit();
@@ -78,16 +79,14 @@ RunResult run_cosmology_box(exec::Backend backend, int threads,
   return r;
 }
 
-}  // namespace
-
-TEST(ExecDeterminismTest, SerialAndThreadPool8AreByteIdentical) {
+void expect_serial_equals_pool8(const char* deck_name, int steps) {
   const std::string dir = ::testing::TempDir();
-  const RunResult serial = run_cosmology_box(exec::Backend::kSerial, 1,
-                                             dir + "exec_det_serial.jsonl");
-  const RunResult pool = run_cosmology_box(exec::Backend::kThreadPool, 8,
-                                           dir + "exec_det_pool.jsonl");
+  const RunResult serial = run_deck(deck_name, steps, exec::Backend::kSerial,
+                                    1, dir + "exec_det_serial.jsonl");
+  const RunResult pool = run_deck(deck_name, steps, exec::Backend::kThreadPool,
+                                  8, dir + "exec_det_pool.jsonl");
 
-  ASSERT_EQ(serial.records.size(), static_cast<std::size_t>(kSteps));
+  ASSERT_EQ(serial.records.size(), static_cast<std::size_t>(steps));
   ASSERT_EQ(pool.records.size(), serial.records.size());
   for (std::size_t i = 0; i < serial.records.size(); ++i)
     EXPECT_EQ(serial.records[i], pool.records[i]) << "step " << i;
@@ -100,12 +99,26 @@ TEST(ExecDeterminismTest, SerialAndThreadPool8AreByteIdentical) {
   EXPECT_EQ(pool.audit_violations, 0u);
 }
 
+}  // namespace
+
+TEST(ExecDeterminismTest, SerialAndThreadPool8AreByteIdentical) {
+  expect_serial_equals_pool8("cosmology_box.enzo", 2);
+}
+
+TEST(ExecDeterminismTest, SedovSerialAndThreadPool8AreByteIdentical) {
+  // The blast first refines at root step 14; by step 18 level 1 holds ~47
+  // grids, rebuilt every step.
+  expect_serial_equals_pool8("sedov.enzo", 18);
+}
+
 TEST(ExecDeterminismTest, ThreadPoolIsRepeatable) {
   const std::string dir = ::testing::TempDir();
-  const RunResult a = run_cosmology_box(exec::Backend::kThreadPool, 8,
-                                        dir + "exec_det_rep_a.jsonl");
-  const RunResult b = run_cosmology_box(exec::Backend::kThreadPool, 8,
-                                        dir + "exec_det_rep_b.jsonl");
+  const RunResult a = run_deck("cosmology_box.enzo", 2,
+                               exec::Backend::kThreadPool, 8,
+                               dir + "exec_det_rep_a.jsonl");
+  const RunResult b = run_deck("cosmology_box.enzo", 2,
+                               exec::Backend::kThreadPool, 8,
+                               dir + "exec_det_rep_b.jsonl");
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i)
     EXPECT_EQ(a.records[i], b.records[i]) << "step " << i;

@@ -1,21 +1,27 @@
 // Hydrodynamics tests: the two-shock Riemann solver against exact star
 // values, Sod shock tube integration vs the exact solution (both PPM and
 // ZEUS), exact conservation on periodic domains, passive-scalar advection,
-// expansion source terms against closed forms, timestep constraints, and
-// the live-pencil sweep against the full-pencil oracle it replaced.
+// expansion source terms against closed forms, timestep constraints, the
+// ghost depth each solver needs, and the 8-pencil batch sweeps against the
+// one-pencil, full-pencil oracle they replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/parameter_file.hpp"
+#include "core/simulation.hpp"
 #include "cosmology/units.hpp"
+#include "exec/executor.hpp"
 #include "hydro/hydro.hpp"
 #include "hydro/pencil.hpp"
 #include "hydro/riemann.hpp"
@@ -593,9 +599,368 @@ TEST(Hydro, FluxRegistersAreFilled) {
   EXPECT_GT(sum, 0.0);
 }
 
-// ---- live-pencil sweep vs the full-pencil oracle ----------------------------
+// ---- batch sweeps vs the one-pencil, full-pencil oracle --------------------
 
 namespace oracle {
+
+// The one-pencil sweep layer the 8-pencil batches replaced: gather, the PPM
+// and ZEUS sweeps, the 12-sweep Riemann solve, the conservative update and
+// the scatter, one pencil at a time over every ghost-inclusive pencil.  Each
+// cell, face and register entry has the operation sequence the batch
+// kernels must reproduce bit for bit; plain vectors stand in for the arena
+// workspace.
+
+constexpr double kTiny = 1e-300;
+
+using Lane = std::vector<double>;
+
+/// Strided addressing of one pencil inside an x-fastest (nx, ny, nz) array:
+/// element i at base + i*stride; j1 is the (axis+1)%3 coordinate and j2 the
+/// (axis+2)%3 one.
+struct PencilMap {
+  std::ptrdiff_t base = 0;
+  std::ptrdiff_t stride = 1;
+};
+
+PencilMap pencil_map(int axis, int nx, int ny, int j1, int j2) {
+  const int t1 = (axis + 1) % 3, t2 = (axis + 2) % 3;
+  int s[3] = {0, 0, 0};
+  s[t1] = j1;
+  s[t2] = j2;
+  const std::ptrdiff_t strides[3] = {1, nx,
+                                     static_cast<std::ptrdiff_t>(nx) * ny};
+  return {s[0] * strides[0] + s[1] * strides[1] + s[2] * strides[2],
+          strides[axis]};
+}
+
+struct Pencil {
+  int n = 0, ng = 0, nscal = 0;
+  Lane rho, u, vt1, vt2, etot, eint, p;  // cells
+  std::vector<Lane> scal, scal_mass;     // cells, per scalar
+  Lane f_rho, f_mu, f_mvt1, f_mvt2, f_etot, f_eint, ustar;  // faces
+  std::vector<Lane> f_scal;
+
+  void reset(int n_cells, int nghost, int ns) {
+    n = n_cells;
+    ng = nghost;
+    nscal = ns;
+    const auto cells = static_cast<std::size_t>(n);
+    const auto faces = static_cast<std::size_t>(n + 1);
+    for (Lane* l : {&rho, &u, &vt1, &vt2, &etot, &eint, &p})
+      l->assign(cells, 0.0);
+    for (Lane* l : {&f_rho, &f_mu, &f_mvt1, &f_mvt2, &f_etot, &f_eint, &ustar})
+      l->assign(faces, 0.0);
+    scal.assign(static_cast<std::size_t>(ns), Lane(cells, 0.0));
+    scal_mass.assign(static_cast<std::size_t>(ns), Lane(cells, 0.0));
+    f_scal.assign(static_cast<std::size_t>(ns), Lane(faces, 0.0));
+  }
+};
+
+struct PencilFields {
+  double *rho, *vu, *v1, *v2, *etot, *eint;
+  double* const* species;
+};
+
+void gather_pencil(Pencil& pc, const PencilFields& f, const PencilMap& m,
+                   double gamma, double pressure_floor) {
+  auto lane = [&](Lane& dst, const double* src) {
+    for (int i = 0; i < pc.n; ++i) dst[i] = src[m.base + i * m.stride];
+  };
+  lane(pc.rho, f.rho);
+  lane(pc.u, f.vu);
+  lane(pc.vt1, f.v1);
+  lane(pc.vt2, f.v2);
+  lane(pc.etot, f.etot);
+  lane(pc.eint, f.eint);
+  const double gm1 = gamma - 1.0;
+  for (int i = 0; i < pc.n; ++i) {
+    const double e = std::max(pc.eint[i], 0.0);
+    pc.eint[i] = e;
+    pc.p[i] = std::max(gm1 * pc.rho[i] * e, pressure_floor);
+  }
+  for (int s = 0; s < pc.nscal; ++s) {
+    lane(pc.scal_mass[s], f.species[s]);
+    for (int i = 0; i < pc.n; ++i)
+      pc.scal[s][i] = pc.scal_mass[s][i] / pc.rho[i];
+  }
+}
+
+void scatter_pencil(const Pencil& pc, const PencilFields& f,
+                    const PencilMap& m) {
+  auto lane = [&](double* dst, const Lane& src) {
+    for (int i = pc.ng; i < pc.n - pc.ng; ++i)
+      dst[m.base + i * m.stride] = src[i];
+  };
+  lane(f.rho, pc.rho);
+  lane(f.vu, pc.u);
+  lane(f.v1, pc.vt1);
+  lane(f.v2, pc.vt2);
+  lane(f.etot, pc.etot);
+  lane(f.eint, pc.eint);
+  for (int s = 0; s < pc.nscal; ++s) lane(f.species[s], pc.scal_mass[s]);
+}
+
+void apply_conservative_update(Pencil& pc, double dt, double dx,
+                               double density_floor) {
+  const double dtdx = dt / dx;
+  for (int i = pc.ng; i < pc.n - pc.ng; ++i) {
+    const double m0 = pc.rho[i];
+    double m = m0 + dtdx * (pc.f_rho[i] - pc.f_rho[i + 1]);
+    m = std::max(m, std::max(density_floor, 1e-8 * m0));
+    const double mu = m0 * pc.u[i] + dtdx * (pc.f_mu[i] - pc.f_mu[i + 1]);
+    const double m1 =
+        m0 * pc.vt1[i] + dtdx * (pc.f_mvt1[i] - pc.f_mvt1[i + 1]);
+    const double m2 =
+        m0 * pc.vt2[i] + dtdx * (pc.f_mvt2[i] - pc.f_mvt2[i + 1]);
+    const double me =
+        m0 * pc.etot[i] + dtdx * (pc.f_etot[i] - pc.f_etot[i + 1]);
+    double mei = m0 * pc.eint[i] + dtdx * (pc.f_eint[i] - pc.f_eint[i + 1]);
+    mei -= dt * pc.p[i] * (pc.ustar[i + 1] - pc.ustar[i]) / dx;
+    mei = std::max(mei, 0.0);
+    pc.rho[i] = m;
+    pc.u[i] = mu / m;
+    pc.vt1[i] = m1 / m;
+    pc.vt2[i] = m2 / m;
+    pc.etot[i] = me / m;
+    pc.eint[i] = mei / m;
+  }
+  for (int s = 0; s < pc.nscal; ++s)
+    for (int i = pc.ng; i < pc.n - pc.ng; ++i)
+      pc.scal_mass[s][i] =
+          std::max(pc.scal_mass[s][i] +
+                       dtdx * (pc.f_scal[s][i] - pc.f_scal[s][i + 1]),
+                   0.0);
+}
+
+/// The two-shock solve of one face as it ran before the stopping rule:
+/// acoustic guess, a fixed 12 Newton sweeps, and the branching sampler.
+/// `history`, when given, receives p* after the guess and after each sweep
+/// (13 values).
+hydro::RiemannState riemann12(const hydro::RiemannInput& in, double gamma,
+                              double* history = nullptr) {
+  const double gp1 = gamma + 1.0, gm1 = gamma - 1.0;
+  const double rl = std::max(in.rho_l, kTiny), rr = std::max(in.rho_r, kTiny);
+  const double pl = std::max(in.p_l, kTiny), pr = std::max(in.p_r, kTiny);
+  const double cl = std::sqrt(gamma * pl / rl);
+  const double cr = std::sqrt(gamma * pr / rr);
+  const double wl0 = rl * cl, wr0 = rr * cr;
+  double pstar =
+      (wr0 * pl + wl0 * pr - wl0 * wr0 * (in.u_r - in.u_l)) / (wl0 + wr0);
+  pstar = std::max(pstar, 1e-12 * std::min(pl, pr));
+  if (history != nullptr) history[0] = pstar;
+  const double half_gp1 = 0.5 * (gamma + 1.0);
+  double ustar = 0.0, wl = 0.0, wr = 0.0;
+  for (int iter = 0; iter < 12; ++iter) {
+    const double gpr_l = gamma * pl * rl, gpr_r = gamma * pr * rr;
+    const double ps = pstar;
+    wl = std::sqrt(std::max(gpr_l + half_gp1 * rl * (ps - pl),
+                            std::max(1e-16 * gpr_l, 1e-250)));
+    wr = std::sqrt(std::max(gpr_r + half_gp1 * rr * (ps - pr),
+                            std::max(1e-16 * gpr_r, 1e-250)));
+    const double ul_star = in.u_l - (ps - pl) / wl;
+    const double ur_star = in.u_r + (ps - pr) / wr;
+    const double dp = (ul_star - ur_star) * (wl * wr) / (wl + wr);
+    pstar = std::max(ps + dp, 1e-12 * std::min(pl, pr));
+    ustar = 0.5 * (ul_star + ur_star);
+    if (history != nullptr) history[iter + 1] = pstar;
+  }
+  const double ps = pstar, us = ustar;
+  const bool left = us >= 0.0;
+  const double sgn = left ? 1.0 : -1.0;
+  const double rho0 = std::max(left ? in.rho_l : in.rho_r, kTiny);
+  const double p0 = std::max(left ? in.p_l : in.p_r, kTiny);
+  const double u0 = sgn * (left ? in.u_l : in.u_r);
+  const double c0 = left ? cl : cr;
+  const double w0 = left ? wl : wr;
+  const double usm = sgn * us;
+  double orho, ou, op;
+  if (ps > p0) {
+    const double s = u0 - w0 / rho0;
+    if (s >= 0.0) {
+      orho = rho0;
+      ou = u0;
+      op = p0;
+    } else {
+      const double rho_star = 1.0 / (1.0 / rho0 - (ps - p0) / (w0 * w0));
+      orho = std::max(rho_star, 1e-12 * rho0);
+      ou = usm;
+      op = ps;
+    }
+  } else {
+    const double rho_star = rho0 * std::pow(ps / p0, 1.0 / gamma);
+    const double c_star = std::sqrt(gamma * ps / rho_star);
+    const double head = u0 - c0;
+    const double tail = usm - c_star;
+    if (head >= 0.0) {
+      orho = rho0;
+      ou = u0;
+      op = p0;
+    } else if (tail <= 0.0) {
+      orho = rho_star;
+      ou = usm;
+      op = ps;
+    } else {
+      const double uf = 2.0 / gp1 * (c0 + 0.5 * gm1 * u0);
+      const double cf = std::max(uf, 1e-8 * c0);
+      orho = rho0 * std::pow(cf / c0, 2.0 / gm1);
+      ou = std::max(uf, 0.0);
+      op = p0 * std::pow(cf / c0, 2.0 * gamma / gm1);
+    }
+  }
+  return {std::max(orho, kTiny), sgn * ou, std::max(op, kTiny), left, pstar,
+          ustar};
+}
+
+struct Parabola {
+  Lane ql, qr, dq, q6, slope, face;
+  explicit Parabola(int n)
+      : ql(n), qr(n), dq(n), q6(n), slope(n), face(n) {}
+};
+
+double avg_right(const Parabola& p, int i, double sigma) {
+  return p.qr[i] -
+         0.5 * sigma * (p.dq[i] - (1.0 - 2.0 * sigma / 3.0) * p.q6[i]);
+}
+double avg_left(const Parabola& p, int i, double sigma) {
+  return p.ql[i] +
+         0.5 * sigma * (p.dq[i] + (1.0 - 2.0 * sigma / 3.0) * p.q6[i]);
+}
+
+/// The monotonized parabola on cells [2, n-3].
+void build_parabola(int n, const Lane& q, const Lane& flat, Parabola& par) {
+  for (int i = 1; i + 1 < n; ++i) {
+    const double dc = 0.5 * (q[i + 1] - q[i - 1]);
+    const double dl = q[i] - q[i - 1], dr = q[i + 1] - q[i];
+    const double lim = 2.0 * std::min(std::abs(dl), std::abs(dr));
+    const double s = std::copysign(std::min(std::abs(dc), lim), dc);
+    par.slope[i] = dl * dr <= 0.0 ? 0.0 : s;
+  }
+  for (int i = 1; i + 2 < n; ++i)
+    par.face[i] =
+        0.5 * (q[i] + q[i + 1]) - (par.slope[i + 1] - par.slope[i]) / 6.0;
+  for (int i = 2; i + 2 < n; ++i) {
+    const double f = flat[i];
+    const double ql0 = f * q[i] + (1.0 - f) * par.face[i - 1];
+    const double qr0 = f * q[i] + (1.0 - f) * par.face[i];
+    const bool extremum = (qr0 - q[i]) * (q[i] - ql0) <= 0.0;
+    const double dq0 = qr0 - ql0;
+    const double q60 = 6.0 * (q[i] - 0.5 * (ql0 + qr0));
+    const bool cap_l = dq0 * q60 > dq0 * dq0;
+    const bool cap_r = -dq0 * dq0 > dq0 * q60;
+    const double qlm = cap_l ? 3.0 * q[i] - 2.0 * qr0 : ql0;
+    const double qrm = cap_r ? 3.0 * q[i] - 2.0 * ql0 : qr0;
+    const double ql = extremum ? q[i] : qlm;
+    const double qr = extremum ? q[i] : qrm;
+    par.ql[i] = ql;
+    par.qr[i] = qr;
+    par.dq[i] = qr - ql;
+    par.q6[i] = 6.0 * (q[i] - 0.5 * (ql + qr));
+  }
+}
+
+void ppm_sweep(Pencil& pc, double dt, double dx,
+               const hydro::SweepParams& sp) {
+  const int n = pc.n;
+  const double gamma = sp.gamma;
+  Lane flat(static_cast<std::size_t>(n), 0.0);
+  if (sp.flattening) {
+    Lane f0(static_cast<std::size_t>(n), 0.0);
+    for (int i = 2; i + 2 < n; ++i) {
+      const double dp = pc.p[i + 1] - pc.p[i - 1];
+      const double dp2 = pc.p[i + 2] - pc.p[i - 2];
+      const double pmin = std::min(pc.p[i + 1], pc.p[i - 1]);
+      const bool shock = std::abs(dp) > 0.33 * pmin &&
+                         (pc.u[i - 1] - pc.u[i + 1]) > 0.0;
+      const double den = dp2 != 0.0 ? dp2 : 1.0;
+      const double ramp = std::clamp(10.0 * (dp / den - 0.75), 0.0, 1.0);
+      const double f_shock = dp2 != 0.0 ? ramp : 1.0;
+      f0[i] = shock ? f_shock : 0.0;
+    }
+    for (int i = 1; i + 1 < n; ++i)
+      flat[i] = std::max({f0[i - 1], f0[i], f0[i + 1]});
+  }
+  Parabola rho(n), u(n), p(n), vt1(n), vt2(n), ei(n);
+  std::vector<Parabola> scal(static_cast<std::size_t>(pc.nscal), Parabola(n));
+  build_parabola(n, pc.rho, flat, rho);
+  build_parabola(n, pc.u, flat, u);
+  build_parabola(n, pc.p, flat, p);
+  build_parabola(n, pc.vt1, flat, vt1);
+  build_parabola(n, pc.vt2, flat, vt2);
+  build_parabola(n, pc.eint, flat, ei);
+  for (int s = 0; s < pc.nscal; ++s)
+    build_parabola(n, pc.scal[s], flat, scal[static_cast<std::size_t>(s)]);
+
+  const double dtdx = dt / dx;
+  for (int f = pc.ng; f <= n - pc.ng; ++f) {
+    const int il = f - 1, ir = f;
+    const double cl = std::sqrt(gamma * pc.p[il] / pc.rho[il]);
+    const double cr = std::sqrt(gamma * pc.p[ir] / pc.rho[ir]);
+    const double sig_l =
+        std::clamp(std::max(pc.u[il] + cl, 0.0) * dtdx, 0.0, 1.0);
+    const double sig_r =
+        std::clamp(std::max(-(pc.u[ir] - cr), 0.0) * dtdx, 0.0, 1.0);
+    const hydro::RiemannInput in{
+        std::max(avg_right(rho, il, sig_l), 1e-12 * pc.rho[il]),
+        avg_right(u, il, sig_l),
+        std::max(avg_right(p, il, sig_l), 1e-12 * pc.p[il]),
+        std::max(avg_left(rho, ir, sig_r), 1e-12 * pc.rho[ir]),
+        avg_left(u, ir, sig_r),
+        std::max(avg_left(p, ir, sig_r), 1e-12 * pc.p[ir])};
+    const hydro::RiemannState st = riemann12(in, gamma);
+    const bool from_left = st.u >= 0.0;
+    const double w_vt1 =
+        from_left ? avg_right(vt1, il, sig_l) : avg_left(vt1, ir, sig_r);
+    const double w_vt2 =
+        from_left ? avg_right(vt2, il, sig_l) : avg_left(vt2, ir, sig_r);
+    const double w_ei = std::max(
+        from_left ? avg_right(ei, il, sig_l) : avg_left(ei, ir, sig_r), 0.0);
+    const double fm = st.rho * st.u;
+    pc.f_rho[f] = fm;
+    pc.f_mu[f] = fm * st.u + st.p;
+    pc.f_mvt1[f] = fm * w_vt1;
+    pc.f_mvt2[f] = fm * w_vt2;
+    const double etot =
+        st.p / (gamma - 1.0) +
+        0.5 * st.rho * (st.u * st.u + w_vt1 * w_vt1 + w_vt2 * w_vt2);
+    pc.f_etot[f] = st.u * (etot + st.p);
+    pc.f_eint[f] = fm * w_ei;
+    pc.ustar[f] = st.ustar;
+    for (int s = 0; s < pc.nscal; ++s) {
+      const Parabola& ps = scal[static_cast<std::size_t>(s)];
+      const double win =
+          from_left ? avg_right(ps, il, sig_l) : avg_left(ps, ir, sig_r);
+      pc.f_scal[s][f] = st.rho * st.u * std::clamp(win, 0.0, 1.0);
+    }
+  }
+}
+
+void zeus_sweep(Pencil& pc, const hydro::SweepParams& sp) {
+  for (int f = pc.ng; f <= pc.n - pc.ng; ++f) {
+    const int il = f - 1, ir = f;
+    const double ubar = 0.5 * (pc.u[il] + pc.u[ir]);
+    const bool upl = ubar > 0.0;
+    const double rho_up = upl ? pc.rho[il] : pc.rho[ir];
+    const double u_up = upl ? pc.u[il] : pc.u[ir];
+    const double vt1_up = upl ? pc.vt1[il] : pc.vt1[ir];
+    const double vt2_up = upl ? pc.vt2[il] : pc.vt2[ir];
+    const double ei_up = upl ? pc.eint[il] : pc.eint[ir];
+    const double fm = ubar * rho_up;
+    pc.f_rho[f] = fm;
+    pc.f_mu[f] = fm * u_up;
+    pc.f_mvt1[f] = fm * vt1_up;
+    pc.f_mvt2[f] = fm * vt2_up;
+    pc.f_eint[f] = fm * ei_up;
+    const double v2 = u_up * u_up + vt1_up * vt1_up + vt2_up * vt2_up;
+    pc.f_etot[f] =
+        fm * (ei_up + 0.5 * v2) + ubar * (sp.gamma - 1.0) * rho_up * ei_up;
+    pc.ustar[f] = ubar;
+    for (int s = 0; s < pc.nscal; ++s) {
+      const double sc_up = upl ? pc.scal[s][il] : pc.scal[s][ir];
+      const double sc_cl = std::min(std::max(sc_up, 0.0), 1.0);
+      pc.f_scal[s][f] = ubar * rho_up * sc_cl;
+    }
+  }
+}
 
 /// The pre-live-pencil register layout: ghost-aligned, per field (in
 /// field-list order) and axis (nt+1)·nt² faces and two nt² planes.
@@ -604,11 +969,10 @@ struct Registers {
   std::vector<std::array<std::array<util::Buffer3, 2>, 3>> plane;
 };
 
-/// The sweep driver as it was before it skipped dead pencils: a pencil
-/// through every ghost-inclusive (j1, j2) on every axis, each writing its
-/// ghost-aligned register line.  Serial, with a fresh pencil workspace;
-/// kept only as the reference hydro::sweep_all_axes must match bit for bit.
-/// Returns the cells gathered.
+/// The sweep driver before batches and live pencils: a pencil through every
+/// ghost-inclusive (j1, j2) on every axis, each writing its ghost-aligned
+/// register line, serially with a fresh workspace.  Returns the cells
+/// gathered.
 std::uint64_t sweep_all_axes(mesh::Grid& g, double dt,
                              const hydro::HydroParams& hp,
                              const cosmology::Expansion& exp, Registers& reg) {
@@ -635,7 +999,7 @@ std::uint64_t sweep_all_axes(mesh::Grid& g, double dt,
   const Field vel[3] = {Field::kVelocityX, Field::kVelocityY,
                         Field::kVelocityZ};
   const hydro::SweepParams sp{hp.gamma, hp.flattening, hp.zeus_viscosity};
-  hydro::Pencil pc;
+  Pencil pc;
   std::uint64_t gathered = 0;
   bool first_sweep = true;
   for (int d = 0; d < 3; ++d) {
@@ -648,7 +1012,7 @@ std::uint64_t sweep_all_axes(mesh::Grid& g, double dt,
     const int lo = g.ng(d), hi = g.ng(d) + g.nx(d);
     std::vector<double*> species_base;
     for (Field f : species) species_base.push_back(g.field(f).data());
-    const hydro::PencilFields pf{
+    const PencilFields pf{
         g.field(Field::kDensity).data(),     g.field(vel[d]).data(),
         g.field(vel[t1]).data(),             g.field(vel[t2]).data(),
         g.field(Field::kTotalEnergy).data(), g.field(Field::kInternalEnergy).data(),
@@ -656,27 +1020,24 @@ std::uint64_t sweep_all_axes(mesh::Grid& g, double dt,
     for (int j2 = 0; j2 < g.nt(t2); ++j2)
       for (int j1 = 0; j1 < g.nt(t1); ++j1) {
         pc.reset(np, g.ng(d), nscal);
-        const hydro::PencilMap pm =
-            hydro::pencil_map(d, g.nt(0), g.nt(1), g.nt(2), j1, j2);
-        hydro::gather_pencil(pc, pf, pm, hp.gamma, hp.pressure_floor);
+        const PencilMap pm = pencil_map(d, g.nt(0), g.nt(1), j1, j2);
+        gather_pencil(pc, pf, pm, hp.gamma, hp.pressure_floor);
         if (hp.solver == hydro::Solver::kPpm)
-          hydro::ppm_sweep(pc, dt, dx_eff, sp);
+          ppm_sweep(pc, dt, dx_eff, sp);
         else
-          hydro::zeus_sweep(pc, dt, dx_eff, sp);
-        hydro::apply_conservative_update(pc, dt, dx_eff, hp.density_floor);
-        hydro::scatter_pencil(pc, pf, pm);
+          zeus_sweep(pc, sp);
+        apply_conservative_update(pc, dt, dx_eff, hp.density_floor);
+        scatter_pencil(pc, pf, pm);
         gathered += static_cast<std::uint64_t>(np);
         const double dt_w = dt / exp.a;
-        auto accumulate = [&](Field f, const double* ff) {
+        auto accumulate = [&](Field f, const Lane& ff) {
           util::Buffer3& r = reg.face[slot(f)][d];
-          const hydro::PencilMap fm =
-              hydro::pencil_map(d, r.nx(), r.ny(), r.nz(), j1, j2);
+          const PencilMap fm = pencil_map(d, r.nx(), r.ny(), j1, j2);
           for (int i = lo; i <= hi; ++i)
             r.data()[fm.base + i * fm.stride] += dt_w * ff[i];
           util::Buffer3& bl = reg.plane[slot(f)][d][0];
           util::Buffer3& bh = reg.plane[slot(f)][d][1];
-          const hydro::PencilMap bm =
-              hydro::pencil_map(d, bl.nx(), bl.ny(), bl.nz(), j1, j2);
+          const PencilMap bm = pencil_map(d, bl.nx(), bl.ny(), j1, j2);
           bl.data()[bm.base] += dt_w * ff[lo];
           bh.data()[bm.base] += dt_w * ff[hi];
         };
@@ -687,7 +1048,7 @@ std::uint64_t sweep_all_axes(mesh::Grid& g, double dt,
         accumulate(Field::kTotalEnergy, pc.f_etot);
         accumulate(Field::kInternalEnergy, pc.f_eint);
         for (int sc = 0; sc < nscal; ++sc)
-          accumulate(species[static_cast<std::size_t>(sc)], pc.f_scal(sc));
+          accumulate(species[static_cast<std::size_t>(sc)], pc.f_scal[sc]);
       }
   }
   return gathered;
@@ -704,6 +1065,11 @@ struct SweepCase {
   bool child;  ///< sweep a level-1 grid instead of the root
   bool chemistry;
   std::uint64_t pencil_cells;  ///< cells the live sweeps gather
+  // Batch-layer variations; the defaults leave the cases above as they are.
+  mesh::IndexBox child_box{};  ///< the level-1 grid's box, when non-empty
+  bool flattening = true;
+  bool vacuum = false;  ///< ~15 % of cells near vacuum (ρ, e, E ~ 1e-300)
+  int lanes = 1;        ///< executor lanes of the live sweep
 };
 
 // nghost = 4.  Pencil cells are summed over the x, y and z sweeps as
@@ -724,6 +1090,25 @@ const SweepCase kSweepCases[] = {
     {"2-D child grid", {16, 16, 1}, false, true, false, 512},
 };
 
+// Live pencils along the batch axis (y for x sweeps, x for y and z sweeps)
+// of 1, 7, 9 and 17 on every sweep axis, so full, ragged and one-pencil
+// batches all run; plus flattening off, near-vacuum cells and a 4-lane
+// executor.  Batch counts are listed per sweep as x/y/z.
+const SweepCase kBatchCases[] = {
+    // 9/7/7: 9·6·15 + 6·7·17 + 7·9·14.
+    {"batches 9/7/7", {7, 9, 6}, true, false, false, 2406, {}, true, true, 4},
+    // 7/9/9: 7·5·17 + 5·9·15 + 9·7·13.
+    {"batches 7/9/9", {9, 7, 5}, true, false, true, 2089, {}, false},
+    // A 1×9×6 child, 17/1/1: 17·14·9 + 14·1·17 + 1·9·14.
+    {"batches 17/1/1", {16, 16, 16}, true, true, true, 2506,
+     {{10, 8, 10}, {11, 17, 16}}, true, true, 4},
+    // A 1-d outflow tube, 1: one pencil and seven pad lanes, 1·1·32.
+    {"batch 1", {24, 1, 1}, false, false, false, 32, {}, true, true},
+    // 6/17/17: 6·5·25 + 5·17·14 + 17·6·13.
+    {"batches 6/17/17", {17, 6, 5}, true, false, false, 3266, {}, false,
+     false, 4},
+};
+
 std::uint64_t bits_of(double v) {
   std::uint64_t b = 0;
   std::memcpy(&b, &v, sizeof b);
@@ -731,7 +1116,8 @@ std::uint64_t bits_of(double v) {
 }
 
 /// Random positive state on every cell, ghosts included, with zeros and
-/// −0.0 among the velocities; a child grid gets its ghosts from the fill.
+/// −0.0 among the velocities (and, for a vacuum case, cells whose density
+/// and energies are ~1e-300); a child grid gets its ghosts from the fill.
 mesh::Hierarchy make_sweep_case(const SweepCase& c, std::uint64_t seed) {
   mesh::HierarchyParams p;
   p.root_dims = c.root_dims;
@@ -741,8 +1127,11 @@ mesh::Hierarchy make_sweep_case(const SweepCase& c, std::uint64_t seed) {
   mesh::Hierarchy h(p);
   h.build_root();
   if (c.child) {
-    // A 12×8×12 (2-D: 12×8×1) child away from the root's edges.
-    const mesh::IndexBox box{{8, 12, c.root_dims[2] > 1 ? 10 : 0},
+    // By default a 12×8×12 (2-D: 12×8×1) child away from the root's edges.
+    const mesh::IndexBox box =
+        !c.child_box.empty()
+            ? c.child_box
+            : mesh::IndexBox{{8, 12, c.root_dims[2] > 1 ? 10 : 0},
                              {20, 20, c.root_dims[2] > 1 ? 22 : 1}};
     auto g = std::make_unique<mesh::Grid>(h.make_spec(1, box), p.fields);
     g->set_parent(h.grids(0)[0]);
@@ -761,6 +1150,18 @@ mesh::Hierarchy make_sweep_case(const SweepCase& c, std::uint64_t seed) {
             v = u < 0.05 ? 0.0 : (u < 0.1 ? -0.0 : 0.3 * rng.uniform(-1, 1));
           }
         }
+  if (c.vacuum)
+    for (int l = 0; l <= h.deepest_level(); ++l)
+      for (mesh::Grid* g : h.grids(l)) {
+        const std::size_t cells = g->field(Field::kDensity).size();
+        for (std::size_t n = 0; n < cells; ++n) {
+          if (rng.uniform() >= 0.15) continue;
+          for (Field f : g->field_list())
+            if (mesh::is_density_like(f) || f == Field::kInternalEnergy ||
+                f == Field::kTotalEnergy)
+              g->field(f).data()[n] = 1e-300 * (0.5 + rng.uniform());
+        }
+      }
   if (c.child) {
     h.grids(0)[0]->store_old_fields();
     mesh::set_boundary_values(h, 1);
@@ -774,7 +1175,9 @@ TEST(Hydro, LiveSweepMatchesFullPencilOracleBitwise) {
   const cosmology::Expansion exp{0.8, 0.0};
   const double dt = 0.004;
   std::uint64_t seed = 900;
-  for (const SweepCase& c : kSweepCases)
+  std::vector<SweepCase> cases(std::begin(kSweepCases), std::end(kSweepCases));
+  cases.insert(cases.end(), std::begin(kBatchCases), std::end(kBatchCases));
+  for (const SweepCase& c : cases)
     for (const hydro::Solver solver :
          {hydro::Solver::kPpm, hydro::Solver::kZeus}) {
       ++seed;
@@ -788,15 +1191,27 @@ TEST(Hydro, LiveSweepMatchesFullPencilOracleBitwise) {
       mesh::Grid& g = *h.grids(level)[0];
       hydro::HydroParams hp;
       hp.solver = solver;
+      hp.flattening = c.flattening;
       oracle::Registers want;
       const std::uint64_t full =
           oracle::sweep_all_axes(ref, dt, hp, exp, want);
       g.reset_fluxes();
       g.reset_boundary_fluxes();
-      const std::uint64_t live =
-          hydro::sweep_all_axes(g, dt, hp, exp, nullptr);
-      EXPECT_EQ(live, c.pencil_cells) << what;
-      EXPECT_LT(live, full) << what;
+      std::unique_ptr<exec::ThreadPoolExecutor> pool;
+      if (c.lanes > 1)
+        pool = std::make_unique<exec::ThreadPoolExecutor>(c.lanes);
+      const hydro::SweepCounts live =
+          hydro::sweep_all_axes(g, dt, hp, exp, pool.get());
+      EXPECT_EQ(live.pencil_cells, c.pencil_cells) << what;
+      // A 1-d tube has no ghost row to skip.
+      if (c.root_dims[1] > 1)
+        EXPECT_LT(live.pencil_cells, full) << what;
+      else
+        EXPECT_EQ(live.pencil_cells, full) << what;
+      if (solver == hydro::Solver::kPpm)
+        EXPECT_GT(live.riemann_sweeps, 0u) << what;
+      else
+        EXPECT_EQ(live.riemann_sweeps, 0u) << what;
 
       std::size_t compared = 0, differ = 0;
       std::string first;
@@ -850,41 +1265,127 @@ TEST(Hydro, LiveSweepMatchesFullPencilOracleBitwise) {
     }
 }
 
-// ---- SoA pencil workspace ---------------------------------------------------
+// ---- ghost depth against the solver stencil ---------------------------------
+
+namespace {
+
+/// A refined Sedov blast run from deck text for two root steps with the
+/// given solver and ghost depth.
+void run_sedov_deck(const std::string& method, int ghost_zones) {
+  std::istringstream text("ProblemType = SedovBlast\n"
+                          "TopGridDimensions = 16 16 16\n"
+                          "MaximumRefinementLevel = 1\n"
+                          "RefineByOverdensity = 1.5\n"
+                          "SedovDepositRadius = 0.15\n"
+                          "StopSteps = 2\n"
+                          "HydroMethod = " + method + "\n" +
+                          "GhostZones = " + std::to_string(ghost_zones) +
+                          "\n");
+  const core::ParameterDeck deck = core::parse_parameter_deck(text);
+  core::Simulation sim(deck.config);
+  core::setup_from_deck(sim, deck);
+  for (int s = 0; s < deck.stop_steps; ++s) sim.advance_root_step();
+}
+
+/// The set-up error for one ghost too few, or "" when nothing is thrown.
+std::string ghost_error(const std::string& method, int ghost_zones) {
+  try {
+    run_sedov_deck(method, ghost_zones);
+  } catch (const enzo::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(Hydro, PpmNeedsThreeGhostZones) {
+  EXPECT_EQ(hydro::min_ghost_zones(hydro::Solver::kPpm), 3);
+  EXPECT_NO_THROW(run_sedov_deck("PPM", 3));
+  const std::string what = ghost_error("PPM", 2);
+  EXPECT_NE(what.find("GhostZones = 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("below 3"), std::string::npos) << what;
+  EXPECT_NE(what.find("PPM"), std::string::npos) << what;
+}
+
+TEST(Hydro, ZeusNeedsTwoGhostZones) {
+  EXPECT_EQ(hydro::min_ghost_zones(hydro::Solver::kZeus), 2);
+  EXPECT_NO_THROW(run_sedov_deck("Zeus", 2));
+  const std::string what = ghost_error("Zeus", 1);
+  EXPECT_NE(what.find("GhostZones = 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("below 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("Zeus"), std::string::npos) << what;
+}
+
+TEST(Hydro, SweepRejectsAHandBuiltGridBelowTheStencil) {
+  // No deck, so no set-up check: the sweep driver itself refuses.
+  for (const hydro::Solver solver :
+       {hydro::Solver::kPpm, hydro::Solver::kZeus}) {
+    const int need = hydro::min_ghost_zones(solver);
+    for (const int ng : {need - 1, need}) {
+      mesh::HierarchyParams p;
+      p.root_dims = {8, 8, 8};
+      p.nghost = ng;
+      mesh::Hierarchy h(p);
+      h.build_root();
+      mesh::Grid* g = h.grids(0)[0];
+      g->field(Field::kDensity).fill(1.0);
+      g->field(Field::kVelocityX).fill(0.1);
+      g->field(Field::kVelocityY).fill(0.0);
+      g->field(Field::kVelocityZ).fill(0.0);
+      g->field(Field::kInternalEnergy).fill(1.0);
+      g->field(Field::kTotalEnergy).fill(1.005);
+      mesh::set_boundary_values(h, 0);
+      hydro::HydroParams hp;
+      hp.solver = solver;
+      const auto step = [&] {
+        hydro::solve_hydro_step(*g, 1e-3, hp, cosmology::Expansion::statics());
+      };
+      if (ng < need)
+        EXPECT_THROW(step(), enzo::Error) << "nghost " << ng;
+      else
+        EXPECT_NO_THROW(step()) << "nghost " << ng;
+    }
+  }
+}
+
+// ---- the pencil batch workspace --------------------------------------------
 
 TEST(Pencil, ResetRejectsDegenerateExtent) {
-  hydro::Pencil pc;
+  hydro::PencilBatch pb;
   // 3 ghosts per side need at least 7 cells for one active cell; a
   // minimum-size box that cannot fit the stencil must fail loudly instead of
   // producing an empty face range that silently skips the update.
-  EXPECT_THROW(pc.reset(6, 3, 0), enzo::Error);
-  EXPECT_THROW(pc.reset(4, 2, 0), enzo::Error);
-  EXPECT_THROW(pc.reset(2, 3, 1), enzo::Error);
-  EXPECT_NO_THROW(pc.reset(7, 3, 0));
-  EXPECT_EQ(pc.n, 7);
+  EXPECT_THROW(pb.reset(6, 3, 0), enzo::Error);
+  EXPECT_THROW(pb.reset(4, 2, 0), enzo::Error);
+  EXPECT_THROW(pb.reset(2, 3, 1), enzo::Error);
+  EXPECT_NO_THROW(pb.reset(7, 3, 0));
+  EXPECT_EQ(pb.n, 7);
 }
 
 TEST(Pencil, ResetReleasesCapacityWhenScalarCountShrinks) {
-  hydro::Pencil pc;
+  hydro::PencilBatch pb;
   // A chemistry deck (12 passive species) followed by a pure-hydro deck in
   // the same process: the workspace must drop back to the smaller size class
   // instead of pinning the larger block in thread-local scratch for the rest
   // of the run.
-  pc.reset(512, 3, 12);
-  const std::size_t cap_chem = pc.capacity_doubles();
-  pc.reset(512, 3, 0);
-  const std::size_t cap_hydro = pc.capacity_doubles();
+  pb.reset(64, 3, 12);
+  const std::size_t cap_chem = pb.capacity_doubles();
+  pb.reset(64, 3, 0);
+  const std::size_t cap_hydro = pb.capacity_doubles();
   EXPECT_LT(cap_hydro, cap_chem);
   // Growing again reacquires at least the old class.
-  pc.reset(512, 3, 12);
-  EXPECT_GE(pc.capacity_doubles(), cap_chem);
+  pb.reset(64, 3, 12);
+  EXPECT_GE(pb.capacity_doubles(), cap_chem);
 }
 
 TEST(Pencil, GatherScatterRoundTripIsExact) {
-  // gather → scatter with untouched lanes must reproduce the grid fields
-  // bit-for-bit on every axis (eint >= 0 so the gather-side floor is a
-  // no-op), passive scalars included.
-  const int nx = 12, ny = 10, nz = 8, ng = 3, nscal = 2;
+  // gather → scatter with untouched lanes must reproduce the fields bit for
+  // bit on every axis (eint >= 0 so the gather-side floor is a no-op),
+  // passive scalars included, over full and ragged batches; pad lanes copy
+  // the last real pencil.  Each axis runs with the batch axis the driver
+  // picks, and z also with the strided layout (batch axis y).
+  const int nx = 12, ny = 10, nz = 11, ng = 3, nscal = 2;
   const int dims[3] = {nx, ny, nz};
   const std::size_t ncell = static_cast<std::size_t>(nx) * ny * nz;
   util::Rng rng(42);
@@ -898,25 +1399,40 @@ TEST(Pencil, GatherScatterRoundTripIsExact) {
                       v2 = make(false), etot = make(true), eint = make(true),
                       s0 = make(true), s1 = make(true);
   const std::vector<double> ref[8] = {rho, vu, v1, v2, etot, eint, s0, s1};
-  double* species[nscal] = {s0.data(), s1.data()};
-  const hydro::PencilFields pf{rho.data(),  vu.data(),   v1.data(),
-                               v2.data(),   etot.data(), eint.data(),
-                               species};
-  hydro::Pencil pc;
-  for (int axis = 0; axis < 3; ++axis) {
-    const int t1 = (axis + 1) % 3, t2 = (axis + 2) % 3;
-    pc.reset(dims[axis], ng, nscal);
-    for (int j2 = 0; j2 < dims[t2]; ++j2)
-      for (int j1 = 0; j1 < dims[t1]; ++j1) {
-        const hydro::PencilMap pm =
-            hydro::pencil_map(axis, nx, ny, nz, j1, j2);
-        hydro::gather_pencil(pc, pf, pm, 5.0 / 3.0, 1e-20);
-        hydro::scatter_pencil(pc, pf, pm);
+  auto view = [&](std::vector<double>& v) {
+    return util::ArrayView3<double>(v.data(), nx, ny, nz);
+  };
+  const util::ArrayView3<double> species[nscal] = {view(s0), view(s1)};
+  const hydro::BatchFields bf{view(rho),  view(vu),   view(v1), view(v2),
+                              view(etot), view(eint), species};
+  hydro::PencilBatch pb;
+  const int layouts[4][2] = {{0, 1}, {1, 0}, {2, 0}, {2, 1}};  // {d, a}
+  for (const auto& layout : layouts) {
+    const int d = layout[0], a = layout[1], o = 3 - d - a;
+    const std::string what = "axis " + std::to_string(d) + " batch axis " +
+                             std::to_string(a);
+    pb.reset(dims[d], ng, nscal);
+    for (int o0 = 0; o0 < dims[o]; ++o0)
+      for (int a0 = 0; a0 < dims[a]; a0 += hydro::kBatch) {
+        hydro::BatchPlace at;
+        at.d = d;
+        at.a = a;
+        at.o = o;
+        at.a0 = a0;
+        at.o0 = o0;
+        at.live = std::min(hydro::kBatch, dims[a] - a0);
+        hydro::gather_batch(pb, bf, at, 5.0 / 3.0, 1e-20);
+        for (int i = 0; i < pb.n; ++i)
+          for (int b = at.live; b < hydro::kBatch; ++b)
+            ASSERT_EQ(pb.rho[i * hydro::kBatch + b],
+                      pb.rho[i * hydro::kBatch + at.live - 1])
+                << what;
+        hydro::scatter_batch(pb, bf, at);
       }
     const std::vector<double>* now[8] = {&rho, &vu, &v1, &v2,
                                          &etot, &eint, &s0, &s1};
     for (int q = 0; q < 8; ++q)
-      EXPECT_EQ(*now[q], ref[q]) << "axis " << axis << " field " << q;
+      EXPECT_EQ(*now[q], ref[q]) << what << " field " << q;
   }
 }
 
@@ -950,34 +1466,102 @@ TEST(Riemann, NearVacuumInputsStayFiniteAndPositive) {
 }
 
 TEST(Riemann, BatchMatchesScalarBitwise) {
-  const int n = 64;
+  // Rows of 8 faces through the batch solver against the 12-sweep oracle,
+  // face by face: every output bit for bit, and the row's sweep count equal
+  // to the first sweep S after which every face sits on a fixed point
+  // (p_S == p_{S-1}) or, S even, on a 2-cycle (p_S == p_{S-2}); 12 if none.
+  // Inputs are drawn until each kind has been checked: random states,
+  // uniform states (left = right), near-vacuum states, and faces whose p*
+  // ends in a 2-cycle or never settles within 12 sweeps.
+  enum Kind { kRandom, kUniform, kVacuum, kTwoCycle, kUnsettled, kKinds };
+  const char* names[kKinds] = {"random", "uniform", "near-vacuum",
+                               "2-cycle", "never settling"};
+  const double gamma = 1.4;
+  constexpr int kB = hydro::kBatch;
   util::Rng rng(7);
-  std::vector<double> rl(n), ul(n), pl(n), rr(n), ur(n), pr(n);
-  for (int f = 0; f < n; ++f) {
-    // Mix of ordinary states and pathological magnitudes.
-    const double scale = std::pow(10.0, rng.uniform(-20, 2));
-    rl[f] = scale * (0.1 + rng.uniform());
-    rr[f] = scale * (0.1 + rng.uniform());
-    pl[f] = scale * (0.1 + rng.uniform());
-    pr[f] = scale * (0.1 + rng.uniform());
-    ul[f] = rng.uniform(-3, 3);
-    ur[f] = rng.uniform(-3, 3);
+  std::array<int, kKinds> seen{};
+  auto equal = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  double in[6][kB], out[9][kB];
+  const hydro::RiemannBatch b{in[0],  in[1],  in[2],  in[3],  in[4],
+                              in[5],  out[0], out[1], out[2], out[3],
+                              out[4], out[5], out[6], out[7], out[8]};
+  int rows = 0;
+  for (; rows < 20000; ++rows) {
+    bool all_seen = rows >= 600;
+    for (int k = 0; k < kKinds; ++k) all_seen = all_seen && seen[k] > 0;
+    if (all_seen) break;
+    const Kind gen = static_cast<Kind>(rows % 3);
+    for (int f = 0; f < kB; ++f) {
+      // Ordinary states and pathological magnitudes, velocities up to a
+      // few hundred sound speeds.
+      const double scale = std::pow(10.0, rng.uniform(-20, 2));
+      const double vscale =
+          std::sqrt(scale) * std::pow(10.0, rng.uniform(-1, 2));
+      double* v[6] = {&in[0][f], &in[1][f], &in[2][f],
+                      &in[3][f], &in[4][f], &in[5][f]};
+      *v[0] = scale * (0.1 + rng.uniform());
+      *v[1] = vscale * rng.uniform(-3, 3);
+      *v[2] = scale * std::pow(10.0, rng.uniform(-6, 2));
+      *v[3] = scale * (0.1 + rng.uniform());
+      *v[4] = vscale * rng.uniform(-3, 3);
+      *v[5] = scale * std::pow(10.0, rng.uniform(-6, 2));
+      if (gen == kUniform)
+        for (int q = 0; q < 3; ++q) *v[q + 3] = *v[q];
+      if (gen == kVacuum) {
+        // One side, or both, at the 1e-300 floor.
+        const int side = static_cast<int>(rng.uniform() * 3.0);
+        for (int s = 0; s < 2; ++s)
+          if (side == 2 || side == s) {
+            *v[3 * s] = 1e-300 * (0.5 + rng.uniform());
+            *v[3 * s + 2] = 1e-300 * (0.5 + rng.uniform());
+          }
+      }
+    }
+    const std::uint64_t sweeps = hydro::riemann_two_shock_batch(0, 0, b, gamma);
+    bool settled[13];  // every face of the row stops at sweep S
+    std::fill(std::begin(settled), std::end(settled), true);
+    for (int f = 0; f < kB; ++f) {
+      const hydro::RiemannInput face{in[0][f], in[1][f], in[2][f],
+                                     in[3][f], in[4][f], in[5][f]};
+      double h[13];
+      const hydro::RiemannState want = oracle::riemann12(face, gamma, h);
+      const std::string at = std::string(names[gen]) + " row " +
+                             std::to_string(rows) + " face " +
+                             std::to_string(f);
+      EXPECT_TRUE(equal(out[0][f], want.rho)) << at;
+      EXPECT_TRUE(equal(out[1][f], want.u)) << at;
+      EXPECT_TRUE(equal(out[2][f], want.p)) << at;
+      EXPECT_TRUE(equal(out[3][f], want.pstar)) << at;
+      EXPECT_TRUE(equal(out[4][f], want.ustar)) << at;
+      int stop = 13;  // the face's own first stopping sweep
+      for (int S = 12; S >= 1; --S) {
+        const bool fixed = equal(h[S], h[S - 1]);
+        const bool cycle = S % 2 == 0 && equal(h[S], h[S - 2]);
+        settled[S] = settled[S] && (fixed || cycle);
+        if (fixed || cycle) stop = S;
+      }
+      if (stop == 13)
+        ++seen[kUnsettled];
+      else if (!equal(h[stop], h[stop - 1]))
+        ++seen[kTwoCycle];
+    }
+    ++seen[gen];
+    std::uint64_t want_sweeps = 12;
+    for (int S = 12; S >= 1; --S)
+      if (settled[S]) want_sweeps = static_cast<std::uint64_t>(S);
+    EXPECT_EQ(sweeps, want_sweeps) << names[gen] << " row " << rows;
+    if (::testing::Test::HasFailure()) break;
   }
-  std::vector<double> rho(n), u(n), p(n), pstar(n), ustar(n), cl(n), cr(n),
-      wl(n), wr(n);
-  const hydro::RiemannBatch b{rl.data(), ul.data(),    pl.data(),
-                              rr.data(), ur.data(),    pr.data(),
-                              rho.data(), u.data(),    p.data(),
-                              pstar.data(), ustar.data(), cl.data(),
-                              cr.data(),  wl.data(),   wr.data()};
-  hydro::riemann_two_shock_batch(0, n - 1, b, 1.4);
-  for (int f = 0; f < n; ++f) {
-    const hydro::RiemannInput in{rl[f], ul[f], pl[f], rr[f], ur[f], pr[f]};
-    const hydro::RiemannState s = hydro::riemann_two_shock(in, 1.4);
-    EXPECT_EQ(rho[f], s.rho) << "face " << f;
-    EXPECT_EQ(u[f], s.u) << "face " << f;
-    EXPECT_EQ(p[f], s.p) << "face " << f;
-    EXPECT_EQ(pstar[f], s.pstar) << "face " << f;
-    EXPECT_EQ(ustar[f], s.ustar) << "face " << f;
-  }
+  for (int k = 0; k < kKinds; ++k)
+    EXPECT_GT(seen[k], 0) << "no " << names[k] << " face in " << rows
+                          << " rows";
+  // The scalar wrapper is one row of copies of its input.
+  const hydro::RiemannInput sod{1.0, 0.0, 1.0, 0.125, 0.0, 0.1};
+  const hydro::RiemannState got = hydro::riemann_two_shock(sod, gamma);
+  const hydro::RiemannState want = oracle::riemann12(sod, gamma);
+  EXPECT_TRUE(equal(got.rho, want.rho) && equal(got.u, want.u) &&
+              equal(got.p, want.p) && equal(got.pstar, want.pstar) &&
+              equal(got.ustar, want.ustar));
 }

@@ -341,7 +341,7 @@ void rule_nondeterministic_source(const SourceFile& f,
 // ---------------------------------------------------------------------------
 // Inside ENZO_HOT bodies (per-cell / per-pencil kernel code) heap traffic
 // and lock acquisition are forbidden: scratch must be preallocated and
-// capacity-reusing (Pencil::reset, ppm scratch), and synchronization
+// capacity-reusing (PencilBatch::reset, ppm scratch), and synchronization
 // belongs to the executor layer, not kernels.  A metrics-registry lookup
 // by name (`Registry::global().counter(...)`, `.gauge`, `.histogram`)
 // takes the registry mutex, so it counts as a lock unless it initializes a
