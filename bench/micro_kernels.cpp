@@ -136,18 +136,20 @@ void BM_MultigridSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_MultigridSolve)->Arg(16)->Arg(32);
 
-// A subgrid-sized solve: a 12×10×14 child coarsens once (to 6×5×7), the
-// 2-level stack most collapse-deck solves run, with Dirichlet ghosts and an
-// initial guess from a smooth parent potential and a central mass.
+// A subgrid-sized solve of a 12×ny×14 child, with Dirichlet ghosts and an
+// initial guess from a smooth parent potential and a central mass.  ny = 10
+// coarsens once (to 6×5×7), the 2-level stack most collapse-deck solves
+// run; ny = 2 (a child one parent cell thick) gets a 1-level stack.
 void BM_MultigridSubgrid(benchmark::State& state) {
-  const int nx = 12, ny = 10, nz = 14;
+  const int nx = 12, ny = static_cast<int>(state.range(0)), nz = 14;
   util::Buffer3 guess_buf(nx + 2, ny + 2, nz + 2);
   util::Buffer3 rhs_buf(nx + 2, ny + 2, nz + 2);
   const mesh::FieldView guess = guess_buf.view(), rhs = rhs_buf.view();
+  const double cy = 0.5 * (ny + 1);
   for (int k = 0; k < nz + 2; ++k)
     for (int j = 0; j < ny + 2; ++j)
       for (int i = 0; i < nx + 2; ++i) {
-        const double r2 = (i - 6.5) * (i - 6.5) + (j - 5.5) * (j - 5.5) +
+        const double r2 = (i - 6.5) * (i - 6.5) + (j - cy) * (j - cy) +
                           (k - 7.5) * (k - 7.5);
         guess(i, j, k) = -1.0 / std::sqrt(1.0 + r2);
         rhs(i, j, k) = std::exp(-r2 / 8.0);
@@ -162,7 +164,48 @@ void BM_MultigridSubgrid(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * nx * ny * nz);
 }
-BENCHMARK(BM_MultigridSubgrid);
+BENCHMARK(BM_MultigridSubgrid)->Arg(10)->Arg(2);
+
+// One level's whole subgrid gravity layer, serial: parent interpolation and
+// right-hand sides, three solves per grid and two sibling exchanges, on
+// eight 8×12×8 siblings (2-level stacks) tiling the centre of a 16³ root
+// with a lumpy mass.  Items are the level's active cells.
+void BM_SubgridGravity(benchmark::State& state) {
+  mesh::HierarchyParams hp;
+  hp.root_dims = {16, 16, 16};
+  hp.max_level = 1;
+  mesh::Hierarchy h(hp);
+  h.build_root();
+  mesh::Grid* root = h.grids(0)[0];
+  for (Field f : root->field_list()) root->field(f).fill(1.0);
+  root->store_old_fields();
+  for (std::int64_t z = 8; z < 24; z += 8)
+    for (std::int64_t y = 4; y < 28; y += 12)
+      for (std::int64_t x = 8; x < 24; x += 8) {
+        auto g = std::make_unique<mesh::Grid>(
+            h.make_spec(1, {{x, y, z}, {x + 8, y + 12, z + 8}}), hp.fields);
+        g->set_parent(root);
+        for (Field f : g->field_list()) g->field(f).fill(1.0);
+        h.insert_grid(std::move(g));
+      }
+  gravity::begin_gravitating_mass(h, 0);
+  gravity::begin_gravitating_mass(h, 1);
+  util::Rng rng(29);
+  std::int64_t cells = 0;
+  for (mesh::Grid* g : h.grids(1)) {
+    for (double& v : g->gravitating_mass()) v = rng.uniform(0.5, 4.0);
+    cells += std::int64_t(g->nx(0)) * g->nx(1) * g->nx(2);
+  }
+  gravity::restrict_gravitating_mass(h);
+  const gravity::GravityParams p;
+  gravity::solve_root_gravity(h, p, 1.0);
+  for (auto _ : state) {
+    gravity::solve_subgrid_gravity(h, 1, p, 1.0);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * cells);
+}
+BENCHMARK(BM_SubgridGravity);
 
 void BM_ChemistryStep(benchmark::State& state) {
   auto h = hydro_box(8, true);

@@ -20,6 +20,12 @@
 // "n/a" when the reference does not hold at the final time (a Zel'dovich
 // pancake past its caustic).
 //
+// Every deck prints one "work:" line: the run's delta of each exact work
+// counter (zone-cycles, hydro cells and pencil cells, Riemann sweeps,
+// multigrid solves, V-cycles and unconverged solves, chemistry subcycles,
+// ghost cells filled and interpolated), with zone-cycles per wall second,
+// V-cycles per solve and pencil cells per updated cell.
+//
 // Execution flag (overrides the deck's Threads key):
 //   --threads N        run level sweeps on N lanes (1 = serial backend,
 //                      0 = all hardware threads); also --threads=N
@@ -38,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,11 +55,62 @@
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_writer.hpp"
 #include "perf/diagnostics.hpp"
+#include "perf/metrics.hpp"
 #include "perf/trace.hpp"
 #include "problems/registry.hpp"
 #include "util/timer.hpp"
 
 using namespace enzo;
+
+namespace {
+
+/// The exact work counters the "work:" line reports, in print order.
+constexpr const char* kWorkCounters[] = {
+    "driver.zone_cycles",     "hydro.cells_updated",
+    "hydro.pencil_cells",     "hydro.riemann_sweeps",
+    "gravity.mg_solves",      "gravity.mg_vcycles",
+    "gravity.mg_unconverged", "chemistry.subcycles",
+    "boundary.ghost_cells_filled", "boundary.ghost_cells_interpolated"};
+
+using WorkCounts = std::map<std::string, std::uint64_t>;
+
+WorkCounts read_work_counters() {
+  WorkCounts c;
+  for (const char* n : kWorkCounters)
+    c[n] = perf::Registry::global().counter(n).value();
+  return c;
+}
+
+/// " (<num/den> <what>)", or " (n/a <what>)" when den is 0.
+std::string ratio(double num, double den, const char* what) {
+  char buf[96];
+  if (den > 0)
+    std::snprintf(buf, sizeof buf, " (%.4g %s)", num / den, what);
+  else
+    std::snprintf(buf, sizeof buf, " (n/a %s)", what);
+  return buf;
+}
+
+/// One line of each counter's delta since `before`, over `seconds` of wall.
+void print_work_line(const WorkCounts& before, double seconds) {
+  WorkCounts d = read_work_counters();
+  for (auto& [name, v] : d) v -= before.at(name);
+  const auto at = [&](const char* n) { return static_cast<double>(d[n]); };
+  std::string line = "work:";
+  for (const char* n : kWorkCounters) {
+    line += " " + std::string(n) + "=" + std::to_string(d[n]);
+    const std::string name = n;
+    if (name == "driver.zone_cycles")
+      line += ratio(at(n), seconds, "per s");
+    else if (name == "hydro.pencil_cells")
+      line += ratio(at(n), at("hydro.cells_updated"), "per updated cell");
+    else if (name == "gravity.mg_vcycles")
+      line += ratio(at(n), at("gravity.mg_solves"), "per solve");
+  }
+  std::printf("%s\n", line.c_str());
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string trace_out, diag_out;
@@ -159,6 +217,7 @@ int main(int argc, char** argv) {
       });
     }
 
+    const auto work_before = read_work_counters();
     util::Stopwatch wall;
     for (long s = sim.root_steps_taken(); s < deck.stop_steps; ++s) {
       if (deck.stop_time > 0 && sim.time_d() >= deck.stop_time) break;
@@ -185,7 +244,9 @@ int main(int argc, char** argv) {
                   deck.checkpoint_path.c_str(),
                   static_cast<long>(deck.checkpoint_keep));
     }
-    std::printf("done in %.1f s wall\n", wall.seconds());
+    const double run_seconds = wall.seconds();
+    std::printf("done in %.1f s wall\n", run_seconds);
+    print_work_line(work_before, run_seconds);
     if (deck.config.audit_invariants) {
       std::printf("audit: %ld run(s), %llu violation(s); last: %s\n",
                   sim.audits_run(),

@@ -2,10 +2,13 @@
 // interpolation + multigrid + sibling iteration), and force differencing.
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "exec/executor.hpp"
 #include "gravity/gravity.hpp"
 #include "mesh/topology.hpp"
+#include "perf/metrics.hpp"
 #include "perf/trace.hpp"
 #include "util/error.hpp"
 
@@ -25,35 +28,48 @@ std::uint64_t cells_of(const Grid& g) {
          static_cast<std::uint64_t>(g.nx(2));
 }
 
-/// Trilinear interpolation of the parent's potential at the center of the
-/// child's cell with global (child-level) index gi (wrapped periodically).
-double parent_potential_at(const Grid& child, const Grid& parent,
-                           std::int64_t gi, std::int64_t gj, std::int64_t gk) {
-  double w[3][2];
-  int base[3];
-  const std::int64_t gidx[3] = {gi, gj, gk};
-  for (int d = 0; d < 3; ++d) {
-    const std::int64_t cd = child.spec().level_dims[d];
-    const std::int64_t pd = parent.spec().level_dims[d];
+/// The parent-potential taps of a subgrid's potential storage along one
+/// axis: for each storage index, the parent storage indices of its two taps
+/// and their trilinear weights.
+struct AxisTaps {
+  std::vector<int> i0, i1;
+  std::vector<double> w0, w1;
+};
+
+/// Build g's taps along axis d on its parent.  The child index is
+/// deliberately unwrapped, as in mesh::interpolate's build_axis: a ghost
+/// beyond the periodic domain edge maps into the parent's own ghost layer,
+/// which holds the periodic image (a wrapped index would land on the far
+/// side, outside a parent that does not span the domain).  The window clamp
+/// covers a child that reaches past its parent's ghost layer.  On an axis
+/// the parent does not resolve, both taps are storage index 0.
+void build_taps(AxisTaps& t, const Grid& child, const Grid& parent, int d) {
+  const int gd = pot_ghost(child, d);
+  const int n = child.nx(d) + 2 * gd;
+  t.i0.resize(static_cast<std::size_t>(n));
+  t.i1.resize(static_cast<std::size_t>(n));
+  t.w0.resize(static_cast<std::size_t>(n));
+  t.w1.resize(static_cast<std::size_t>(n));
+  const std::int64_t cd = child.spec().level_dims[d];
+  const std::int64_t pd = parent.spec().level_dims[d];
+  for (int s = 0; s < n; ++s) {
+    const auto e = static_cast<std::size_t>(s);
     if (pd == 1) {
-      base[d] = 0;
-      w[d][0] = 1.0;
-      w[d][1] = 0.0;
+      t.i0[e] = t.i1[e] = 0;
+      t.w0[e] = 1.0;
+      t.w1[e] = 0.0;
       continue;
     }
     const int rd = static_cast<int>(cd / pd);
-    std::int64_t g0 = gidx[d];
-    if (child.spec().periodic) g0 = ((g0 % cd) + cd) % cd;
+    const std::int64_t g0 = child.box().lo[d] + (s - gd);
     // Parent-index coordinate of the child cell center.
     const double x = (static_cast<double>(g0) + 0.5) / rd - 0.5;
     const double fl = std::floor(x);
-    std::int64_t p0 = static_cast<std::int64_t>(fl);
     double f = x - fl;
-    // Parent storage index (1 ghost).
-    std::int64_t s0 = p0 - parent.box().lo[d] + 1;
-    // Clamp into the available [0, nx+1] window (only needed when the child
-    // touches the parent's edge and the domain is not periodic).
-    const std::int64_t smax = parent.nx(d);  // s0 and s0+1 must be <= nx+1-1
+    // Parent storage index (1 ghost), clamped so that both taps lie in the
+    // parent's [0, nx+1] window.
+    std::int64_t s0 = static_cast<std::int64_t>(fl) - parent.box().lo[d] + 1;
+    const std::int64_t smax = parent.nx(d);
     if (s0 < 0) {
       s0 = 0;
       f = 0.0;
@@ -62,36 +78,52 @@ double parent_potential_at(const Grid& child, const Grid& parent,
       s0 = smax;
       f = 1.0;
     }
-    base[d] = static_cast<int>(s0);
-    w[d][0] = 1.0 - f;
-    w[d][1] = f;
+    t.i0[e] = static_cast<int>(s0);
+    t.i1[e] = static_cast<int>(s0) + 1;
+    t.w0[e] = 1.0 - f;
+    t.w1[e] = f;
   }
-  const auto& pot = parent.potential();
-  double v = 0.0;
-  for (int dk = 0; dk < 2; ++dk)
-    for (int dj = 0; dj < 2; ++dj)
-      for (int di = 0; di < 2; ++di) {
-        const double ww = w[0][di] * w[1][dj] * w[2][dk];
-        if (ww == 0.0) continue;
-        v += ww * pot(base[0] + di, base[1] + dj, base[2] + dk);
-      }
-  return v;
 }
 
-/// Fill a subgrid's potential ghost layer from its parent.
-void fill_potential_bc_from_parent(Grid& g, const Grid& parent) {
+/// Trilinear interpolation of the parent's potential into every cell of g's
+/// potential, ghosts included.  The 8 taps are summed in (dk, dj, di) order
+/// with weights (wx·wy)·wz; a zero-weight tap adds +0.0 instead, which
+/// leaves the sum unchanged (it starts at +0.0, so it is never −0.0) and
+/// keeps a non-finite value there out of it.
+void interpolate_parent_potential(Grid& g, const Grid& parent) {
+  thread_local AxisTaps taps[3];
+  for (int d = 0; d < 3; ++d) build_taps(taps[d], g, parent, d);
+  const AxisTaps &tx = taps[0], &ty = taps[1], &tz = taps[2];
   const mesh::FieldView pot = g.potential();
-  const int gx = pot_ghost(g, 0), gy = pot_ghost(g, 1), gz = pot_ghost(g, 2);
-  for (int k = -gz; k < g.nx(2) + gz; ++k)
-    for (int j = -gy; j < g.nx(1) + gy; ++j)
-      for (int i = -gx; i < g.nx(0) + gx; ++i) {
-        const bool interior = i >= 0 && i < g.nx(0) && j >= 0 &&
-                              j < g.nx(1) && k >= 0 && k < g.nx(2);
-        if (interior) continue;
-        pot(i + gx, j + gy, k + gz) =
-            parent_potential_at(g, parent, g.box().lo[0] + i,
-                                g.box().lo[1] + j, g.box().lo[2] + k);
+  const mesh::ConstFieldView pp = parent.potential();
+  const int n = pot.nx();
+  const int* const ix[2] = {tx.i0.data(), tx.i1.data()};
+  const double* const wx[2] = {tx.w0.data(), tx.w1.data()};
+  for (int k = 0; k < pot.nz(); ++k)
+    for (int j = 0; j < pot.ny(); ++j) {
+      const auto jy = static_cast<std::size_t>(j);
+      const auto kz = static_cast<std::size_t>(k);
+      const int iy[2] = {ty.i0[jy], ty.i1[jy]}, iz[2] = {tz.i0[kz], tz.i1[kz]};
+      const double wy[2] = {ty.w0[jy], ty.w1[jy]},
+                   wz[2] = {tz.w0[kz], tz.w1[kz]};
+      // The four parent rows a child row reads, in (dk, dj) order.
+      const double* prow[2][2];
+      for (int dk = 0; dk < 2; ++dk)
+        for (int dj = 0; dj < 2; ++dj)
+          prow[dk][dj] = pp.row(0, pp.nx(), iy[dj], iz[dk]);
+      double* out = pot.row(0, n, j, k);
+      for (int i = 0; i < n; ++i) {
+        double v = 0.0;
+        for (int dk = 0; dk < 2; ++dk)
+          for (int dj = 0; dj < 2; ++dj)
+            for (int di = 0; di < 2; ++di) {
+              const double ww = wx[di][i] * wy[dj] * wz[dk];
+              const double tap = ww * prow[dk][dj][ix[di][i]];
+              v += ww == 0.0 ? 0.0 : tap;
+            }
+        out[i] = v;
       }
+    }
 }
 
 /// Copy one sibling's interior potential into g's ghost layer over the
@@ -247,7 +279,8 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
   const mesh::OverlapTopology& topo = h.topology();
 
   // Per-grid RHS and initial guess (interpolated parent potential
-  // everywhere, which also sets the Dirichlet ghosts).  Each task writes
+  // everywhere, which also sets the Dirichlet ghosts; the parent shell is
+  // set here once per level solve).  Each task writes
   // only its own potential/RHS and reads its parent's solved potential,
   // which this phase never writes.  The RHS blocks come from the
   // hierarchy's storage arena, whose pool holds the grids' same-shaped
@@ -264,15 +297,10 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
         Grid* parent = g->parent();
         ENZO_REQUIRE(parent && parent->has_gravity(),
                      "parent potential missing for subgrid gravity");
+        interpolate_parent_potential(*g, *parent);
         const mesh::FieldView pot = g->potential();
         const int gx = pot_ghost(*g, 0), gy = pot_ghost(*g, 1),
                   gz = pot_ghost(*g, 2);
-        for (int k = -gz; k < g->nx(2) + gz; ++k)
-          for (int j = -gy; j < g->nx(1) + gy; ++j)
-            for (int i = -gx; i < g->nx(0) + gx; ++i)
-              pot(i + gx, j + gy, k + gz) =
-                  parent_potential_at(*g, *parent, g->box().lo[0] + i,
-                                      g->box().lo[1] + j, g->box().lo[2] + k);
         rhs[n].resize(pot.nx(), pot.ny(), pot.nz(), 0.0);
         const mesh::FieldView f = rhs[n].view();
         const mesh::ConstFieldView gm = g->gravitating_mass();
@@ -287,15 +315,28 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
   // Solve, exchange boundaries with siblings, and solve again (§3.3).  The
   // two half-steps are separate phases: solving touches only the grid's own
   // arrays; exchanging writes only the grid's own ghost layer while reading
-  // sibling interiors, which no exchange task writes.
+  // sibling interiors, which no exchange task writes.  The exchange copies
+  // sibling cells only: a solve never changes a ghost and the parent's
+  // potential is fixed during the level's solve, so a ghost no sibling
+  // covers still holds its parent value, and a covered one is overwritten.
+  static perf::Counter& unconverged =
+      perf::Registry::global().counter("gravity.mg_unconverged");
   for (int pass = 0; pass <= p.sibling_iterations; ++pass) {
     e.for_each(
         {"multigrid_solve", perf::component::kGravity, level},
         level_grids.size(),
         [&](std::size_t n) {
           Grid* g = level_grids[n];
-          multigrid_solve(g->potential(), rhs[n].view(), g->cell_width_d(0),
-                          p);
+          const double rel = multigrid_solve(g->potential(), rhs[n].view(),
+                                             g->cell_width_d(0), p);
+          if (!std::isfinite(rel))
+            throw Error("subgrid gravity: multigrid residual " +
+                        std::to_string(rel) + " on level " +
+                        std::to_string(level) + ", grid " + g->box().str() +
+                        ", pass " + std::to_string(pass) + " of " +
+                        std::to_string(p.sibling_iterations + 1) +
+                        " (non-finite gravitating mass or potential)");
+          if (rel >= p.mg_tolerance) unconverged.add(1);
         },
         grid_cost);
     if (pass < p.sibling_iterations) {
@@ -303,9 +344,8 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
           {"sibling_exchange", perf::component::kGravity, level},
           level_grids.size(),
           [&](std::size_t n) {
-            Grid* g = level_grids[n];
-            fill_potential_bc_from_parent(*g, *g->parent());
-            exchange_potential_with_siblings(*g, level_grids, topo, level, n);
+            exchange_potential_with_siblings(*level_grids[n], level_grids,
+                                             topo, level, n);
           },
           grid_cost);
     }

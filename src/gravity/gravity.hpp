@@ -50,12 +50,17 @@ void begin_gravitating_mass(mesh::Hierarchy& h, int level,
 /// Solve on the (periodic) root level via FFT; root may be tiled.
 void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p, double a);
 
-/// Solve on a refined level: Dirichlet boundary interpolated from parent
-/// potentials, multigrid V-cycles, sibling-exchange iteration.  The solve
+/// Solve on a refined level: potential and Dirichlet ghost shell
+/// interpolated from the parent once per level solve (the child index read
+/// unwrapped, so a ghost across the periodic edge reads the parent's own
+/// ghost layer), multigrid V-cycles, sibling-exchange iteration.  The solve
 /// and exchange passes are separate executor phases: a solve task touches
 /// only its own potential/RHS, an exchange task writes only its own ghost
 /// layer while reading sibling *interiors* (which no exchange task writes),
-/// so both phases are order-independent.
+/// so both phases are order-independent.  A non-finite residual throws
+/// enzo::Error naming the level, the grid box and the pass; a solve still
+/// at or above mg_tolerance after mg_max_vcycles counts in the exact
+/// counter `gravity.mg_unconverged`.
 void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
                            const GravityParams& p, double a,
                            exec::LevelExecutor* ex = nullptr);
@@ -66,8 +71,9 @@ void compute_accelerations(mesh::Grid& g, double a);
 
 /// Multigrid building block, exposed for testing: solve ∇²φ = rhs on the
 /// active region of `phi`, in place (views over distinct arrays with one
-/// ghost layer holding fixed Dirichlet values; rhs same shape, ghosts
-/// ignored) with cell width dx.  Returns the final relative residual.
+/// ghost layer holding fixed Dirichlet values, which the solve leaves
+/// unchanged; rhs same shape, its ghost values do not reach the result)
+/// with cell width dx.  Returns the final relative residual.
 double multigrid_solve(mesh::FieldView phi, mesh::ConstFieldView rhs,
                        double dx, const GravityParams& p);
 

@@ -1,9 +1,9 @@
 // Geometric multigrid for the subgrid Poisson problem (§3.3): cell-centered
 // V-cycles with red-black Gauss–Seidel smoothing, full-weighting restriction
 // and trilinear prolongation.  The finest level carries fixed Dirichlet
-// values in its one-cell ghost layer (interpolated from the parent grid /
-// exchanged with siblings by the caller); coarse levels solve the error
-// equation with homogeneous Dirichlet ghosts.
+// values in its one-cell ghost layer (set from the parent grid and from
+// siblings by the caller; a solve never changes them); coarse levels solve
+// the error equation with homogeneous Dirichlet ghosts.
 //
 // Coarsening halves every active extent and stops at the first level with an
 // odd active extent or one of 2 or less (or at 12 levels).  Subgrid extents
@@ -12,18 +12,22 @@
 // and gets a 1-level stack, whose every cycle is the 20 coarsest-level
 // sweeps.
 //
-// Kernels (DESIGN.md §13): each operation is one row kernel, templated on
-// the active-axis mask, over `__restrict` rows fetched through
-// ArrayView3::row.  The smoother walks one colour of a row at stride 2, so
-// its cell loop has no branch.  Every cell keeps the operation order of the
-// scalar loops tests/gravity_test.cpp keeps as an oracle, so solves are
-// byte-identical to them.  The finest level works in place on the caller's
-// views; coarser levels and the residuals live in per-lane scratch on
-// util::Arena::scratch(), shaped once per solve.
+// Kernels (DESIGN.md §13): a colour pass and the residual are flat loops over
+// each k-plane's span, from the plane's first active cell to its last (the x
+// ghosts between rows included), fetched through ArrayView3::flat, so they
+// run whole vectors however short the rows are.  The smoother computes every
+// cell of a span and keeps the update only where the level's per-parity mask
+// marks an active cell of the pass's colour; restriction and prolongation
+// are row kernels.  All are templated on the active-axis mask.  Every cell
+// keeps the operation order of the scalar loops tests/gravity_test.cpp keeps
+// as an oracle, so solves are byte-identical to them.  The finest level
+// works in place on the caller's views; coarser levels, the residuals and
+// the masks live in per-lane scratch, shaped once per solve.
 
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "gravity/gravity.hpp"
 #include "mesh/field_storage.hpp"
@@ -42,18 +46,26 @@ using mesh::FieldView;
 
 constexpr int kMaxLevels = 12;
 
-/// One level of the stack, as views with one ghost layer on active axes
-/// (rhs and res ghosts are never read).
+using MaskView = util::ArrayView3<const std::int32_t>;
+
+/// One level of the stack, as views with one ghost layer on active axes.
 struct MgLevel {
   FieldView phi;
   ConstFieldView rhs;
   FieldView res;
+  /// Per-parity plane masks (nx × ny × 1 of phi's shape): mask[p] is 1 on
+  /// the active cells (i, j) with (i + j) & 1 == p (active indices), else 0.
+  /// Plane k's cells of colour c are mask[(c + k) & 1].
+  MaskView mask[2];
   int n[3] = {1, 1, 1};  // active extents (1 on an inactive axis)
   int g[3] = {0, 0, 0};  // ghost width: 1 on an active axis, else 0
+  int span = 1;          // cells from a plane's first active cell to its last
   double dx = 0.0;
 };
 
-/// Per-lane storage of the coarse levels and of every level's residual.
+/// Per-lane storage of the coarse levels, of every level's residual and
+/// masks, and of the smoother's line of updates (one span of level 0, the
+/// longest).
 struct MgScratch {
   MgScratch() {
     for (int l = 0; l < kMaxLevels; ++l) {
@@ -61,8 +73,11 @@ struct MgScratch {
       rhs[l].set_arena(&util::Arena::scratch());
       res[l].set_arena(&util::Arena::scratch());
     }
+    update.set_arena(&util::Arena::scratch());
   }
   std::array<util::Buffer3, kMaxLevels> phi, rhs, res;  // phi/rhs: l >= 1
+  std::array<std::vector<std::int32_t>, kMaxLevels> masks;  // both parities
+  util::Buffer3 update;
   std::array<MgLevel, kMaxLevels> levels;
 };
 
@@ -84,47 +99,67 @@ constexpr double prolong_weight(int bx, int by, int bz) {
          (bz ? 1.0 - w0[2] : w0[2]);
 }
 
-// ---- row kernels --------------------------------------------------------
-// Row pointers start at the row's first cell of interest; the x neighbours
-// of c are c[-1] and c[+1], the y/z neighbour rows ym/yp/zm/zp (unused and
-// null on inactive axes).
+// ---- span kernels -------------------------------------------------------
+// Span pointers start at one plane's first active cell and run `n` cells in
+// storage order; xm/xp/ym/yp/zm/zp are the same span shifted by one cell
+// along x, y and z (unused and null on inactive axes).  A colour pass is two
+// loops per span: relax_span computes every cell's update into a separate
+// line, select_span keeps the updates of the pass's colour.  (Selecting in
+// place in one loop stalls store forwarding: each vector store feeds a
+// misaligned load of the next iteration's x neighbours.)
 
-/// One colour of a row: cells 0, 2, …, 2(cnt-1) of c.
+/// Every cell's Gauss–Seidel update of one span, into u.
 template <int kAxes>
-ENZO_HOT void smooth_row(double* __restrict c, const double* __restrict ym,
+ENZO_HOT void relax_span(double* __restrict u, const double* __restrict xm,
+                         const double* __restrict xp,
+                         const double* __restrict ym,
                          const double* __restrict yp,
                          const double* __restrict zm,
                          const double* __restrict zp,
-                         const double* __restrict f, int cnt, double dx2) {
+                         const double* __restrict f, int n, double dx2) {
   constexpr double kTerms = 2.0 * (has_axis(kAxes, 0) + has_axis(kAxes, 1) +
                                    has_axis(kAxes, 2));
-  for (int m = 0; m < cnt; ++m) {
-    const int i = 2 * m;
+  for (int i = 0; i < n; ++i) {
     double sum = 0.0;
-    if constexpr (has_axis(kAxes, 0)) sum += c[i + 1] + c[i - 1];
+    if constexpr (has_axis(kAxes, 0)) sum += xp[i] + xm[i];
     if constexpr (has_axis(kAxes, 1)) sum += yp[i] + ym[i];
     if constexpr (has_axis(kAxes, 2)) sum += zp[i] + zm[i];
-    c[i] = (sum - dx2 * f[i]) / kTerms;
+    u[i] = (sum - dx2 * f[i]) / kTerms;
   }
 }
 
+/// Store u into c where m is set; every other cell gets its old value back.
+ENZO_HOT void select_span(double* __restrict c, const double* __restrict u,
+                          const std::int32_t* __restrict m, int n) {
+  for (int i = 0; i < n; ++i) {
+    const double old = c[i];
+    c[i] = m[i] != 0 ? u[i] : old;
+  }
+}
+
+/// The residual over a span (cells between rows get values nothing reads).
 template <int kAxes>
-ENZO_HOT void residual_row(double* __restrict r, const double* __restrict c,
-                           const double* __restrict ym,
-                           const double* __restrict yp,
-                           const double* __restrict zm,
-                           const double* __restrict zp,
-                           const double* __restrict f, int n,
-                           double inv_dx2) {
+ENZO_HOT void residual_span(double* __restrict r, const double* __restrict c,
+                            const double* __restrict xm,
+                            const double* __restrict xp,
+                            const double* __restrict ym,
+                            const double* __restrict yp,
+                            const double* __restrict zm,
+                            const double* __restrict zp,
+                            const double* __restrict f, int n,
+                            double inv_dx2) {
   for (int i = 0; i < n; ++i) {
     double lap = 0.0;
     const double ci = c[i];
-    if constexpr (has_axis(kAxes, 0)) lap += c[i + 1] - 2 * ci + c[i - 1];
+    if constexpr (has_axis(kAxes, 0)) lap += xp[i] - 2 * ci + xm[i];
     if constexpr (has_axis(kAxes, 1)) lap += yp[i] - 2 * ci + ym[i];
     if constexpr (has_axis(kAxes, 2)) lap += zp[i] - 2 * ci + zm[i];
     r[i] = f[i] - lap * inv_dx2;
   }
 }
+
+// ---- row kernels --------------------------------------------------------
+// Row pointers start at the row's first cell of interest.
 
 /// Full weighting: coarse cell i averages the fine cells (2i + di, dj, dk)
 /// of the fine rows r[dk][dj], in dk, dj, di order.
@@ -213,44 +248,55 @@ auto* active_row(const View& a, const MgLevel& lv, int j, int k) {
   return a.row(lv.g[0], lv.n[0], j + lv.g[1], k + lv.g[2]);
 }
 
+/// Plane k's span of `a` (lv's shape) shifted by (di, dj, dk).
+template <class View>
+auto* plane(const View& a, const MgLevel& lv, int k, int di = 0, int dj = 0,
+            int dk = 0) {
+  return a.flat(lv.g[0] + di, lv.g[1] + dj, lv.g[2] + k + dk, lv.span);
+}
+
+/// Red-black sweeps; `u` holds one span.  A colour pass never reads a cell
+/// of its own colour, so the discarded updates (other colour, x ghosts)
+/// never reach a kept one.
 template <int kAxes>
-ENZO_HOT void smooth(const MgLevel& lv, int sweeps) {
+ENZO_HOT void smooth(const MgLevel& lv, int sweeps, double* __restrict u) {
   if constexpr (kAxes == 0) return;  // nothing to relax against
-  constexpr bool kY = has_axis(kAxes, 1), kZ = has_axis(kAxes, 2);
+  constexpr bool kX = has_axis(kAxes, 0), kY = has_axis(kAxes, 1),
+                 kZ = has_axis(kAxes, 2);
   const double dx2 = lv.dx * lv.dx;
-  const int gx = lv.g[0];
+  const FieldView& phi = lv.phi;
   for (int s = 0; s < sweeps; ++s)
     for (int color = 0; color < 2; ++color)
-      for (int k = 0; k < lv.n[2]; ++k)
-        for (int j = 0; j < lv.n[1]; ++j) {
-          const int i0 = (color + j + k) & 1;
-          const int cnt = (lv.n[0] - i0 + 1) / 2;
-          double* c = lv.phi.row(0, lv.n[0] + 2 * gx, j + lv.g[1],
-                                 k + lv.g[2]) + gx + i0;
-          smooth_row<kAxes>(
-              c, kY ? active_row(lv.phi, lv, j - 1, k) + i0 : nullptr,
-              kY ? active_row(lv.phi, lv, j + 1, k) + i0 : nullptr,
-              kZ ? active_row(lv.phi, lv, j, k - 1) + i0 : nullptr,
-              kZ ? active_row(lv.phi, lv, j, k + 1) + i0 : nullptr,
-              active_row(lv.rhs, lv, j, k) + i0, cnt, dx2);
-        }
+      for (int k = 0; k < lv.n[2]; ++k) {
+        relax_span<kAxes>(u, kX ? plane(phi, lv, k, -1) : nullptr,
+                          kX ? plane(phi, lv, k, 1) : nullptr,
+                          kY ? plane(phi, lv, k, 0, -1) : nullptr,
+                          kY ? plane(phi, lv, k, 0, 1) : nullptr,
+                          kZ ? plane(phi, lv, k, 0, 0, -1) : nullptr,
+                          kZ ? plane(phi, lv, k, 0, 0, 1) : nullptr,
+                          plane(lv.rhs, lv, k), lv.span, dx2);
+        select_span(
+            plane(phi, lv, k), u,
+            lv.mask[(color + k) & 1].flat(lv.g[0], lv.g[1], 0, lv.span),
+            lv.span);
+      }
 }
 
 template <int kAxes>
 ENZO_HOT void residual(const MgLevel& lv) {
-  constexpr bool kY = has_axis(kAxes, 1), kZ = has_axis(kAxes, 2);
+  constexpr bool kX = has_axis(kAxes, 0), kY = has_axis(kAxes, 1),
+                 kZ = has_axis(kAxes, 2);
   const double inv_dx2 = 1.0 / (lv.dx * lv.dx);
-  const int gx = lv.g[0];
+  const FieldView& phi = lv.phi;
   for (int k = 0; k < lv.n[2]; ++k)
-    for (int j = 0; j < lv.n[1]; ++j)
-      residual_row<kAxes>(
-          active_row(lv.res, lv, j, k),
-          lv.phi.row(0, lv.n[0] + 2 * gx, j + lv.g[1], k + lv.g[2]) + gx,
-          kY ? active_row(lv.phi, lv, j - 1, k) : nullptr,
-          kY ? active_row(lv.phi, lv, j + 1, k) : nullptr,
-          kZ ? active_row(lv.phi, lv, j, k - 1) : nullptr,
-          kZ ? active_row(lv.phi, lv, j, k + 1) : nullptr,
-          active_row(lv.rhs, lv, j, k), lv.n[0], inv_dx2);
+    residual_span<kAxes>(plane(lv.res, lv, k), plane(phi, lv, k),
+                         kX ? plane(phi, lv, k, -1) : nullptr,
+                         kX ? plane(phi, lv, k, 1) : nullptr,
+                         kY ? plane(phi, lv, k, 0, -1) : nullptr,
+                         kY ? plane(phi, lv, k, 0, 1) : nullptr,
+                         kZ ? plane(phi, lv, k, 0, 0, -1) : nullptr,
+                         kZ ? plane(phi, lv, k, 0, 0, 1) : nullptr,
+                         plane(lv.rhs, lv, k), lv.span, inv_dx2);
 }
 
 /// Restrict lv's residual into the coarse right-hand side `crhs` (cv's
@@ -318,18 +364,18 @@ void vcycle(MgScratch& s, int l, int depth, const GravityParams& p,
       static_cast<std::uint64_t>(lv.n[0]) * lv.n[1] * lv.n[2];
   if (l + 1 == depth) {
     // Coarsest: smooth hard.
-    smooth<kAxes>(lv, 20);
+    smooth<kAxes>(lv, 20, s.update.data());
     swept += cells * 2 * 20;
     return;
   }
-  smooth<kAxes>(lv, p.mg_pre_smooth);
+  smooth<kAxes>(lv, p.mg_pre_smooth, s.update.data());
   const MgLevel& cv = s.levels[l + 1];
   residual<kAxes>(lv);
   cv.phi.fill(0.0);
   restrict_residual<kAxes>(lv, cv, s.rhs[l + 1].view());
   vcycle<kAxes>(s, l + 1, depth, p, swept);
   prolong<kAxes>(lv, cv);
-  smooth<kAxes>(lv, p.mg_post_smooth);
+  smooth<kAxes>(lv, p.mg_post_smooth, s.update.data());
   swept += cells * 2 * p.mg_pre_smooth + cells * 2 * p.mg_post_smooth;
 }
 
@@ -365,6 +411,22 @@ bool can_coarsen(const MgLevel& lv) {
   return true;
 }
 
+/// Shape level l's span and colour masks from its extents.
+void shape_masks(MgScratch& s, int l) {
+  MgLevel& lv = s.levels[l];
+  const int sx = lv.n[0] + 2 * lv.g[0], sy = lv.n[1] + 2 * lv.g[1];
+  const std::size_t cells = static_cast<std::size_t>(sx) * sy;
+  std::vector<std::int32_t>& m = s.masks[l];
+  m.assign(2 * cells, 0);
+  for (int j = 0; j < lv.n[1]; ++j)
+    for (int i = 0; i < lv.n[0]; ++i)
+      m[((i + j) & 1) * cells + (i + lv.g[0]) +
+        static_cast<std::size_t>(sx) * (j + lv.g[1])] = 1;
+  lv.mask[0] = MaskView(m.data(), sx, sy, 1);
+  lv.mask[1] = MaskView(m.data() + cells, sx, sy, 1);
+  lv.span = (lv.n[1] - 1) * sx + lv.n[0];
+}
+
 /// Shape the lane's stack for one solve and return its depth: level 0
 /// views the caller's arrays, each coarser level halves the active extents.
 int build_stack(MgScratch& s, FieldView phi, ConstFieldView rhs, double dx) {
@@ -381,6 +443,8 @@ int build_stack(MgScratch& s, FieldView phi, ConstFieldView rhs, double dx) {
   fine.rhs = rhs;
   s.res[0].resize(phi.nx(), phi.ny(), phi.nz(), 0.0);
   fine.res = s.res[0].view();
+  shape_masks(s, 0);
+  s.update.resize(fine.span, 1, 1, 0.0);
   int depth = 1;
   while (can_coarsen(s.levels[depth - 1]) && depth < kMaxLevels) {
     const MgLevel& f = s.levels[depth - 1];
@@ -398,6 +462,7 @@ int build_stack(MgScratch& s, FieldView phi, ConstFieldView rhs, double dx) {
     c.phi = s.phi[depth].view();
     c.rhs = s.rhs[depth].view();
     c.res = s.res[depth].view();
+    shape_masks(s, depth);
     ++depth;
   }
   return depth;

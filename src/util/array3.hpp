@@ -107,6 +107,18 @@ class ArrayView3 {
   /// that walk a row with unit stride (checked like line()).
   T* row(int i, int n, int j, int k) const { return line(0, n, i, j, k); }
 
+  /// Pointer to (i, j, k), the first of n >= 1 elements consecutive in
+  /// storage order, for flat loops that run on across rows (and planes).
+  /// The ENZO_BOUNDS_CHECK build checks the first and the last element.
+  T* flat(int i, int j, int k, [[maybe_unused]] int n) const {
+#ifdef ENZO_BOUNDS_CHECK
+    ENZO_REQUIRE(contains(i, j, k) && n >= 1 &&
+                     index(i, j, k) + static_cast<std::size_t>(n) <= size(),
+                 "ArrayView3::flat out of range");
+#endif
+    return data_ + index(i, j, k);
+  }
+
   T* data() const { return data_; }
 
   void fill(value_type v) const {

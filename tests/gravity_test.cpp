@@ -1,8 +1,10 @@
 // Gravity tests: multigrid against a manufactured solution and, bit for
 // bit, against the scalar kernels it replaced; FFT root solve against
 // discrete plane-wave eigenfunctions and a compact mass's 1/r² field, mass
-// restriction, subgrid solves with parent BCs, and sibling potential
-// consistency.
+// restriction, subgrid solves with parent BCs (bit for bit against the
+// cell-by-cell parent interpolation and the refill-every-pass exchange they
+// replaced), the periodic edge of a subgrid parent, failure diagnosis, and
+// sibling potential consistency.
 
 #include <gtest/gtest.h>
 
@@ -254,6 +256,158 @@ double multigrid_solve(util::Buffer3& phi, const util::Buffer3& rhs, double dx,
 
 }  // namespace oracle
 
+// ---- subgrid oracle ---------------------------------------------------------
+// The subgrid path src/gravity/gravity.cpp ran before its per-axis tables:
+// the parent's potential interpolated cell by cell, and every exchange pass
+// refilling the whole ghost shell from the parent before the sibling copy.
+// The interpolation reads the child index unwrapped (the periodic-edge fix).
+namespace subgrid_oracle {
+
+int pot_ghost(const Grid& g, int d) {
+  return g.spec().level_dims[d] > 1 ? 1 : 0;
+}
+
+/// Trilinear interpolation of the parent's potential at the center of the
+/// child's cell with global (child-level) index gi.
+double parent_potential_at(const Grid& child, const Grid& parent,
+                           std::int64_t gi, std::int64_t gj, std::int64_t gk) {
+  double w[3][2];
+  int base[3];
+  const std::int64_t gidx[3] = {gi, gj, gk};
+  for (int d = 0; d < 3; ++d) {
+    const std::int64_t cd = child.spec().level_dims[d];
+    const std::int64_t pd = parent.spec().level_dims[d];
+    if (pd == 1) {
+      base[d] = 0;
+      w[d][0] = 1.0;
+      w[d][1] = 0.0;
+      continue;
+    }
+    const int rd = static_cast<int>(cd / pd);
+    const std::int64_t g0 = gidx[d];
+    const double x = (static_cast<double>(g0) + 0.5) / rd - 0.5;
+    const double fl = std::floor(x);
+    const auto p0 = static_cast<std::int64_t>(fl);
+    double f = x - fl;
+    std::int64_t s0 = p0 - parent.box().lo[d] + 1;
+    const std::int64_t smax = parent.nx(d);
+    if (s0 < 0) {
+      s0 = 0;
+      f = 0.0;
+    }
+    if (s0 > smax) {
+      s0 = smax;
+      f = 1.0;
+    }
+    base[d] = static_cast<int>(s0);
+    w[d][0] = 1.0 - f;
+    w[d][1] = f;
+  }
+  const auto& pot = parent.potential();
+  double v = 0.0;
+  for (int dk = 0; dk < 2; ++dk)
+    for (int dj = 0; dj < 2; ++dj)
+      for (int di = 0; di < 2; ++di) {
+        const double ww = w[0][di] * w[1][dj] * w[2][dk];
+        if (ww == 0.0) continue;
+        v += ww * pot(base[0] + di, base[1] + dj, base[2] + dk);
+      }
+  return v;
+}
+
+/// Set every cell of g's potential (ghosts too, `ghosts_only` skips the
+/// interior) from its parent.
+void fill_from_parent(Grid& g, bool ghosts_only) {
+  const mesh::FieldView pot = g.potential();
+  const int gx = pot_ghost(g, 0), gy = pot_ghost(g, 1), gz = pot_ghost(g, 2);
+  for (int k = -gz; k < g.nx(2) + gz; ++k)
+    for (int j = -gy; j < g.nx(1) + gy; ++j)
+      for (int i = -gx; i < g.nx(0) + gx; ++i) {
+        const bool interior = i >= 0 && i < g.nx(0) && j >= 0 &&
+                              j < g.nx(1) && k >= 0 && k < g.nx(2);
+        if (ghosts_only && interior) continue;
+        pot(i + gx, j + gy, k + gz) =
+            parent_potential_at(g, *g.parent(), g.box().lo[0] + i,
+                                g.box().lo[1] + j, g.box().lo[2] + k);
+      }
+}
+
+/// Copy every level grid's interior potential, and each periodic image of
+/// it, into g's ghost shell where they overlap (an all-pairs scan).
+void exchange(Grid& g, const std::vector<Grid*>& grids) {
+  const int gh[3] = {pot_ghost(g, 0), pot_ghost(g, 1), pot_ghost(g, 2)};
+  mesh::IndexBox shell = g.box();
+  for (int d = 0; d < 3; ++d) {
+    shell.lo[d] -= gh[d];
+    shell.hi[d] += gh[d];
+  }
+  std::int64_t period[3];
+  for (int d = 0; d < 3; ++d)
+    period[d] = g.spec().periodic && gh[d] ? g.spec().level_dims[d] : 0;
+  const mesh::FieldView pot = g.potential();
+  for (const Grid* s : grids) {
+    const mesh::ConstFieldView spot = s->potential();
+    for (int kz = -1; kz <= 1; ++kz)
+      for (int ky = -1; ky <= 1; ++ky)
+        for (int kx = -1; kx <= 1; ++kx) {
+          const mesh::Index3 shift = {kx * period[0], ky * period[1],
+                                      kz * period[2]};
+          if (s == &g && shift == mesh::Index3{0, 0, 0}) continue;
+          if ((kx && !period[0]) || (ky && !period[1]) || (kz && !period[2]))
+            continue;
+          const mesh::IndexBox ov = shell.intersect(s->box().shifted(shift));
+          if (ov.empty()) continue;
+          for (std::int64_t z = ov.lo[2]; z < ov.hi[2]; ++z)
+            for (std::int64_t y = ov.lo[1]; y < ov.hi[1]; ++y)
+              for (std::int64_t x = ov.lo[0]; x < ov.hi[0]; ++x)
+                pot(static_cast<int>(x - g.box().lo[0]) + gh[0],
+                    static_cast<int>(y - g.box().lo[1]) + gh[1],
+                    static_cast<int>(z - g.box().lo[2]) + gh[2]) =
+                    spot(static_cast<int>(x - shift[0] - s->box().lo[0]) +
+                             pot_ghost(*s, 0),
+                         static_cast<int>(y - shift[1] - s->box().lo[1]) +
+                             pot_ghost(*s, 1),
+                         static_cast<int>(z - shift[2] - s->box().lo[2]) +
+                             pot_ghost(*s, 2));
+        }
+  }
+}
+
+/// solve_subgrid_gravity as it was, serial.
+void solve(mesh::Hierarchy& h, int level, const gravity::GravityParams& p,
+           double a) {
+  const std::vector<Grid*> grids = h.grids(level);
+  const double coef = p.grav_const_code / a;
+  std::vector<util::Buffer3> rhs(grids.size());
+  for (std::size_t n = 0; n < grids.size(); ++n) {
+    Grid& g = *grids[n];
+    g.allocate_gravity();
+    fill_from_parent(g, false);
+    const mesh::FieldView pot = g.potential();
+    rhs[n].resize(pot.nx(), pot.ny(), pot.nz(), 0.0);
+    const mesh::FieldView f = rhs[n].view();
+    const mesh::ConstFieldView gm = g.gravitating_mass();
+    const int gx = pot_ghost(g, 0), gy = pot_ghost(g, 1), gz = pot_ghost(g, 2);
+    for (int k = 0; k < g.nx(2); ++k)
+      for (int j = 0; j < g.nx(1); ++j)
+        for (int i = 0; i < g.nx(0); ++i)
+          f(i + gx, j + gy, k + gz) =
+              coef * (gm(i + gx, j + gy, k + gz) - p.mean_density);
+  }
+  for (int pass = 0; pass <= p.sibling_iterations; ++pass) {
+    for (std::size_t n = 0; n < grids.size(); ++n)
+      gravity::multigrid_solve(grids[n]->potential(), rhs[n].view(),
+                               grids[n]->cell_width_d(0), p);
+    if (pass < p.sibling_iterations)
+      for (Grid* g : grids) {
+        fill_from_parent(*g, true);
+        exchange(*g, grids);
+      }
+  }
+}
+
+}  // namespace subgrid_oracle
+
 /// A root 16³ (or 16²·1 / 16·1·1) with level-1 siblings of several shapes:
 /// cubic, flat (2 cells thick, a 1-level stack), odd-coarsening and
 /// touching the domain edge, carrying a lumpy mass.  Solved on the root.
@@ -396,11 +550,16 @@ TEST(Multigrid, RowKernelsMatchScalarOracleBitwise) {
   // Storage shapes (active extent + 2 on every axis longer than 1): 16³ and
   // 32³ cubes, 12×10×14 (2-level stack), a 2-cell axis (1-level stack),
   // odd extents, a 3-level stack, 2-D in two planes, 1-D along x and z,
-  // and no active axis at all.
+  // and no active axis at all.  Then the short rows the plane spans run
+  // through their x ghosts: active x extents 2, 4 and 6 in 3-D, 2-D and
+  // 1-D, and a 1-level stack on x and on z (y is 10×4×8 above).
   const std::array<int, 3> shapes[] = {
       {18, 18, 18}, {34, 34, 34}, {14, 12, 16}, {10, 4, 8},
       {9, 11, 7},   {22, 14, 30}, {18, 18, 1},  {1, 10, 18},
-      {34, 1, 1},   {1, 1, 18},   {1, 1, 1}};
+      {34, 1, 1},   {1, 1, 18},   {1, 1, 1},
+      {4, 12, 10},  {6, 10, 8},   {8, 6, 12},   {12, 10, 4},
+      {4, 10, 1},   {6, 1, 8},    {1, 4, 10},   {4, 1, 1},
+      {6, 1, 1}};
   // Converged solves forget rounding differences in early cycles, so one
   // set runs a single V-cycle without post-smoothing: every kernel's
   // rounding then reaches phi.
@@ -749,4 +908,194 @@ TEST(SubgridGravity, SiblingExchangeImprovesContinuity) {
   const double no_exchange = err_vs_ref(0);
   const double with_exchange = err_vs_ref(4);
   EXPECT_LT(with_exchange, no_exchange);
+}
+
+TEST(SubgridGravity, ExchangeMatchesRefillEveryPassOracleBitwise) {
+  // The exchange passes copy sibling cells only; the parent shell is set
+  // once per level solve.  Siblings here touch across the periodic x edge
+  // ([0,8) and [28,32)), share faces inside the domain, and one spans y,
+  // so it is its own periodic image.
+  const std::vector<mesh::IndexBox> boxes = {
+      {{0, 8, 8}, {8, 16, 16}},     // touches the next one and x = 0
+      {{8, 8, 8}, {16, 16, 16}},
+      {{28, 8, 8}, {32, 16, 14}},   // x = 32 is x = 0: touches the first
+      {{8, 0, 20}, {16, 32, 26}},   // spans y
+      {{16, 8, 8}, {24, 12, 20}}};
+  const std::array<std::int64_t, 3> dims = {16, 16, 16};
+  gravity::GravityParams p;
+  p.sibling_iterations = 2;
+  mesh::Hierarchy ref = make_sibling_level(boxes, dims);
+  subgrid_oracle::solve(ref, 1, p, 1.0);
+
+  exec::ThreadPoolExecutor pool(4);
+  for (exec::LevelExecutor* ex :
+       {static_cast<exec::LevelExecutor*>(nullptr),
+        static_cast<exec::LevelExecutor*>(&pool)}) {
+    mesh::Hierarchy h = make_sibling_level(boxes, dims);
+    gravity::solve_subgrid_gravity(h, 1, p, 1.0, ex);
+    for (std::size_t n = 0; n < boxes.size(); ++n)
+      EXPECT_TRUE(same_bits(h.grids(1)[n]->potential(),
+                            ref.grids(1)[n]->potential()))
+          << (ex ? "4 lanes" : "serial") << " grid "
+          << h.grids(1)[n]->box().str();
+  }
+}
+
+TEST(SubgridGravity, ParentTablesMatchPointOracleBitwise) {
+  // With no V-cycle and no exchange, a subgrid's potential is the parent
+  // interpolation in every cell, ghosts included.  Level-2 children of a
+  // level-1 parent with random potential (ghosts too): at the parent's low
+  // and high edges, and two that reach past the parent's ghost layer, so
+  // the window clamps act on both sides; in 3-D and in 2-D.
+  for (const bool flat : {false, true}) {
+    mesh::HierarchyParams hp;
+    hp.root_dims = {8, 8, flat ? 1 : 8};
+    hp.max_level = 2;
+    mesh::Hierarchy h(hp);
+    h.build_root();
+    Grid* root = h.grids(0)[0];
+    fill_uniform_gas(*root, 1.0);
+    const std::int64_t z1 = flat ? 1 : 12, z2 = flat ? 1 : 24;
+    auto mid = std::make_unique<Grid>(
+        h.make_spec(1, {{4, 4, flat ? 0 : 4}, {12, 12, z1}}), hp.fields);
+    mid->set_parent(root);
+    fill_uniform_gas(*mid, 1.0);
+    Grid* parent = h.insert_grid(std::move(mid));
+    const std::int64_t zl = flat ? 0 : 8;
+    const std::vector<mesh::IndexBox> boxes = {
+        {{8, 8, zl}, {14, 20, flat ? 1 : 16}},   // parent's low x, y, z edge
+        {{18, 12, flat ? 0 : 14}, {24, 24, z2}},  // parent's high edges
+        {{4, 14, flat ? 0 : 10}, {8, 18, flat ? 1 : 14}},   // past low x
+        {{14, 24, flat ? 0 : 20}, {20, 28, flat ? 1 : 28}}};  // past high y
+    for (const mesh::IndexBox& b : boxes) {
+      auto child = std::make_unique<Grid>(h.make_spec(2, b), hp.fields);
+      child->set_parent(parent);
+      fill_uniform_gas(*child, 1.0);
+      h.insert_grid(std::move(child));
+    }
+    parent->allocate_gravity();
+    util::Rng rng(41);
+    for (double& v : parent->potential()) v = rng.uniform(-1.0, 1.0);
+    gravity::begin_gravitating_mass(h, 2);
+    gravity::GravityParams p;
+    p.mg_max_vcycles = 0;
+    p.sibling_iterations = 0;
+    gravity::solve_subgrid_gravity(h, 2, p, 1.0);
+    for (Grid* g : h.grids(2)) {
+      const mesh::ConstFieldView pot = g->potential();
+      const int gh[3] = {subgrid_oracle::pot_ghost(*g, 0),
+                         subgrid_oracle::pot_ghost(*g, 1),
+                         subgrid_oracle::pot_ghost(*g, 2)};
+      int wrong = 0;
+      for (int k = 0; k < pot.nz(); ++k)
+        for (int j = 0; j < pot.ny(); ++j)
+          for (int i = 0; i < pot.nx(); ++i) {
+            const double want = subgrid_oracle::parent_potential_at(
+                *g, *parent, g->box().lo[0] + i - gh[0],
+                g->box().lo[1] + j - gh[1], g->box().lo[2] + k - gh[2]);
+            wrong += std::bit_cast<std::uint64_t>(pot(i, j, k)) !=
+                     std::bit_cast<std::uint64_t>(want);
+          }
+      EXPECT_EQ(wrong, 0) << (flat ? "2-D " : "3-D ") << g->box().str();
+    }
+  }
+}
+
+TEST(SubgridGravity, PeriodicEdgeReadsTheNearSideOfTheParent) {
+  // A 16³ periodic root, a level-1 grid over x in [0, 0.5) spanning y and
+  // z, and a level-2 grid at x = 0 inside it; δρ = 0.5 cos 2πx, so
+  // φ ≈ −0.0127 cos 2πx.  The level-2 low-x ghost lies across the periodic
+  // edge from its parent's far side: it must read the parent's own low-x
+  // ghost (the periodic image), not be clamped onto the parent's high-x
+  // ghost at x ≈ 0.52, where φ has the opposite sign.
+  mesh::HierarchyParams hp;
+  hp.root_dims = {16, 16, 16};
+  hp.max_level = 2;
+  mesh::Hierarchy h(hp);
+  h.build_root();
+  const auto set_gas = [](Grid& g) {
+    fill_uniform_gas(g, 1.0);
+    const mesh::FieldView rho = g.field(Field::kDensity);
+    const double dx = 1.0 / static_cast<double>(g.spec().level_dims[0]);
+    for (int k = 0; k < g.nx(2); ++k)
+      for (int j = 0; j < g.nx(1); ++j)
+        for (int i = 0; i < g.nx(0); ++i) {
+          const double x = (static_cast<double>(g.box().lo[0] + i) + 0.5) * dx;
+          rho(g.sx(i), g.sy(j), g.sz(k)) = 1.0 + 0.5 * std::cos(2 * M_PI * x);
+        }
+  };
+  Grid* root = h.grids(0)[0];
+  set_gas(*root);
+  auto l1 = std::make_unique<Grid>(h.make_spec(1, {{0, 0, 0}, {16, 32, 32}}),
+                                   hp.fields);
+  l1->set_parent(root);
+  set_gas(*l1);
+  Grid* mid = h.insert_grid(std::move(l1));
+  auto l2 = std::make_unique<Grid>(
+      h.make_spec(2, {{0, 16, 16}, {8, 48, 48}}), hp.fields);
+  l2->set_parent(mid);
+  set_gas(*l2);
+  Grid* fine = h.insert_grid(std::move(l2));
+  for (int l = 0; l <= 2; ++l) gravity::begin_gravitating_mass(h, l);
+  gravity::restrict_gravitating_mass(h);
+  const gravity::GravityParams p;
+  gravity::solve_root_gravity(h, p, 1.0);
+  gravity::solve_subgrid_gravity(h, 1, p, 1.0);
+  gravity::solve_subgrid_gravity(h, 2, p, 1.0);
+  const mesh::ConstFieldView pot = fine->potential();
+  for (const int j : {1, 16, 32}) {
+    const double ghost = pot(0, j, 16), first = pot(1, j, 16);
+    EXPECT_LT(first, -0.012) << "j=" << j;
+    EXPECT_NEAR(ghost, first, 1e-4) << "j=" << j;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ghost),
+              std::bit_cast<std::uint64_t>(subgrid_oracle::parent_potential_at(
+                  *fine, *mid, -1, fine->box().lo[1] + j - 1,
+                  fine->box().lo[2] + 15)))
+        << "j=" << j;
+  }
+}
+
+TEST(SubgridGravity, NonFiniteResidualThrowsNamingLevelAndBox) {
+  const std::vector<mesh::IndexBox> boxes = {{{8, 8, 8}, {16, 16, 16}},
+                                             {{16, 8, 8}, {24, 12, 20}}};
+  const std::array<std::int64_t, 3> dims = {16, 16, 16};
+  exec::ThreadPoolExecutor pool(4);
+  for (exec::LevelExecutor* ex :
+       {static_cast<exec::LevelExecutor*>(nullptr),
+        static_cast<exec::LevelExecutor*>(&pool)}) {
+    mesh::Hierarchy h = make_sibling_level(boxes, dims);
+    Grid* bad = h.grids(1)[1];
+    bad->gravitating_mass()(3, 2, 5) = std::nan("");
+    std::string what;
+    try {
+      gravity::solve_subgrid_gravity(h, 1, gravity::GravityParams{}, 1.0, ex);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("level 1"), std::string::npos) << what;
+    EXPECT_NE(what.find(bad->box().str()), std::string::npos) << what;
+    EXPECT_NE(what.find("pass 0"), std::string::npos) << what;
+  }
+}
+
+TEST(SubgridGravity, UnconvergedSolvesAreCounted) {
+  const std::vector<mesh::IndexBox> boxes = {{{8, 8, 8}, {16, 16, 16}},
+                                             {{16, 8, 8}, {24, 12, 20}},
+                                             {{8, 16, 8}, {20, 18, 16}}};
+  const std::array<std::int64_t, 3> dims = {16, 16, 16};
+  gravity::GravityParams p;
+  const std::uint64_t solves = boxes.size() * (p.sibling_iterations + 1);
+  {
+    mesh::Hierarchy h = make_sibling_level(boxes, dims);
+    const std::uint64_t before = counter("gravity.mg_unconverged");
+    gravity::solve_subgrid_gravity(h, 1, p, 1.0);
+    EXPECT_EQ(counter("gravity.mg_unconverged"), before);
+  }
+  p.mg_max_vcycles = 1;
+  mesh::Hierarchy h = make_sibling_level(boxes, dims);
+  const std::uint64_t before = counter("gravity.mg_unconverged");
+  const std::uint64_t solves0 = counter("gravity.mg_solves");
+  gravity::solve_subgrid_gravity(h, 1, p, 1.0);
+  EXPECT_EQ(counter("gravity.mg_solves") - solves0, solves);
+  EXPECT_EQ(counter("gravity.mg_unconverged") - before, solves);
 }
