@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the solver kernels: PPM sweeps,
 // the ZEUS alternative, FFT, multigrid V-cycles, the chemistry network,
-// CIC deposition, double–double arithmetic and the subgrid boundary fill —
-// the per-kernel numbers behind the §5 performance discussion.
+// CIC deposition (serial and on 4 lanes), double–double arithmetic, the
+// subgrid boundary fill and the thread pool's fork-join hand-off — the
+// per-kernel numbers behind the §5 performance discussion.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 
 #include "chemistry/chemistry.hpp"
 #include "chemistry/rates.hpp"
+#include "exec/executor.hpp"
 #include "hydro/riemann.hpp"
 #include "ext/dd.hpp"
 #include "fft/fft.hpp"
@@ -241,7 +243,9 @@ void BM_ChemistryStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ChemistryStep);
 
-void BM_CicDeposit(benchmark::State& state) {
+/// 32768 random particles on a 16³ periodic root, deposited with `ex`
+/// (nullptr: serially).
+void cic_deposit(benchmark::State& state, exec::LevelExecutor* ex) {
   auto h = hydro_box(16);
   mesh::Grid* g = h.grids(0)[0];
   g->allocate_gravity();
@@ -255,11 +259,36 @@ void BM_CicDeposit(benchmark::State& state) {
   }
   for (auto _ : state) {
     g->gravitating_mass().fill(0.0);
-    nbody::deposit_particles_cic(*g);
+    nbody::deposit_particles_cic(*g, ex);
   }
   state.SetItemsProcessed(state.iterations() * 32768);
 }
+
+void BM_CicDeposit(benchmark::State& state) { cic_deposit(state, nullptr); }
 BENCHMARK(BM_CicDeposit);
+
+/// The same deposit on a pool of range(0) lanes (wall time).
+void BM_CicDepositLanes(benchmark::State& state) {
+  exec::ThreadPoolExecutor pool(static_cast<int>(state.range(0)));
+  cic_deposit(state, &pool);
+}
+BENCHMARK(BM_CicDepositLanes)->Arg(4)->UseRealTime();
+
+/// The pool's fork-join hand-off alone: a parallel_for of range(0) empty
+/// chunks on 4 lanes.  `us_per_call` is the wall time of one call.
+void BM_ParallelForHandoff(benchmark::State& state) {
+  exec::ThreadPoolExecutor pool(4);
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state)
+    pool.parallel_for(chunks, 1, [](std::size_t b, std::size_t e) {
+      benchmark::DoNotOptimize(b + e);
+    });
+  state.SetItemsProcessed(state.iterations());
+  state.counters["us_per_call"] = benchmark::Counter(
+      1e-6 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ParallelForHandoff)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
 
 void BM_DdArithmetic(benchmark::State& state) {
   using enzo::ext::dd;

@@ -290,9 +290,11 @@ double Simulation::compute_level_timestep(int level) {
 void Simulation::solve_gravity_level(int level) {
   perf::TraceScope scope("gravity", perf::component::kGravity, level);
   exec::LevelExecutor& ex = executor();
-  // Assemble gravitating mass everywhere at/below this level, deposit
-  // particles, and push child mass down into parents.
-  for (int l = hierarchy_.deepest_level(); l >= 0; --l) {
+  // Assemble gravitating mass on this level and every finer one, deposit
+  // particles, and push child mass down into parents.  A level's mass is
+  // read only by its own solve and by the restriction into its parent, so
+  // the coarser levels (rebuilt by their own solves) are left alone.
+  for (int l = hierarchy_.deepest_level(); l >= level; --l) {
     gravity::begin_gravitating_mass(hierarchy_, l, &ex);
     if (cfg_.enable_particles) {
       auto grids = hierarchy_.grids(l);
@@ -300,15 +302,15 @@ void Simulation::solve_gravity_level(int level) {
       // field (particles live on the grid they deposit into).
       ex.for_each(
           {"cic_deposit", perf::component::kNbody, l}, grids.size(),
-          [&](std::size_t n) { nbody::deposit_particles_cic(*grids[n]); },
+          [&](std::size_t n) { nbody::deposit_particles_cic(*grids[n], &ex); },
           [&](std::size_t n) {
             return static_cast<std::uint64_t>(grids[n]->particles().size());
           });
     }
   }
-  gravity::restrict_gravitating_mass(hierarchy_, &ex);
+  gravity::restrict_gravitating_mass(hierarchy_, &ex, level);
   if (level == 0)
-    gravity::solve_root_gravity(hierarchy_, cfg_.gravity, a_);
+    gravity::solve_root_gravity(hierarchy_, cfg_.gravity, a_, &ex);
   else
     gravity::solve_subgrid_gravity(hierarchy_, level, cfg_.gravity, a_, &ex);
   auto grids = hierarchy_.grids(level);
@@ -351,8 +353,8 @@ void Simulation::step_grids(int level, double dt,
         }
         if (cfg_.enable_particles) {
           perf::TraceScope scope("nbody", perf::component::kNbody, level);
-          nbody::kick_particles(*g, dt, exp.adot_over_a);
-          nbody::drift_particles(*g, dt, exp.a);
+          nbody::kick_particles(*g, dt, exp.adot_over_a, &ex);
+          nbody::drift_particles(*g, dt, exp.a, &ex);
         }
       },
       [&](std::size_t n) { return grid_cost(*grids[n]); });
@@ -476,7 +478,7 @@ void Simulation::evolve_level(int level, ext::pos_t parent_time) {
     if (cfg_.enable_particles) {
       perf::TraceScope scope("particle_redistribute",
                              perf::component::kNbody, level);
-      nbody::redistribute_particles(hierarchy_);
+      nbody::redistribute_particles(hierarchy_, &ex);
     }
 
     // RebuildHierarchy(level+1).

@@ -126,8 +126,8 @@ class Simulation {
   exec::LevelExecutor& executor();
   /// Scheduling cost estimate for a grid: cell count, inflated by the
   /// metrics-registry chemistry subcycle rate when chemistry is enabled and
-  /// by particle count when particles are enabled.  Seeds the work-stealing
-  /// queues so expensive grids are picked up first.
+  /// by particle count when particles are enabled.  Orders a phase's tasks
+  /// on the thread pool so expensive grids are picked up first.
   std::uint64_t grid_cost(const mesh::Grid& g) const;
 
   // ---- telemetry -----------------------------------------------------------

@@ -7,7 +7,7 @@ namespace enzo::exec {
 
 enum class Backend {
   kSerial,      ///< today's ordering, inline on the calling thread
-  kThreadPool,  ///< persistent work-stealing pool, per-grid tasks
+  kThreadPool,  ///< persistent fork-join pool, per-grid tasks
 };
 
 struct ExecConfig {

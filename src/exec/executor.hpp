@@ -9,10 +9,12 @@
 //
 //   * SerialExecutor     — runs tasks inline in index order; bit-identical
 //                          to the historical serial loops.
-//   * ThreadPoolExecutor — a persistent work-stealing pool.  Tasks are
-//                          seeded round-robin in descending cost order (the
-//                          cost model rides on the PR-1 metrics registry) so
-//                          big grids schedule first; idle lanes steal.
+//   * ThreadPoolExecutor — a persistent fork-join pool.  Each call posts one
+//                          batch whose chunks the lanes claim through an
+//                          atomic cursor; for_each's chunks run the tasks
+//                          in descending cost order (the cost model rides
+//                          on the PR-1 metrics registry), so big grids
+//                          start first and small ones fill in behind.
 //
 // Determinism policy: a task may write only state it owns (its grid, or its
 // own parent-group for scatter phases), so results are independent of
@@ -66,8 +68,9 @@ class LevelExecutor {
                 const CostFn& cost = {});
 
   /// Nested data-parallel loop over [0, n), callable from inside a task
-  /// (the two demoted OpenMP kernels: hydro pencils, chemistry cells).
-  /// fn(begin, end) receives contiguous chunks of at least `grain` items.
+  /// (hydro pencils, chemistry cells, N-body particles and deposit slabs,
+  /// FFT pencils).  fn(begin, end) receives contiguous chunks of at least
+  /// `grain` items.
   virtual void parallel_for(
       std::size_t n, std::size_t grain,
       const std::function<void(std::size_t, std::size_t)>& fn) = 0;
@@ -106,11 +109,13 @@ class SerialExecutor final : public LevelExecutor {
   void run_tasks(std::size_t n, const TaskFn& fn, const CostFn& cost) override;
 };
 
-/// Persistent work-stealing pool.  One mutex/condvar protects all queues
-/// (task granularity is whole grids, so queue traffic is cheap); each lane
-/// owns a deque, pops its own front (biggest seeded first) and steals from
-/// other lanes' backs.  The caller participates as lane 0 while a phase is
-/// in flight, so `threads == 1` degenerates to inline execution.
+/// Persistent fork-join pool.  Every for_each or parallel_for call is one
+/// batch on the caller's stack, published in a fixed slot array; lanes claim
+/// its chunks with one fetch_add each, newest batch first, so a nested
+/// parallel_for is served before the phase that spawned it.  The caller
+/// works its own batch only and returns once every chunk has retired.  Idle
+/// workers spin for a bounded time, then park; every spin-wait yields its CPU
+/// every few dozen pauses.  `threads == 1` degenerates to inline execution.
 class ThreadPoolExecutor final : public LevelExecutor {
  public:
   /// threads: total lanes (0 → hardware concurrency).
@@ -123,8 +128,7 @@ class ThreadPoolExecutor final : public LevelExecutor {
       std::size_t n, std::size_t grain,
       const std::function<void(std::size_t, std::size_t)>& fn) override;
 
-  /// Tasks executed from a queue other than the running lane's own.
-  std::uint64_t steals() const;
+  /// Tasks and parallel_for chunks run so far.
   std::uint64_t tasks_run() const;
 
  protected:

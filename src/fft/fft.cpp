@@ -1,8 +1,10 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
+#include "exec/executor.hpp"
 #include "util/constants.hpp"
 #include "util/error.hpp"
 #include "util/flops.hpp"
@@ -73,41 +75,51 @@ void fft(std::vector<cplx>& v, bool inverse) {
   }
 }
 
-void fft3(util::ArrayView3<cplx> a, bool inverse) {
+void fft3(util::ArrayView3<cplx> a, bool inverse, exec::LevelExecutor* ex) {
   const int nx = a.nx(), ny = a.ny(), nz = a.nz();
   for (int n : {nx, ny, nz})
     ENZO_REQUIRE(n == 1 || is_pow2(n), "fft3 extents must be powers of two");
 
-  std::vector<cplx> pencil;
-  // x pencils (stride 1).
-  if (nx > 1) {
-    for (int k = 0; k < nz; ++k)
-      for (int j = 0; j < ny; ++j) fft_inplace(a.row(0, nx, j, k), nx, inverse);
-  }
+  // One pass per axis over its pencils, split over lanes; each chunk gathers
+  // into its own pencil buffer (strided axes), each lane uses its own plan
+  // cache.  Pencils are independent, so the split never changes a value.
+  const auto pass = [&](int len, int n1, int n2, auto&& pencil_at) {
+    if (len == 1) return;
+    exec::maybe_parallel_for(
+        ex, static_cast<std::size_t>(n1) * static_cast<std::size_t>(n2),
+        std::max(1, 1024 / len), [&](std::size_t b, std::size_t e) {
+          std::vector<cplx> buf(static_cast<std::size_t>(len));
+          for (std::size_t p = b; p < e; ++p)
+            pencil_at(static_cast<int>(p % static_cast<std::size_t>(n1)),
+                      static_cast<int>(p / static_cast<std::size_t>(n1)),
+                      buf.data());
+        });
+  };
+  // x pencils (stride 1), in place.
+  pass(nx, ny, nz, [&](int j, int k, cplx*) {
+    fft_inplace(a.row(0, nx, j, k), nx, inverse);
+  });
   // y pencils.
-  if (ny > 1) {
-    pencil.resize(ny);
-    for (int k = 0; k < nz; ++k)
-      for (int i = 0; i < nx; ++i) {
-        for (int j = 0; j < ny; ++j) pencil[j] = a(i, j, k);
-        fft_inplace(pencil.data(), ny, inverse);
-        for (int j = 0; j < ny; ++j) a(i, j, k) = pencil[j];
-      }
-  }
+  pass(ny, nx, nz, [&](int i, int k, cplx* pencil) {
+    for (int j = 0; j < ny; ++j) pencil[j] = a(i, j, k);
+    fft_inplace(pencil, ny, inverse);
+    for (int j = 0; j < ny; ++j) a(i, j, k) = pencil[j];
+  });
   // z pencils.
-  if (nz > 1) {
-    pencil.resize(nz);
-    for (int j = 0; j < ny; ++j)
-      for (int i = 0; i < nx; ++i) {
-        for (int k = 0; k < nz; ++k) pencil[k] = a(i, j, k);
-        fft_inplace(pencil.data(), nz, inverse);
-        for (int k = 0; k < nz; ++k) a(i, j, k) = pencil[k];
-      }
-  }
+  pass(nz, nx, ny, [&](int i, int j, cplx* pencil) {
+    for (int k = 0; k < nz; ++k) pencil[k] = a(i, j, k);
+    fft_inplace(pencil, nz, inverse);
+    for (int k = 0; k < nz; ++k) a(i, j, k) = pencil[k];
+  });
   if (inverse) {
     const double norm =
         1.0 / (static_cast<double>(nx) * static_cast<double>(ny) * nz);
-    for (cplx& c : a) c *= norm;
+    cplx* const data = a.data();
+    exec::maybe_parallel_for(ex, a.size(), 4096,
+                             [&](std::size_t b, std::size_t e) {
+                               for (std::size_t n = b; n < e; ++n)
+                                 data[n] *= norm;
+                             });
   }
   int log2n = 0;
   for (std::size_t t = a.size(); t > 1; t >>= 1) ++log2n;
@@ -115,15 +127,17 @@ void fft3(util::ArrayView3<cplx> a, bool inverse) {
   flops.add(util::flop_cost::kFftPerPointLog2 * a.size() * log2n);
 }
 
-void fft3_real(util::ArrayView3<const double> a, util::ArrayView3<cplx> out) {
+void fft3_real(util::ArrayView3<const double> a, util::ArrayView3<cplx> out,
+               exec::LevelExecutor* ex) {
   ENZO_REQUIRE(out.same_shape(a), "fft3_real shape mismatch");
   for (std::size_t n = 0; n < a.size(); ++n) out.data()[n] = a.data()[n];
-  fft3(out, /*inverse=*/false);
+  fft3(out, /*inverse=*/false, ex);
 }
 
-void ifft3_real(util::ArrayView3<cplx> spec, util::ArrayView3<double> out) {
+void ifft3_real(util::ArrayView3<cplx> spec, util::ArrayView3<double> out,
+                exec::LevelExecutor* ex) {
   ENZO_REQUIRE(out.same_shape(spec), "ifft3_real shape mismatch");
-  fft3(spec, /*inverse=*/true);
+  fft3(spec, /*inverse=*/true, ex);
   for (std::size_t n = 0; n < out.size(); ++n)
     out.data()[n] = spec.data()[n].real();
 }

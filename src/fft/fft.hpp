@@ -13,6 +13,10 @@
 
 #include "util/array3.hpp"
 
+namespace enzo::exec {
+class LevelExecutor;
+}
+
 namespace enzo::fft {
 
 using cplx = std::complex<double>;
@@ -49,15 +53,20 @@ void fft(std::vector<cplx>& v, bool inverse);
 /// 3-d in-place complex FFT over a view (each extent a power of two;
 /// extents of 1 are skipped, so 1-d/2-d arrays work transparently).
 /// inverse=true applies the conjugate transform and divides by nx*ny*nz.
-void fft3(util::ArrayView3<cplx> a, bool inverse);
+/// With `ex` each axis pass splits over its pencils (bit for bit the serial
+/// transform at any lane count).
+void fft3(util::ArrayView3<cplx> a, bool inverse,
+          exec::LevelExecutor* ex = nullptr);
 
 /// Forward transform of a real field into its full complex spectrum `out`
 /// (same shape).
-void fft3_real(util::ArrayView3<const double> a, util::ArrayView3<cplx> out);
+void fft3_real(util::ArrayView3<const double> a, util::ArrayView3<cplx> out,
+               exec::LevelExecutor* ex = nullptr);
 
 /// Inverse transform of `spec` in place, writing its real part to `out`
 /// (same shape); `spec` is left holding the complex inverse.
-void ifft3_real(util::ArrayView3<cplx> spec, util::ArrayView3<double> out);
+void ifft3_real(util::ArrayView3<cplx> spec, util::ArrayView3<double> out,
+                exec::LevelExecutor* ex = nullptr);
 
 /// Wavenumber index helper: FFT bin m of size n maps to signed frequency
 /// m <= n/2 ? m : m - n (units of fundamental 2*pi/L handled by caller).

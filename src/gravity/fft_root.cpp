@@ -7,6 +7,7 @@
 #include <cmath>
 #include <vector>
 
+#include "exec/executor.hpp"
 #include "fft/fft.hpp"
 #include "gravity/gravity.hpp"
 #include "perf/trace.hpp"
@@ -16,8 +17,8 @@
 
 namespace enzo::gravity {
 
-void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p,
-                        double a) {
+void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p, double a,
+                        exec::LevelExecutor* ex) {
   auto roots = h.grids(0);
   ENZO_REQUIRE(!roots.empty(), "no root grids");
   ENZO_REQUIRE(h.params().periodic, "FFT root solve requires a periodic box");
@@ -53,27 +54,37 @@ void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p,
   const double coef = p.grav_const_code / a;
   std::vector<fft::cplx> spec_data(rho.size());
   const util::ArrayView3<fft::cplx> spec(spec_data.data(), nx, ny, nz);
-  fft::fft3_real(rho, spec);
-  const double dx[3] = {1.0 / nx, 1.0 / ny, 1.0 / nz};
-  for (int kz = 0; kz < nz; ++kz)
-    for (int ky = 0; ky < ny; ++ky)
-      for (int kx = 0; kx < nx; ++kx) {
-        if (kx == 0 && ky == 0 && kz == 0) {
-          spec(kx, ky, kz) = 0.0;  // zero mean (removes ρ̄ exactly)
-          continue;
-        }
-        // Eigenvalue of the 7-point Laplacian: Σ_d (2cos(2π f_d/n_d) − 2)/dx_d².
-        double lam = 0.0;
-        const int f[3] = {kx, ky, kz};
-        const int n[3] = {nx, ny, nz};
-        for (int d = 0; d < 3; ++d) {
-          if (n[d] == 1) continue;
-          const double ang = constants::kTwoPi * f[d] / n[d];
-          lam += (2.0 * std::cos(ang) - 2.0) / (dx[d] * dx[d]);
-        }
-        spec(kx, ky, kz) *= coef / lam;
-      }
-  fft::ifft3_real(spec, phi);
+  fft::fft3_real(rho, spec, ex);
+  // Eigenvalue of the 7-point Laplacian: Σ_d (2cos(2π f_d/n_d) − 2)/dx_d²,
+  // summed in x, y, z order from +0.0 over the resolved axes, from one
+  // table per axis.
+  const int n[3] = {nx, ny, nz};
+  std::vector<double> eig[3];
+  for (int d = 0; d < 3; ++d) {
+    const double dx = 1.0 / n[d];
+    eig[d].resize(static_cast<std::size_t>(n[d]));
+    for (int f = 0; f < n[d]; ++f) {
+      const double ang = constants::kTwoPi * f / n[d];
+      eig[d][static_cast<std::size_t>(f)] = (2.0 * std::cos(ang) - 2.0) / (dx * dx);
+    }
+  }
+  exec::maybe_parallel_for(
+      ex, static_cast<std::size_t>(nz), 1, [&](std::size_t k0, std::size_t k1) {
+        for (auto kz = static_cast<int>(k0); kz < static_cast<int>(k1); ++kz)
+          for (int ky = 0; ky < ny; ++ky)
+            for (int kx = 0; kx < nx; ++kx) {
+              if (kx == 0 && ky == 0 && kz == 0) {
+                spec(kx, ky, kz) = 0.0;  // zero mean (removes ρ̄ exactly)
+                continue;
+              }
+              double lam = 0.0;
+              if (nx > 1) lam += eig[0][static_cast<std::size_t>(kx)];
+              if (ny > 1) lam += eig[1][static_cast<std::size_t>(ky)];
+              if (nz > 1) lam += eig[2][static_cast<std::size_t>(kz)];
+              spec(kx, ky, kz) *= coef / lam;
+            }
+      });
+  fft::ifft3_real(spec, phi, ex);
 
   // ---- scatter back with periodic ghosts ------------------------------------
   for (mesh::Grid* g : roots) {

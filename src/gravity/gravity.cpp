@@ -1,6 +1,7 @@
 // Gravitating-mass assembly, subgrid Poisson orchestration (parent BC
 // interpolation + multigrid + sibling iteration), and force differencing.
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -234,8 +235,9 @@ void begin_gravitating_mass(mesh::Hierarchy& h, int level,
       [&](std::size_t n) { return cells_of(*grids[n]); });
 }
 
-void restrict_gravitating_mass(mesh::Hierarchy& h, exec::LevelExecutor* ex) {
-  for (int l = h.deepest_level(); l >= 1; --l) {
+void restrict_gravitating_mass(mesh::Hierarchy& h, exec::LevelExecutor* ex,
+                               int coarsest) {
+  for (int l = h.deepest_level(); l > std::max(coarsest, 0); --l) {
     const auto children = h.grids(l);
     // Children write into their (possibly shared) parent's mass array:
     // group by parent so each parent is touched by exactly one task, which

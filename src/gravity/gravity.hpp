@@ -35,20 +35,25 @@ struct GravityParams {
 
 /// Fill every grid's gravitating_mass with its gas density, add the grid's
 /// own CIC-deposited particles (done by the caller through nbody), then
-/// propagate fine-level mass down so each coarse grid sees the full matter
-/// distribution under its children.  Call after nbody deposition.
-/// `ex` (optional, here and below) runs the per-grid work as executor
-/// phases; children sharing a parent are grouped onto one task.
+/// propagate fine-level mass down so each coarse grid down to level
+/// `coarsest` sees the full matter distribution under its children.  Call
+/// after nbody deposition.  `ex` (optional, here and below) runs the
+/// per-grid work as executor phases; children sharing a parent are grouped
+/// onto one task.
 void restrict_gravitating_mass(mesh::Hierarchy& h,
-                               exec::LevelExecutor* ex = nullptr);
+                               exec::LevelExecutor* ex = nullptr,
+                               int coarsest = 0);
 
 /// Copy the gas density into gravitating_mass (active cells) for every grid
 /// on the level, zeroing the ghost layer (particles are added afterwards).
 void begin_gravitating_mass(mesh::Hierarchy& h, int level,
                             exec::LevelExecutor* ex = nullptr);
 
-/// Solve on the (periodic) root level via FFT; root may be tiled.
-void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p, double a);
+/// Solve on the (periodic) root level via FFT; root may be tiled.  With `ex`
+/// the transform and the Green-function multiply split over pencils and
+/// planes; the result is bit for bit the serial one.
+void solve_root_gravity(mesh::Hierarchy& h, const GravityParams& p, double a,
+                        exec::LevelExecutor* ex = nullptr);
 
 /// Solve on a refined level: potential and Dirichlet ghost shell
 /// interpolated from the parent once per level solve (the child index read

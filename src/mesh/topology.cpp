@@ -251,11 +251,6 @@ const std::vector<ParentGroup>& OverlapTopology::children_by_parent(
 }
 
 Grid* OverlapTopology::grid_at(int level, const Index3& p) const {
-  static perf::Counter& queries =
-      perf::Registry::global().counter("topology.point_queries");
-  static perf::Counter& hits =
-      perf::Registry::global().counter("topology.point_hits");
-  queries.add(1);
   if (level < 0 || level >= num_levels()) return nullptr;
   const LevelTopology& L = levels_[static_cast<std::size_t>(level)];
   if (L.grids.empty() || !L.bbox.contains(p)) return nullptr;
@@ -266,10 +261,7 @@ Grid* OverlapTopology::grid_at(int level, const Index3& p) const {
       static_cast<std::size_t>((b[2] * L.bins[1] + b[1]) * L.bins[0] + b[0]);
   for (std::size_t c = L.bin_begin[bin]; c < L.bin_begin[bin + 1]; ++c) {
     Grid* g = L.grids[L.bin_grid[c]];
-    if (g->box().contains(p)) {
-      hits.add(1);
-      return g;
-    }
+    if (g->box().contains(p)) return g;
   }
   return nullptr;
 }

@@ -1,9 +1,14 @@
 #include "nbody/nbody.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "exec/executor.hpp"
 #include "mesh/topology.hpp"
 #include "perf/metrics.hpp"
 #include "perf/trace.hpp"
@@ -50,14 +55,27 @@ Cic cic_of(const Grid& g, const Particle& p) {
   return c;
 }
 
+/// One particle's cloud on a grid's gravitating-mass storage: the flat
+/// index and k-plane of its base cell, the base-cell weight per axis, and
+/// its density.  Kept compact: the deposit writes and reads one per
+/// particle.
+struct Cloud {
+  std::int32_t at;
+  std::int32_t k;
+  double w0[3];
+  double dens;
+};
+
 }  // namespace
 
-void deposit_particles_cic(Grid& g) {
+void deposit_particles_cic(Grid& g, exec::LevelExecutor* ex) {
   if (g.particles().empty()) return;
   ENZO_REQUIRE(g.has_gravity(), "deposit requires allocated gravity arrays");
   static perf::Counter& deposits =
       perf::Registry::global().counter("nbody.cic_deposits");
-  deposits.add(g.particles().size());
+  const mesh::ConstParticleView pp = std::as_const(g).particles();
+  const std::size_t np = pp.size();
+  deposits.add(np);
   const mesh::FieldView gm = g.gravitating_mass();
   double cellvol = 1.0;
   for (int d = 0; d < 3; ++d)
@@ -65,23 +83,46 @@ void deposit_particles_cic(Grid& g) {
   const double inv_vol = 1.0 / cellvol;
   const int gx = gm_ghost(g, 0), gy = gm_ghost(g, 1), gz = gm_ghost(g, 2);
 
-  for (const Particle& p : g.particles()) {
-    const Cic c = cic_of(g, p);
-    const double dens = p.mass * inv_vol;
-    for (int bz = 0; bz < (gz ? 2 : 1); ++bz)
-      for (int by = 0; by < (gy ? 2 : 1); ++by)
-        for (int bx = 0; bx < (gx ? 2 : 1); ++bx) {
-          const double w = (bx ? 1.0 - c.w0[0] : c.w0[0]) *
-                           (by ? 1.0 - c.w0[1] : c.w0[1]) *
-                           (bz ? 1.0 - c.w0[2] : c.w0[2]);
-          const int i = c.base[0] + bx + gx;
-          const int j = c.base[1] + by + gy;
-          const int k = c.base[2] + bz + gz;
-          ENZO_REQUIRE(gm.contains(i, j, k),
-                       "CIC deposit escaped the ghost layer");
-          gm(i, j, k) += w * dens;
+  // Pass 1, over particle chunks: each particle's cloud.  The whole cloud
+  // must lie in the storage (the one-cell ghost layer absorbs edge clouds).
+  const auto clouds = std::make_unique_for_overwrite<Cloud[]>(np);
+  exec::maybe_parallel_for(ex, np, 1024, [&](std::size_t b, std::size_t e) {
+    for (std::size_t n = b; n < e; ++n) {
+      const Cic c = cic_of(g, pp[n]);
+      const int i = c.base[0] + gx, j = c.base[1] + gy, k = c.base[2] + gz;
+      ENZO_REQUIRE(gm.contains(i, j, k) && gm.contains(i + gx, j + gy, k + gz),
+                   "CIC deposit escaped the ghost layer");
+      clouds[n] = {static_cast<std::int32_t>(gm.index(i, j, k)), k,
+                   {c.w0[0], c.w0[1], c.w0[2]}, pp[n].mass * inv_vol};
+    }
+  });
+  // Pass 2, over slabs of k-planes: every slab walks all clouds in particle
+  // order and adds only the terms that land in its planes, so each cell sums
+  // its terms in the serial order at any lane count.
+  const int planes = gm.nz();
+  const int lanes = ex != nullptr ? ex->threads() : 1;
+  const auto slab = static_cast<std::size_t>((planes + lanes - 1) / lanes);
+  const std::ptrdiff_t sy = gm.stride(1), sz = gm.stride(2);
+  double* const mass = gm.data();
+  exec::maybe_parallel_for(
+      ex, static_cast<std::size_t>(planes), slab,
+      [&](std::size_t k0, std::size_t k1) {
+        const auto lo = static_cast<int>(k0), hi = static_cast<int>(k1);
+        for (const Cloud& c : std::span(clouds.get(), np)) {
+          if (c.k + gz < lo || c.k >= hi) continue;
+          for (int bz = 0; bz <= gz; ++bz) {
+            if (c.k + bz < lo || c.k + bz >= hi) continue;
+            const double wz = bz ? 1.0 - c.w0[2] : c.w0[2];
+            for (int by = 0; by <= gy; ++by) {
+              const double wy = by ? 1.0 - c.w0[1] : c.w0[1];
+              for (int bx = 0; bx <= gx; ++bx) {
+                const double wx = bx ? 1.0 - c.w0[0] : c.w0[0];
+                mass[c.at + bz * sz + by * sy + bx] += wx * wy * wz * c.dens;
+              }
+            }
+          }
         }
-  }
+      });
   // A grid covering the whole periodic domain wraps its ghost deposits back
   // into the active region so no mass is lost.
   if (g.covers_periodic_domain()) {
@@ -100,57 +141,68 @@ void deposit_particles_cic(Grid& g) {
         }
   }
   static util::ComponentFlops flops("nbody");
-  flops.add(util::flop_cost::kCicPerParticle * g.particles().size());
+  flops.add(util::flop_cost::kCicPerParticle * np);
 }
 
-void kick_particles(Grid& g, double dt, double adot_over_a) {
+void kick_particles(Grid& g, double dt, double adot_over_a,
+                    exec::LevelExecutor* ex) {
   if (g.particles().empty()) return;
   ENZO_REQUIRE(g.has_gravity(), "kick requires acceleration fields");
   const double x = 0.5 * adot_over_a * dt;
   const double decay = (1.0 - x) / (1.0 + x);
-  for (Particle& p : g.particles()) {
-    Cic c = cic_of(g, p);
-    // Acceleration arrays cover active cells only: clamp the cloud.
-    for (int d = 0; d < 3; ++d) {
-      const int nmax = g.nx(d) - (g.spec().level_dims[d] > 1 ? 2 : 1);
-      if (c.base[d] < 0) {
-        c.base[d] = 0;
-        c.w0[d] = 1.0;
-      } else if (c.base[d] > nmax) {
-        c.base[d] = nmax;
-        c.w0[d] = 0.0;
+  const mesh::ParticleView pp = g.particles();
+  exec::maybe_parallel_for(ex, pp.size(), 512, [&](std::size_t b,
+                                                   std::size_t e) {
+    for (std::size_t n = b; n < e; ++n) {
+      Particle& p = pp[n];
+      Cic c = cic_of(g, p);
+      // Acceleration arrays cover active cells only: clamp the cloud.
+      for (int d = 0; d < 3; ++d) {
+        const int nmax = g.nx(d) - (g.spec().level_dims[d] > 1 ? 2 : 1);
+        if (c.base[d] < 0) {
+          c.base[d] = 0;
+          c.w0[d] = 1.0;
+        } else if (c.base[d] > nmax) {
+          c.base[d] = nmax;
+          c.w0[d] = 0.0;
+        }
       }
+      for (int d = 0; d < 3; ++d) {
+        if (g.spec().level_dims[d] == 1) continue;
+        const auto& acc = g.acceleration(d);
+        double a_p = 0.0;
+        for (int bz = 0; bz < (g.spec().level_dims[2] > 1 ? 2 : 1); ++bz)
+          for (int by = 0; by < (g.spec().level_dims[1] > 1 ? 2 : 1); ++by)
+            for (int bx = 0; bx < (g.spec().level_dims[0] > 1 ? 2 : 1); ++bx) {
+              const double w = (bx ? 1.0 - c.w0[0] : c.w0[0]) *
+                               (by ? 1.0 - c.w0[1] : c.w0[1]) *
+                               (bz ? 1.0 - c.w0[2] : c.w0[2]);
+              a_p += w * acc(c.base[0] + bx, c.base[1] + by, c.base[2] + bz);
+            }
+        p.v[d] = p.v[d] * decay + dt * a_p;
+      }
+      // Degenerate axes still feel the drag.
+      for (int d = 0; d < 3; ++d)
+        if (g.spec().level_dims[d] == 1) p.v[d] *= decay;
     }
-    for (int d = 0; d < 3; ++d) {
-      if (g.spec().level_dims[d] == 1) continue;
-      const auto& acc = g.acceleration(d);
-      double a_p = 0.0;
-      for (int bz = 0; bz < (g.spec().level_dims[2] > 1 ? 2 : 1); ++bz)
-        for (int by = 0; by < (g.spec().level_dims[1] > 1 ? 2 : 1); ++by)
-          for (int bx = 0; bx < (g.spec().level_dims[0] > 1 ? 2 : 1); ++bx) {
-            const double w = (bx ? 1.0 - c.w0[0] : c.w0[0]) *
-                             (by ? 1.0 - c.w0[1] : c.w0[1]) *
-                             (bz ? 1.0 - c.w0[2] : c.w0[2]);
-            a_p += w * acc(c.base[0] + bx, c.base[1] + by, c.base[2] + bz);
-          }
-      p.v[d] = p.v[d] * decay + dt * a_p;
-    }
-    // Degenerate axes still feel the drag.
-    for (int d = 0; d < 3; ++d)
-      if (g.spec().level_dims[d] == 1) p.v[d] *= decay;
-  }
+  });
   static util::ComponentFlops flops("nbody");
-  flops.add(util::flop_cost::kCicPerParticle * g.particles().size());
+  flops.add(util::flop_cost::kCicPerParticle * pp.size());
 }
 
-void drift_particles(Grid& g, double dt, double a) {
+void drift_particles(Grid& g, double dt, double a, exec::LevelExecutor* ex) {
   const ext::pos_t one(1.0);
-  for (Particle& p : g.particles()) {
-    for (int d = 0; d < 3; ++d) {
-      p.x[d] += ext::pos_t(p.v[d] * dt / a);
-      if (g.spec().periodic) p.x[d] = ext::fmod_pos(p.x[d], one);
-    }
-  }
+  const mesh::ParticleView pp = g.particles();
+  const bool periodic = g.spec().periodic;
+  exec::maybe_parallel_for(ex, pp.size(), 512, [&](std::size_t b,
+                                                   std::size_t e) {
+    for (std::size_t n = b; n < e; ++n)
+      for (int d = 0; d < 3; ++d) {
+        ext::pos_t& x = pp[n].x[d];
+        x += ext::pos_t(pp[n].v[d] * dt / a);
+        if (periodic) x = ext::fmod_pos(x, one);
+      }
+  });
 }
 
 double particle_timestep(const Grid& g, double a, double cfl) {
@@ -164,13 +216,14 @@ double particle_timestep(const Grid& g, double a, double cfl) {
   return dt;
 }
 
-void redistribute_particles(mesh::Hierarchy& h) {
+void redistribute_particles(mesh::Hierarchy& h, exec::LevelExecutor* ex) {
   perf::TraceScope scope("redistribute_particles", perf::component::kNbody);
   // Re-home any particle that escaped its grid or for which a finer grid
   // now contains its position (the ownership invariant is finest-owner).
   // The topology point index answers finest-owner in O(1) per particle; its
   // candidate lists preserve grid order, so the owner it returns is the
-  // grid a linear deepest-first scan would find.
+  // grid a linear deepest-first scan would find.  The lookups run over
+  // particle chunks; the keep/homeless split walks them in index order.
   const mesh::OverlapTopology& topo = h.topology();
   std::vector<std::pair<Particle, Grid*>> homeless;
   for (int l = h.deepest_level(); l >= 0; --l)
@@ -178,12 +231,19 @@ void redistribute_particles(mesh::Hierarchy& h) {
       const mesh::ParticleView pp = g->particles();
       std::vector<Particle> keep;
       keep.reserve(pp.size());
-      for (Particle& p : pp) {
-        Grid* owner = topo.finest_owner(p.x);
-        if (owner == g)
-          keep.push_back(p);
+      // Allocated after `keep`: allocated before it, this array left the
+      // 32³ cosmology box's peak RSS 2.7 MB higher (glibc heap layout).
+      std::vector<Grid*> owner(pp.size());
+      exec::maybe_parallel_for(ex, pp.size(), 1024,
+                               [&](std::size_t b, std::size_t e) {
+                                 for (std::size_t n = b; n < e; ++n)
+                                   owner[n] = topo.finest_owner(pp[n].x);
+                               });
+      for (std::size_t n = 0; n < pp.size(); ++n) {
+        if (owner[n] == g)
+          keep.push_back(pp[n]);
         else
-          homeless.emplace_back(p, owner);
+          homeless.emplace_back(pp[n], owner[n]);
       }
       pp.swap(keep);
     }

@@ -16,27 +16,40 @@
 #include "cosmology/units.hpp"
 #include "mesh/hierarchy.hpp"
 
+namespace enzo::exec {
+class LevelExecutor;
+}
+
 namespace enzo::nbody {
+
+// `ex` (optional, here and below) splits the kernel over particle chunks
+// (and the deposit's second pass over k-plane slabs) with parallel_for.
+// Every result is bit for bit the serial one at any lane count.
 
 /// CIC-deposit the grid's own particles into its gravitating_mass (the
 /// one-ghost layer absorbs edge clouds; for domain-covering periodic grids
-/// the ghost contributions are wrapped back into the active region).
-void deposit_particles_cic(mesh::Grid& g);
+/// the ghost contributions are wrapped back into the active region).  Each
+/// cell receives its particles' terms in particle order.
+void deposit_particles_cic(mesh::Grid& g, exec::LevelExecutor* ex = nullptr);
 
 /// Kick: v ← v·decay(ȧ/a, dt) + g_cic·dt using the grid's acceleration
 /// fields (clamped CIC at grid edges).
-void kick_particles(mesh::Grid& g, double dt, double adot_over_a);
+void kick_particles(mesh::Grid& g, double dt, double adot_over_a,
+                    exec::LevelExecutor* ex = nullptr);
 
 /// Drift: x ← x + v·dt/a (extended-precision accumulate), wrapped
 /// periodically into [0,1).
-void drift_particles(mesh::Grid& g, double dt, double a);
+void drift_particles(mesh::Grid& g, double dt, double a,
+                     exec::LevelExecutor* ex = nullptr);
 
 /// Courant-like constraint: particles must not cross more than cfl cells.
 double particle_timestep(const mesh::Grid& g, double a, double cfl = 0.4);
 
 /// Re-home particles that drifted off their owning grid: each goes to the
 /// finest grid containing its position.  Call after drifting a level.
-void redistribute_particles(mesh::Hierarchy& h);
+/// Particle order is the serial one at any lane count.
+void redistribute_particles(mesh::Hierarchy& h,
+                            exec::LevelExecutor* ex = nullptr);
 
 /// Total particle count / mass over the whole hierarchy (diagnostics).
 std::size_t total_particles(const mesh::Hierarchy& h);

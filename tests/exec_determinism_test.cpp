@@ -1,5 +1,5 @@
 // End-to-end determinism of the parallel level-execution engine: a deck run
-// on the serial backend and on an 8-lane thread pool must produce
+// on the serial backend and on a 3-, 4- or 8-lane thread pool must produce
 // byte-identical per-step diagnostics and identical audit conservation
 // sums.  This is the contract the executor's ordered phases and
 // reduce_ordered combining exist to keep.  cosmology_box covers particles,
@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,46 +80,60 @@ RunResult run_deck(const char* deck_name, int steps, exec::Backend backend,
   return r;
 }
 
-void expect_serial_equals_pool8(const char* deck_name, int steps) {
-  const std::string dir = ::testing::TempDir();
+/// A diagnostics file of the running test's own: ctest runs these tests in
+/// parallel, and a shared name would interleave their records.
+std::string diag_path(const std::string& tag) {
+  return ::testing::TempDir() + "exec_det_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + tag + ".jsonl";
+}
+
+void expect_serial_equals_pool(const char* deck_name, int steps,
+                               std::initializer_list<int> lanes) {
   const RunResult serial = run_deck(deck_name, steps, exec::Backend::kSerial,
-                                    1, dir + "exec_det_serial.jsonl");
-  const RunResult pool = run_deck(deck_name, steps, exec::Backend::kThreadPool,
-                                  8, dir + "exec_det_pool.jsonl");
-
+                                    1, diag_path("serial"));
   ASSERT_EQ(serial.records.size(), static_cast<std::size_t>(steps));
-  ASSERT_EQ(pool.records.size(), serial.records.size());
-  for (std::size_t i = 0; i < serial.records.size(); ++i)
-    EXPECT_EQ(serial.records[i], pool.records[i]) << "step " << i;
-
-  // Audit conservation sums are serial root-level reductions in both runs;
-  // they must agree bitwise, and neither run may violate an AMR invariant.
-  EXPECT_EQ(serial.audit_mass, pool.audit_mass);
-  EXPECT_EQ(serial.audit_energy, pool.audit_energy);
   EXPECT_EQ(serial.audit_violations, 0u);
-  EXPECT_EQ(pool.audit_violations, 0u);
+  for (int n : lanes) {
+    const RunResult pool = run_deck(deck_name, steps,
+                                    exec::Backend::kThreadPool, n,
+                                    diag_path(std::to_string(n)));
+    ASSERT_EQ(pool.records.size(), serial.records.size());
+    for (std::size_t i = 0; i < serial.records.size(); ++i)
+      EXPECT_EQ(serial.records[i], pool.records[i])
+          << "step " << i << ", " << n << " lanes";
+
+    // Audit conservation sums are serial root-level reductions in both runs;
+    // they must agree bitwise, and neither run may violate an AMR invariant.
+    EXPECT_EQ(serial.audit_mass, pool.audit_mass);
+    EXPECT_EQ(serial.audit_energy, pool.audit_energy);
+    EXPECT_EQ(pool.audit_violations, 0u);
+  }
 }
 
 }  // namespace
 
 TEST(ExecDeterminismTest, SerialAndThreadPool8AreByteIdentical) {
-  expect_serial_equals_pool8("cosmology_box.enzo", 2);
+  expect_serial_equals_pool("cosmology_box.enzo", 2, {8});
+}
+
+TEST(ExecDeterminismTest, SerialAndThreadPool3And4AreByteIdentical) {
+  // The N-body kernels and the root FFT split by lane count: deposit slabs
+  // of ceil(planes / lanes) k-planes, and 4 chunks per lane.
+  expect_serial_equals_pool("cosmology_box.enzo", 2, {3, 4});
 }
 
 TEST(ExecDeterminismTest, SedovSerialAndThreadPool8AreByteIdentical) {
   // The blast first refines at root step 14; by step 18 level 1 holds ~47
   // grids, rebuilt every step.
-  expect_serial_equals_pool8("sedov.enzo", 18);
+  expect_serial_equals_pool("sedov.enzo", 18, {8});
 }
 
 TEST(ExecDeterminismTest, ThreadPoolIsRepeatable) {
-  const std::string dir = ::testing::TempDir();
   const RunResult a = run_deck("cosmology_box.enzo", 2,
-                               exec::Backend::kThreadPool, 8,
-                               dir + "exec_det_rep_a.jsonl");
+                               exec::Backend::kThreadPool, 8, diag_path("a"));
   const RunResult b = run_deck("cosmology_box.enzo", 2,
-                               exec::Backend::kThreadPool, 8,
-                               dir + "exec_det_rep_b.jsonl");
+                               exec::Backend::kThreadPool, 8, diag_path("b"));
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i)
     EXPECT_EQ(a.records[i], b.records[i]) << "step " << i;

@@ -1,7 +1,8 @@
 // LevelExecutor engine tests: completeness and ordering of both backends,
-// exception propagation with pool reuse, work stealing under skewed costs,
-// nested parallel_for, bit-identical ordered reductions, and the hierarchy
-// invalidation contract (no rebuild inside a phase).
+// exception propagation with pool reuse (also out of a nested chunk), load
+// balance under skewed costs, nested parallel_for from every lane at once,
+// many back-to-back small batches, bit-identical ordered reductions, and the
+// hierarchy invalidation contract (no rebuild inside a phase).
 
 #include <gtest/gtest.h>
 
@@ -97,20 +98,24 @@ TEST(ThreadPoolExecutorTest, ExceptionPropagatesAndPoolStaysUsable) {
 TEST(ThreadPoolExecutorTest, StealsUnderSkewedCosts) {
   ThreadPoolExecutor ex(2);
   if (ex.threads() < 2) GTEST_SKIP() << "no worker lane available";
-  // Task 0 is by far the most expensive: the seeding puts it first on the
-  // caller's queue, so while the caller sits in it the worker lane must
-  // steal the caller's remaining tasks to finish the phase.
+  // Task 0 is by far the most expensive, so it is the first chunk of the
+  // batch.  Whichever lane takes it sits in it for 100 ms, and the other
+  // lane must run every cheap task meanwhile.
   std::atomic<int> ran{0};
+  std::vector<std::thread::id> ran_on(16);
   ex.for_each(
       kPhase, 16,
       [&](std::size_t i) {
+        ran_on[i] = std::this_thread::get_id();
         if (i == 0)
           std::this_thread::sleep_for(std::chrono::milliseconds(100));
         ran++;
       },
       [](std::size_t i) { return i == 0 ? 1000000u : 1u; });
   EXPECT_EQ(ran.load(), 16);
-  EXPECT_GT(ex.steals(), 0u);
+  for (std::size_t i = 1; i < 16; ++i)
+    EXPECT_NE(ran_on[i], ran_on[0])
+        << "cheap task " << i << " waited behind the costly one";
 }
 
 TEST(ThreadPoolExecutorTest, ParallelForCoversRangeOnce) {
@@ -135,6 +140,67 @@ TEST(ThreadPoolExecutorTest, NestedParallelForInsideTask) {
     });
   });
   EXPECT_EQ(sum.load(), 3 * (99 * 100 / 2));
+}
+
+TEST(ThreadPoolExecutorTest, NestedParallelForFromEveryLaneAtOnce) {
+  // Every lane runs an outer task that opens its own nested batch, so
+  // several batches are open together and idle lanes serve the newest.
+  ThreadPoolExecutor ex(4);
+  constexpr std::size_t kOuter = 16, kInner = 1000;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  for (int rep = 0; rep < 20; ++rep) {
+    ex.for_each(kPhase, kOuter, [&](std::size_t o) {
+      ex.parallel_for(kInner, 1, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) hits[o * kInner + i]++;
+      });
+    });
+  }
+  for (auto& h : hits) EXPECT_EQ(h.load(), 20);
+  EXPECT_FALSE(exec::in_phase());
+}
+
+TEST(ThreadPoolExecutorTest, NestedExceptionReachesTheOuterCaller) {
+  ThreadPoolExecutor ex(4);
+  EXPECT_THROW(ex.for_each(kPhase, 8,
+                           [&](std::size_t o) {
+                             ex.parallel_for(64, 1, [&](std::size_t b,
+                                                        std::size_t e) {
+                               for (std::size_t i = b; i < e; ++i)
+                                 if (o == 5 && i == 40)
+                                   throw std::runtime_error("nested boom");
+                             });
+                           }),
+               std::runtime_error);
+  EXPECT_FALSE(exec::in_phase());
+  // The pool still runs work, nested included.
+  std::atomic<int> ran{0};
+  ex.for_each(kPhase, 8, [&](std::size_t) {
+    ex.parallel_for(64, 1, [&](std::size_t b, std::size_t e) {
+      ran += static_cast<int>(e - b);
+    });
+  });
+  EXPECT_EQ(ran.load(), 8 * 64);
+}
+
+TEST(ThreadPoolExecutorTest, ManySmallBatchesCoverEveryIndexOnce) {
+  // Back-to-back batches with tiny chunks: the hand-off between one batch
+  // and the next must never lose or repeat a chunk.
+  for (int lanes : {2, 3, 4, 8}) {
+    ThreadPoolExecutor ex(lanes);
+    std::vector<int> hits(37);
+    for (int rep = 0; rep < 10000; ++rep) {
+      const std::size_t n = 1 + static_cast<std::size_t>(rep) % hits.size();
+      ex.parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) hits[i]++;
+      });
+    }
+    std::vector<int> want(hits.size(), 0);
+    for (int rep = 0; rep < 10000; ++rep)
+      for (std::size_t i = 0; i < 1 + static_cast<std::size_t>(rep) % hits.size();
+           ++i)
+        want[i]++;
+    EXPECT_EQ(hits, want) << lanes << " lanes";
+  }
 }
 
 TEST(ExecutorTest, ReduceOrderedIsBitIdenticalAcrossBackends) {

@@ -4,7 +4,9 @@
 // restriction, subgrid solves with parent BCs (bit for bit against the
 // cell-by-cell parent interpolation and the refill-every-pass exchange they
 // replaced), the periodic edge of a subgrid parent, failure diagnosis, and
-// sibling potential consistency.
+// sibling potential consistency.  The root solve's per-axis eigenvalue
+// tables and its lane split, and a level solve that assembles only its own
+// and finer levels' mass, each match the code they replaced bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +14,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/executor.hpp"
+#include "fft/fft.hpp"
 #include "gravity/gravity.hpp"
 #include "mesh/hierarchy.hpp"
+#include "nbody/nbody.hpp"
 #include "perf/metrics.hpp"
+#include "util/constants.hpp"
 #include "util/flops.hpp"
 #include "util/rng.hpp"
 
@@ -759,6 +765,180 @@ TEST(Gravity, RestrictGravitatingMassAverages) {
   EXPECT_DOUBLE_EQ(root->gravitating_mass()(2 + 1, 2 + 1, 2 + 1), 5.0);
   EXPECT_DOUBLE_EQ(root->gravitating_mass()(0 + 1, 0 + 1, 0 + 1), 1.0);
   (void)c;
+}
+
+namespace {
+
+/// The root solve with three cos per Fourier mode, as it was before the
+/// per-axis eigenvalue tables: the periodic potential of h's level-0 mass.
+util::Buffer3 per_mode_root_solve(const mesh::Hierarchy& h,
+                                  const gravity::GravityParams& p, double a) {
+  const mesh::Index3 dims = h.level_dims(0);
+  const int nx = static_cast<int>(dims[0]), ny = static_cast<int>(dims[1]),
+            nz = static_cast<int>(dims[2]);
+  util::Buffer3 rho(nx, ny, nz, 0.0), phi(nx, ny, nz);
+  for (const Grid* g : h.grids(0)) {
+    auto glo = [&](int d) { return g->spec().level_dims[d] > 1 ? 1 : 0; };
+    for (int k = 0; k < g->nx(2); ++k)
+      for (int j = 0; j < g->nx(1); ++j)
+        for (int i = 0; i < g->nx(0); ++i)
+          rho.view()(static_cast<int>(g->box().lo[0]) + i,
+                     static_cast<int>(g->box().lo[1]) + j,
+                     static_cast<int>(g->box().lo[2]) + k) =
+              g->gravitating_mass()(i + glo(0), j + glo(1), k + glo(2));
+  }
+  const double coef = p.grav_const_code / a;
+  std::vector<fft::cplx> data(rho.size());
+  const util::ArrayView3<fft::cplx> spec(data.data(), nx, ny, nz);
+  fft::fft3_real(rho.view(), spec);
+  const double dx[3] = {1.0 / nx, 1.0 / ny, 1.0 / nz};
+  for (int kz = 0; kz < nz; ++kz)
+    for (int ky = 0; ky < ny; ++ky)
+      for (int kx = 0; kx < nx; ++kx) {
+        if (kx == 0 && ky == 0 && kz == 0) {
+          spec(kx, ky, kz) = 0.0;
+          continue;
+        }
+        double lam = 0.0;
+        const int f[3] = {kx, ky, kz};
+        const int n[3] = {nx, ny, nz};
+        for (int d = 0; d < 3; ++d) {
+          if (n[d] == 1) continue;
+          const double ang = constants::kTwoPi * f[d] / n[d];
+          lam += (2.0 * std::cos(ang) - 2.0) / (dx[d] * dx[d]);
+        }
+        spec(kx, ky, kz) *= coef / lam;
+      }
+  fft::ifft3_real(spec, phi.view());
+  return phi;
+}
+
+}  // namespace
+
+TEST(RootGravity, EigenvalueTablesMatchPerModeOracleBitwise) {
+  const std::array<std::int64_t, 3> shapes[] = {{32, 32, 32}, {16, 8, 1}};
+  exec::ThreadPoolExecutor pool(4);
+  for (const auto& dims : shapes) {
+    for (exec::LevelExecutor* ex : {static_cast<exec::LevelExecutor*>(nullptr),
+                                    static_cast<exec::LevelExecutor*>(&pool)}) {
+      mesh::HierarchyParams hp;
+      hp.root_dims = dims;
+      mesh::Hierarchy h(hp);
+      h.build_root();
+      Grid* g = h.grids(0)[0];
+      fill_uniform_gas(*g, 1.0);
+      gravity::begin_gravitating_mass(h, 0);
+      util::Rng rng(23);
+      for (double& v : g->gravitating_mass()) v = rng.uniform(0.2, 5.0);
+      const gravity::GravityParams p;
+      gravity::solve_root_gravity(h, p, 0.7, ex);
+      const util::Buffer3 want = per_mode_root_solve(h, p, 0.7);
+      const int n[3] = {static_cast<int>(dims[0]), static_cast<int>(dims[1]),
+                        static_cast<int>(dims[2])};
+      int gh[3];
+      for (int d = 0; d < 3; ++d) gh[d] = n[d] > 1 ? 1 : 0;
+      std::size_t bad = 0;
+      const auto pot = g->potential();
+      for (int k = -gh[2]; k < n[2] + gh[2]; ++k)
+        for (int j = -gh[1]; j < n[1] + gh[1]; ++j)
+          for (int i = -gh[0]; i < n[0] + gh[0]; ++i) {
+            const double w = want.view()((i + n[0]) % n[0], (j + n[1]) % n[1],
+                                         (k + n[2]) % n[2]);
+            if (std::bit_cast<std::uint64_t>(pot(i + gh[0], j + gh[1], k + gh[2])) !=
+                std::bit_cast<std::uint64_t>(w))
+              ++bad;
+          }
+      EXPECT_EQ(bad, 0u) << dims[0] << "x" << dims[1] << "x" << dims[2]
+                         << (ex != nullptr ? " on 4 lanes" : " serially");
+    }
+  }
+}
+
+namespace {
+
+/// A 16³ root with gas and particles and one level-1 grid with its own
+/// particles; identical for every call.
+std::unique_ptr<mesh::Hierarchy> two_level_particle_box() {
+  mesh::HierarchyParams hp;
+  hp.root_dims = {16, 16, 16};
+  hp.max_level = 1;
+  auto h = std::make_unique<mesh::Hierarchy>(hp);
+  h->build_root();
+  Grid* root = h->grids(0)[0];
+  fill_uniform_gas(*root, 1.0);
+  root->store_old_fields();
+  auto child = std::make_unique<Grid>(
+      h->make_spec(1, {{10, 8, 12}, {22, 20, 22}}), hp.fields);
+  child->set_parent(root);
+  fill_uniform_gas(*child, 1.3);
+  Grid* c = h->insert_grid(std::move(child));
+  util::Rng rng(41);
+  for (int i = 0; i < 3000; ++i) {
+    mesh::Particle p;
+    p.x = {ext::pos_t(rng.uniform()), ext::pos_t(rng.uniform()),
+           ext::pos_t(rng.uniform())};
+    p.mass = rng.uniform(0.5, 1.5) / 3000;
+    root->particles().push_back(p);
+  }
+  for (int i = 0; i < 800; ++i) {
+    mesh::Particle p;
+    p.x = {ext::pos_t(rng.uniform(10.5, 21.5) / 32),
+           ext::pos_t(rng.uniform(8.5, 19.5) / 32),
+           ext::pos_t(rng.uniform(12.5, 21.5) / 32)};
+    p.mass = rng.uniform(0.5, 1.5) / 3000;
+    c->particles().push_back(p);
+  }
+  return h;
+}
+
+/// One level solve as Simulation::solve_gravity_level runs it, assembling
+/// gravitating mass on the levels from `from` down to the finest.
+void level_solve(mesh::Hierarchy& h, int level, int from) {
+  for (int l = h.deepest_level(); l >= from; --l) {
+    gravity::begin_gravitating_mass(h, l);
+    for (Grid* g : h.grids(l)) nbody::deposit_particles_cic(*g);
+  }
+  gravity::restrict_gravitating_mass(h, nullptr, from);
+  const gravity::GravityParams p;
+  if (level == 0)
+    gravity::solve_root_gravity(h, p, 1.0);
+  else
+    gravity::solve_subgrid_gravity(h, level, p, 1.0);
+  for (Grid* g : h.grids(level)) gravity::compute_accelerations(*g, 1.0);
+}
+
+void expect_same_gravity(const Grid& a, const Grid& b, const char* what) {
+  EXPECT_TRUE(same_bits(a.potential(), b.potential())) << what << " potential";
+  for (int d = 0; d < 3; ++d)
+    EXPECT_TRUE(same_bits(a.acceleration(d), b.acceleration(d)))
+        << what << " acceleration " << d;
+}
+
+}  // namespace
+
+TEST(Gravity, LevelSolveSkipsCoarserMassBitwise) {
+  // The W-cycle: a root solve, then the root's gas and particles move
+  // (its mass is now stale), then the level-1 solve, then the next root
+  // solve.  Assembling only levels >= 1 for the level-1 solve must give
+  // what assembling every level gives.
+  auto trimmed = two_level_particle_box();
+  auto oracle = two_level_particle_box();
+  for (mesh::Hierarchy* h : {trimmed.get(), oracle.get()}) {
+    level_solve(*h, 0, 0);
+    Grid* root = h->grids(0)[0];
+    for (double& v : root->field(Field::kDensity)) v *= 1.25;
+    nbody::drift_particles(*root, 0.01, 1.0);
+    for (mesh::Particle& p : root->particles()) p.v = {0.3, -0.2, 0.1};
+    nbody::drift_particles(*root, 0.05, 1.0);
+  }
+  level_solve(*trimmed, 1, 1);
+  level_solve(*oracle, 1, 0);
+  expect_same_gravity(*trimmed->grids(1)[0], *oracle->grids(1)[0], "level 1");
+  for (mesh::Hierarchy* h : {trimmed.get(), oracle.get()}) level_solve(*h, 0, 0);
+  expect_same_gravity(*trimmed->grids(0)[0], *oracle->grids(0)[0], "next root");
+  // That solve rebuilt the root mass the level-1 solve left stale.
+  EXPECT_TRUE(same_bits(trimmed->grids(0)[0]->gravitating_mass(),
+                        oracle->grids(0)[0]->gravitating_mass()));
 }
 
 // ---- subgrid solve --------------------------------------------------------------
